@@ -22,7 +22,6 @@ class RunConfig:
     pi1_budget: int = DEFAULT_BUDGET
     fmt: str = "json"
     out: str | None = None
-    jobs: int = 1
     seed_order: str = "colex"
 
 
@@ -276,13 +275,15 @@ def _common_flags() -> argparse.ArgumentParser:
         "--cap", type=int, default=argparse.SUPPRESS, help="enumeration vertex cap"
     )
     common.add_argument(
-        "--budget", type=int, default=argparse.SUPPRESS, help="pi1 certification budget"
+        "--budget",
+        type=int,
+        default=argparse.SUPPRESS,
+        help="coset-enumeration budget; bounds only an inconclusive pi1",
     )
     common.add_argument(
         "--format", default=argparse.SUPPRESS, choices=["json", "dot", "svg"]
     )
     common.add_argument("--out", default=argparse.SUPPRESS, help="output path (default: stdout)")
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS, help="parallelism degree")
     common.add_argument(
         "--seed-order",
         choices=["colex", "revcolex"],
@@ -367,11 +368,10 @@ def main(argv=None) -> int:
         pi1_budget=getattr(args, "budget", DEFAULT_BUDGET),
         fmt=getattr(args, "format", "json"),
         out=getattr(args, "out", None),
-        jobs=getattr(args, "jobs", 1),
         seed_order=getattr(args, "seed_order", "colex"),
     )
-    if config.jobs < 1 or config.vertex_cap < 1 or config.pi1_budget < 1:
-        parser.error("caps, budget and jobs must be positive")
+    if config.vertex_cap < 1 or config.pi1_budget < 1:
+        parser.error("cap and budget must be positive")
     try:
         return args.func(args, config)
     except (ArgumentError, ValidationError, PreconditionError, OSError, json.JSONDecodeError) as exc:

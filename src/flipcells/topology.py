@@ -1,9 +1,15 @@
 """Integer homology and fundamental-group certificates for 2-complexes.
 
-H1 is computed from exact Smith normal forms of the boundary matrices; the
-pi1 certificate runs a Todd-Coxeter style coset enumeration against the
-trivial subgroup with an explicit budget, so "trivial" answers are proofs
-and budget exhaustion is reported as inconclusive.
+H1 is computed from an exact Smith normal form of the 2-cell boundary
+matrix (the rank of the 1-cell boundary is V - #components).  The pi1 field
+of a certificate takes one of three values, each with its own proof:
+
+* "trivial": a Todd-Coxeter style coset enumeration against the trivial
+  subgroup closed on a single coset;
+* "nontrivial": H1 != 0, and H1 is the abelianization of pi1, so no coset
+  enumeration runs;
+* "inconclusive": H1 = 0 but coset enumeration exhausted its budget, which
+  bounds only this case.
 """
 
 from __future__ import annotations
@@ -222,19 +228,28 @@ def _sparse_snf(rows: list[dict[int, int]]) -> list[int]:
         del rows[pi][pc]
         col_index[pc].discard(pi)
         live_rows.discard(pi)
+    return _divisibility_chain(diag)
 
-    # enforce the divisibility chain: diag(a, b) ~ diag(gcd, lcm)
+
+def _divisibility_chain(diag: list[int]) -> list[int]:
+    """Invariant factors of diag(diag), a list of positive integers, sorted.
+
+    Pairs are merged by diag(a, b) ~ diag(gcd, lcm).  A unit divides
+    everything, so only the entries > 1 take part in the quadratic pass.
+    """
+    units = [1] * diag.count(1)
+    big = [v for v in diag if v > 1]
     changed = True
     while changed:
         changed = False
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                if diag[j] % diag[i]:
-                    g = math.gcd(diag[i], diag[j])
-                    l = diag[i] // g * diag[j]
-                    diag[i], diag[j] = g, l
+        for i in range(len(big)):
+            for j in range(i + 1, len(big)):
+                if big[j] % big[i]:
+                    g = math.gcd(big[i], big[j])
+                    l = big[i] // g * big[j]
+                    big[i], big[j] = g, l
                     changed = True
-    return sorted(diag)
+    return units + sorted(big)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +280,9 @@ def h1(k: TwoComplex) -> tuple[int, list[int]]:
     comps = k.components()
     if len(comps) != 1:
         raise PreconditionError("complex is disconnected; components: %s" % (comps,))
-    d1, d2 = boundary_matrices(k)
-    rank_d1 = len(_sparse_snf(d1))
+    # the cokernel of d1 is Z^#components, so rank(d1) needs no elimination
+    rank_d1 = k.nv - len(comps)
+    _, d2 = boundary_matrices(k)
     inv_d2 = _sparse_snf(d2)
     betti = len(k.edges) - rank_d1 - len(inv_d2)
     torsion = [v for v in inv_d2 if v > 1]
@@ -458,13 +474,20 @@ def certify_trivial(pres: GroupPresentation, budget: int = DEFAULT_PI1_BUDGET) -
 
 
 def certificate(k: TwoComplex, budget: int = DEFAULT_PI1_BUDGET) -> dict:
-    """Simple-connectivity certificate: H1 plus a best-effort pi1 check."""
+    """Simple-connectivity certificate: H1, then pi1 when H1 leaves it open.
+
+    The "pi1" field is one of
+      "trivial"       coset enumeration closed on one coset: a proof;
+      "nontrivial"    H1 != 0, and H1 is the abelianization of pi1: a proof;
+      "inconclusive"  H1 = 0 but coset enumeration exhausted ``budget``.
+    ``budget`` bounds only the last case; it is recorded either way.
+    """
     t0 = time.monotonic()
     betti, torsion = h1(k)
-    pres = pi1_presentation(k)
-    pi1 = certify_trivial(pres, budget=budget)
-    if pi1 == "trivial" and (betti != 0 or torsion):
-        raise AssertionError("pi1 trivial but H1 nonzero: homology engine bug")
+    if betti or torsion:
+        pi1 = "nontrivial"
+    else:
+        pi1 = certify_trivial(pi1_presentation(k), budget=budget)
     return {
         "schema_version": 1,
         "V": k.nv,

@@ -120,6 +120,13 @@ class TestDeterminismAndErrors:
         with pytest.raises(SystemExit):
             cli.main(["frobnicate"])
 
+    @pytest.mark.parametrize("flags", [["--cap", "0"], ["--budget", "0"], ["--jobs", "2"]])
+    def test_nonpositive_or_unknown_flag_is_usage_error(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(flags + ["tilings", "4", "2"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_cap_exceeded_exit_code(self, capsys):
         code = cli.main(["--cap", "5", "tilings", "5", "2"])
         assert code == 3

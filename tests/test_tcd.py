@@ -94,6 +94,13 @@ class TestComplex:
         assert [n for n, _ in info["cells"]] == ["pentagon_square"]
         assert T.h1(cx) == (0, [])
 
+    def test_h1_nonzero_certificate_is_nontrivial(self):
+        # a known defect of the T complex at n = 6: no quads are glued
+        cx, _ = tcd.build_t_complex((2, 3, 4, 5, 6, 1))
+        cert = T.certificate(cx)
+        assert (cert["betti1"], cert["torsion"], cert["pi1"]) == (2, [], "nontrivial")
+        assert T.certify_trivial(T.pi1_presentation(cx), budget=20000) != "trivial"
+
     def test_identity_single_vertex(self):
         cx, info = tcd.build_t_complex((1, 2, 3))
         assert (cx.nv, len(cx.edges), len(cx.cells)) == (1, 0, 0)

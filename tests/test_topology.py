@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from flipcells import combinat as C
+from flipcells import plabic as P
 from flipcells import topology as T
 from flipcells import zonotope as Z
 from flipcells.errors import PreconditionError
@@ -59,6 +61,70 @@ class TestSNF:
         diag, rank = T.smith_normal_form(m)
         assert rank == 3
         assert math.prod(diag) == abs(_det(m))
+
+
+def _all_pairs_chain(diag):
+    """Reference: the divisibility chain over every pair, units included."""
+    diag = list(diag)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag)):
+            for j in range(i + 1, len(diag)):
+                if diag[j] % diag[i]:
+                    g = math.gcd(diag[i], diag[j])
+                    l = diag[i] // g * diag[j]
+                    diag[i], diag[j] = g, l
+                    changed = True
+    return sorted(diag)
+
+
+class TestDivisibilityChain:
+    def test_planted_torsion_merges(self):
+        assert T._sparse_snf([{0: 2}, {1: 3}]) == [1, 6]
+        rows = [{0: 4}, {1: 6}] + [{c: 1} for c in range(2, 52)]
+        assert T._sparse_snf(rows) == [1] * 50 + [2, 12]
+
+    def test_random_diagonals_match_all_pairs_chain(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            size = rng.randrange(0, 12)
+            diag = [rng.choice([1, 1, 1, 2, 3, 4, 6, 9, 10, 12]) for _ in range(size)]
+            assert T._divisibility_chain(diag) == _all_pairs_chain(diag)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_sparse_matches_all_pairs_chain(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        nrows, ncols = rng.randrange(20, 41), rng.randrange(10, 41)
+        rows = []
+        for _ in range(nrows):
+            scale = rng.choice([1, 1, 2, 3, 4, 6])
+            cols = rng.sample(range(ncols), rng.randrange(0, 4))
+            rows.append({c: scale * rng.choice([-2, -1, 1, 2, 3]) for c in cols})
+        eliminated = []
+        chain = T._divisibility_chain
+
+        def spy(diag):
+            eliminated.append(list(diag))
+            return chain(diag)
+
+        monkeypatch.setattr(T, "_divisibility_chain", spy)
+        assert T._sparse_snf(rows) == _all_pairs_chain(eliminated[0])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Z.build_z_complex(Z.enumerate_tilings(Z.zonotope_spec(5, 3)))[0],
+            lambda: P.build_plabic_complex(C.cyclic_decorated(5, 2), "X")[0],
+        ],
+        ids=["Z(5,3)", "X(pi(5,2))"],
+    )
+    def test_d1_rank_is_vertices_minus_one(self, build):
+        # h1 takes rank(d1) = V - #components without elimination
+        k = build()
+        d1, _ = T.boundary_matrices(k)
+        assert len(k.components()) == 1
+        assert k.nv - 1 == len(T._sparse_snf(d1))
 
 
 def _det(m):
@@ -153,8 +219,26 @@ class TestCertificates:
         assert T.certificate(k)["input_hash"] == cert["input_hash"]
 
     def test_trivial_pi1_implies_h1_zero(self):
-        # exercised inside certificate(); just confirm it runs on a torus-free case
+        # certificate() runs coset enumeration only once H1 = 0
         g = Z.enumerate_tilings(Z.zonotope_spec(5, 3))
         k, _ = Z.build_z_complex(g)
         cert = T.certificate(k)
         assert cert["pi1"] == "trivial" and cert["betti1"] == 0
+
+    def test_bare_cycle_is_nontrivial(self):
+        cert = T.certificate(cycle_complex(10, False))
+        assert (cert["betti1"], cert["torsion"], cert["pi1"]) == (1, [], "nontrivial")
+
+    def test_projective_plane_is_nontrivial(self):
+        k = T.TwoComplex(1, ((0, 0),), ((1, 1),))
+        cert = T.certificate(k)
+        assert (cert["betti1"], cert["torsion"], cert["pi1"]) == (0, [2], "nontrivial")
+
+    def test_nontrivial_skips_coset_enumeration(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("coset enumeration ran although H1 != 0")
+
+        monkeypatch.setattr(T, "pi1_presentation", fail)
+        monkeypatch.setattr(T, "certify_trivial", fail)
+        cert = T.certificate(cycle_complex(10, False), budget=1)
+        assert cert["pi1"] == "nontrivial" and cert["pi1_budget"] == 1
