@@ -1,9 +1,18 @@
-"""Flip graphs: vertices are canonical encodings, edges are labeled moves."""
+"""Flip graphs: vertices are canonical encodings, edges are labeled moves.
+
+`bfs_closure` is the one enumerator behind tilings, plabic graphs and triple
+crossing diagrams.  It scans every vertex's moves exactly once and stores
+them, and the cell finders (`commuting_squares`, `move_cycle`) read cells
+from those stored moves with dictionary lookups alone.
+"""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Hashable, Iterable
+
+from .errors import ResourceCapExceeded
 
 
 @dataclass
@@ -15,6 +24,11 @@ class FlipGraph:
     `ranks[i]` is the BFS distance from the canonical seed; for zonotopal
     tilings this equals the poset rank.  `payloads[i]` holds the decoded
     object when the producer keeps it around.
+
+    `moves[i]` maps the label of every move available at vertex i to the
+    vertex it leads to, in the order the producer scanned them.  Edges are
+    read from it: one per adjacent pair u < w, labelled by the first move at
+    u that reaches w.
     """
 
     vertices: list[Any]
@@ -23,6 +37,7 @@ class FlipGraph:
     min_vertex: int
     max_vertex: int | None = None
     payloads: list[Any] | None = None
+    moves: list[dict[Any, int]] | None = None
     _adj: dict[int, list[int]] | None = field(default=None, repr=False)
 
     @property
@@ -79,3 +94,122 @@ class FlipGraph:
             lines.append("  %d -- %d;" % (u, v))
         lines.append("}")
         return "\n".join(lines)
+
+
+def bfs_closure(
+    seed: Any,
+    expand: Callable[[list[Any]], Iterable[Iterable[tuple[Any, Any]]]],
+    vertex_cap: int,
+    overflow: str,
+    key: Callable[[Any], Hashable] = lambda payload: payload,
+) -> FlipGraph:
+    """BFS closure of a move relation from `seed`.
+
+    `expand(frontier)` yields, for each payload of a BFS level, its labelled
+    moves `(label, next payload)` in scan order; it is called once per level,
+    so each vertex is scanned exactly once.  `key(payload)` is the canonical
+    encoding; vertex ids follow sorted key order and ranks are BFS depths.
+    More than `vertex_cap` vertices raise ResourceCapExceeded(`overflow`).
+    Labels must be unique among the moves of one vertex.
+    """
+    keys = [key(seed)]
+    visited = {keys[0]: 0}
+    payloads = [seed]
+    depth = [0]
+    found: list[list[tuple[Any, int]]] = []  # by discovery id = expansion order
+    frontier = [0]
+    level = 0
+    while frontier:
+        next_frontier = []
+        for out in expand([payloads[u] for u in frontier]):
+            row = []
+            for label, target in out:
+                k = key(target)
+                w = visited.get(k)
+                if w is None:
+                    if len(visited) >= vertex_cap:
+                        raise ResourceCapExceeded(overflow, partial_count=len(visited))
+                    w = len(keys)
+                    visited[k] = w
+                    keys.append(k)
+                    payloads.append(target)
+                    depth.append(level + 1)
+                    next_frontier.append(w)
+                row.append((label, w))
+            found.append(row)
+        frontier = next_frontier
+        level += 1
+
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    remap = [0] * len(order)
+    for new, old in enumerate(order):
+        remap[old] = new
+    moves = [{label: remap[w] for label, w in found[old]} for old in order]
+    edges = []
+    for u, out in enumerate(moves):
+        firsts: dict[int, Any] = {}
+        for label, w in out.items():
+            if w > u:
+                firsts.setdefault(w, label)
+        edges.extend((u, w, label) for w, label in sorted(firsts.items()))
+    return FlipGraph(
+        [keys[i] for i in order],
+        edges,
+        [depth[i] for i in order],
+        remap[0],
+        payloads=[payloads[i] for i in order],
+        moves=moves,
+    )
+
+
+def commuting_squares(graph: FlipGraph, independent: Callable[[Any, Any], bool] | None = None):
+    """Yield `((v, va, vab, vb), a, b)` for every vertex v and every pair of
+    its moves a before b in scan order that commute: `a` then `b` and `b`
+    then `a` are both available and meet at vab, over four distinct
+    vertices.  Pairs failing `independent(a, b)` are skipped first."""
+    moves = graph.moves
+    for v, out in enumerate(moves):
+        for (a, va), (b, vb) in itertools.combinations(out.items(), 2):
+            if independent is not None and not independent(a, b):
+                continue
+            vab = moves[va].get(b)
+            if vab is None or vab != moves[vb].get(a):
+                continue
+            quad = (v, va, vab, vb)
+            if len(set(quad)) == 4:
+                yield quad, a, b
+
+
+def move_cycle(
+    graph: FlipGraph,
+    start: int,
+    allowed: Callable[[Any], bool],
+    expected: int,
+    by_id: bool = False,
+) -> list[int]:
+    """The cycle through `start` walked by the moves whose label is `allowed`.
+
+    Every vertex on it must have exactly two allowed moves, and the cycle
+    must have `expected` vertices.  The walk leaves `start` by its first
+    allowed move in scan order, or towards the lower vertex id if `by_id`.
+    """
+
+    def nbrs(v):
+        return [w for label, w in graph.moves[v].items() if allowed(label)]
+
+    first = nbrs(start)
+    if len(first) != 2:
+        raise AssertionError("restricted moves at vertex %d are not 2-regular" % start)
+    cycle = [start]
+    prev, cur = start, min(first) if by_id else first[0]
+    while cur != start:
+        cycle.append(cur)
+        if len(cycle) > expected:
+            raise AssertionError("restricted cycle longer than %d" % expected)
+        step = [w for w in nbrs(cur) if w != prev]
+        if len(step) != 1:
+            raise AssertionError("restricted moves at vertex %d are not 2-regular" % cur)
+        prev, cur = cur, step[0]
+    if len(cycle) != expected:
+        raise AssertionError("restricted cycle length %d != %d" % (len(cycle), expected))
+    return cycle

@@ -9,7 +9,6 @@ are needed, callers pass coordinates scaled by 2, 3 or 6 to stay integral.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from typing import Sequence
 
 Point = tuple[int, int]
@@ -78,58 +77,3 @@ def winding_number(walk: Sequence[Point], z: Point) -> int:
         elif q[1] <= z[1] < p[1] and orient(p, q, z) > 0:
             w -= 1
     return w
-
-
-def on_segment(p: Point, q: Point, z: Point) -> bool:
-    """True iff z lies on the closed segment pq."""
-    if orient(p, q, z) != 0:
-        return False
-    return (
-        min(p[0], q[0]) <= z[0] <= max(p[0], q[0])
-        and min(p[1], q[1]) <= z[1] <= max(p[1], q[1])
-    )
-
-
-def point_on_walk(walk: Sequence[Point], z: Point) -> bool:
-    m = len(walk)
-    return any(on_segment(walk[i], walk[(i + 1) % m], z) for i in range(m))
-
-
-def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve a (possibly overdetermined) exact linear system; None if inconsistent.
-
-    For underdetermined consistent systems, free variables are set to 0.
-    """
-    m = len(rows)
-    if m == 0:
-        return []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, m):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        f = aug[row][col]
-        aug[row] = [x / f for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                g = aug[r][col]
-                aug[r] = [x - g * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if aug[r][ncols] != 0:
-            return None
-    out = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        out[col] = aug[r][ncols]
-    return out

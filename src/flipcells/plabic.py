@@ -24,10 +24,9 @@ from .errors import (
     ArgumentError,
     MalformedGraphError,
     PreconditionError,
-    ResourceCapExceeded,
     ValidationError,
 )
-from .flipgraph import FlipGraph
+from .flipgraph import FlipGraph, bfs_closure, commuting_squares, move_cycle
 from .geometry import ccw_order, orient, shoelace2, triangle_area2, winding_number
 from .zonotope import SignedSubset, Tiling, ZonotopeSpec, elems_of, mask_of
 
@@ -731,66 +730,32 @@ def enumerate_plabic(
     validate: bool = False,
     extend_order: str = "colex",
 ) -> FlipGraph:
-    """BFS closure of the moves M1/M2/M3 from the canonical seed."""
-    seed = seed_triangulation(p, extend_order=extend_order)
-    visited: dict[tuple, int] = {seed.key(): 0}
-    payload = [seed]
-    edges_raw: set[tuple[int, int, Move]] = set()
-    depth = [0]
-    frontier = [seed]
-    level = 0
-    while frontier:
-        next_frontier = []
-        for sigma in sorted(frontier, key=lambda s: s.key()):
-            u = visited[sigma.key()]
-            for move in available_moves(sigma):
-                nxt = PlabicTriangulation.make(
-                    sigma.n,
-                    sigma.k,
-                    set(sigma.triangles).difference(move.removed).union(move.added),
-                    sigma.boundary,
-                )
-                if validate:
-                    _validate_move_edge(sigma, nxt, p)
-                w = visited.get(nxt.key())
-                if w is None:
-                    if len(visited) >= vertex_cap:
-                        raise ResourceCapExceeded(
-                            "vertex cap %d exceeded enumerating plabic graphs" % vertex_cap,
-                            partial_count=len(visited),
-                        )
-                    w = len(visited)
-                    visited[nxt.key()] = w
-                    payload.append(nxt)
-                    depth.append(level + 1)
-                    next_frontier.append(nxt)
-                a, b = min(u, w), max(u, w)
-                lbl = move if u <= w else _invert_move(move)
-                edges_raw.add((a, b, lbl))
-        frontier = next_frontier
-        level += 1
+    """BFS closure of the moves M1/M2/M3 from the canonical seed.
 
-    order = sorted(range(len(payload)), key=lambda i: payload[i].key())
-    remap = {old: new for new, old in enumerate(order)}
-    vertices = [payload[i].key() for i in order]
-    payloads = [payload[i] for i in order]
-    ranks = [depth[i] for i in order]
-    edges = sorted(
-        (
-            (remap[u], remap[v], m)
-            if remap[u] <= remap[v]
-            else (remap[v], remap[u], _invert_move(m))
-            for u, v, m in edges_raw
-        ),
-        key=lambda e: (e[0], e[1], e[2].kind, e[2].removed),
+    Each edge is labelled by the move from its lower vertex id to the other.
+    """
+
+    def moves_of(sigma):
+        out = []
+        for move in available_moves(sigma):
+            nxt = PlabicTriangulation.make(
+                sigma.n,
+                sigma.k,
+                set(sigma.triangles).difference(move.removed).union(move.added),
+                sigma.boundary,
+            )
+            if validate:
+                _validate_move_edge(sigma, nxt, p)
+            out.append((move, nxt))
+        return out
+
+    return bfs_closure(
+        seed_triangulation(p, extend_order=extend_order),
+        lambda frontier: map(moves_of, frontier),
+        vertex_cap,
+        "vertex cap %d exceeded enumerating plabic graphs" % vertex_cap,
+        key=PlabicTriangulation.key,
     )
-    dedup = []
-    seen_pairs = set()
-    for u, v, m in edges:
-        if (u, v) not in seen_pairs:
-            seen_pairs.add((u, v))
-            dedup.append((u, v, m))
-    return FlipGraph(vertices, dedup, ranks, remap[0], None, payloads)
 
 
 def _invert_move(m: Move) -> Move:
@@ -1210,11 +1175,13 @@ def _fan_path(verts, tris: set, kind: str):
 # the complexes X (all moves) and Y (square moves modulo trivalent moves)
 
 
-def _embedded_candidates(n: int, k: int):
+@lru_cache(maxsize=None)
+def _embedded_candidates(n: int, k: int) -> tuple[tuple[int, frozenset, tuple[int, ...]], ...]:
     """(h, family, sub-walk) for every possible embedded pi(5,h) sub-necklace.
 
     h = 1/4 give white/black pentagon supports, h = 2/3 white/black decagons.
     The family is the set of labels S u psi(K) over h-subsets K of [5].
+    Entries are grouped by ascending h.
     """
     cands = []
     for h in (1, 2, 3, 4):
@@ -1235,7 +1202,7 @@ def _embedded_candidates(n: int, k: int):
                     smask | mask_of(psi[i] for i in sub_neck[j]) for j in range(1, 6)
                 )
                 cands.append((h, family, walk5))
-    return cands
+    return tuple(cands)
 
 
 _CELL_KIND = {1: "pentagon_white", 2: "decagon_white", 3: "decagon_black", 4: "pentagon_black"}
@@ -1257,52 +1224,11 @@ def _embedded_region_present(sigma: PlabicTriangulation, family: frozenset, walk
     return tri_area == area
 
 
-def _trace_move_cycle(graph: FlipGraph, index, vid: int, family: frozenset, expected: int):
-    """Cycle of vertices reachable by moves supported inside the family."""
-
-    def restricted(v):
-        out = []
-        for m in available_moves(graph.payloads[v]):
-            if m.support_labels() <= family:
-                nxt = apply_move(graph.payloads[v], m)
-                out.append(index[nxt.key()])
-        return sorted(out)
-
-    first = restricted(vid)
-    if len(first) != 2:
-        raise AssertionError("embedded region is not on a 2-regular cycle")
-    cycle = [vid]
-    prev, cur = vid, first[0]
-    while cur != vid:
-        cycle.append(cur)
-        nxt = [w for w in restricted(cur) if w != prev]
-        if len(nxt) != 1 or len(cycle) > expected:
-            raise AssertionError("embedded cycle has unexpected shape")
-        prev, cur = cur, nxt[0]
-    if len(cycle) != expected:
-        raise AssertionError("embedded cycle length %d != %d" % (len(cycle), expected))
-    return cycle
-
-
-def _quad_cells(graph: FlipGraph, index):
+def _quad_cells(graph: FlipGraph):
     """Operationally commuting move pairs with disjoint modified triangles."""
     cells = {}
-    for vid, sigma in enumerate(graph.payloads):
-        moves = available_moves(sigma)
-        for m1, m2 in itertools.combinations(moves, 2):
-            if set(m1.removed) & set(m2.removed):
-                continue
-            s1 = apply_move(sigma, m1)
-            s2 = apply_move(sigma, m2)
-            if m2 not in available_moves(s1) or m1 not in available_moves(s2):
-                continue
-            s12 = apply_move(s1, m2)
-            s21 = apply_move(s2, m1)
-            if s12.key() != s21.key():
-                continue
-            quad = (vid, index[s1.key()], index[s12.key()], index[s2.key()])
-            if len(set(quad)) == 4:
-                cells.setdefault(frozenset(quad), ("quad", quad, (m1.kind, m2.kind)))
+    for quad, m1, m2 in commuting_squares(graph, lambda a, b: not set(a.removed) & set(b.removed)):
+        cells.setdefault(frozenset(quad), ("quad", quad, (m1.kind, m2.kind)))
     return cells
 
 
@@ -1322,15 +1248,16 @@ def build_plabic_complex(
     if kind not in ("X", "Y"):
         raise ArgumentError("kind must be 'X' or 'Y'")
     graph = enumerate_plabic(p, vertex_cap=vertex_cap, extend_order=extend_order)
-    index = {key: i for i, key in enumerate(graph.vertices)}
-    quads = _quad_cells(graph, index)
+    quads = _quad_cells(graph)
     embedded = {}
     cands = _embedded_candidates(p.n, graph.payloads[0].k)
     for vid, sigma in enumerate(graph.payloads):
         for h, family, walk5 in cands:
             if not _embedded_region_present(sigma, family, walk5):
                 continue
-            cycle = _trace_move_cycle(graph, index, vid, family, _CELL_LEN[h])
+            cycle = move_cycle(
+                graph, vid, lambda m: m.support_labels() <= family, _CELL_LEN[h], by_id=True
+            )
             embedded.setdefault(frozenset(cycle), (_CELL_KIND[h], tuple(cycle), h))
 
     if kind == "X":

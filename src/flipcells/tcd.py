@@ -10,13 +10,12 @@ the black side.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from . import combinat, plabic
+from . import plabic
 from .combinat import BLACK, WHITE, DecoratedPermutation
-from .errors import ArgumentError, ResourceCapExceeded, ValidationError
-from .flipgraph import FlipGraph
+from .errors import ArgumentError, ValidationError
+from .flipgraph import FlipGraph, bfs_closure, commuting_squares, move_cycle
 from .geometry import shoelace2, triangle_area2
 from .plabic import (
     PlabicGraph,
@@ -30,7 +29,7 @@ from .plabic import (
     strand_permutation,
     triangle_color,
 )
-from .zonotope import elems_of, mask_of
+from .zonotope import elems_of
 
 DEFAULT_VERTEX_CAP = 200_000
 
@@ -250,48 +249,17 @@ def permutation_for_tcd(image) -> DecoratedPermutation:
 def enumerate_tcd(
     p: DecoratedPermutation, vertex_cap: int = DEFAULT_VERTEX_CAP, extend_order: str = "colex"
 ) -> FlipGraph:
-    seed = seed_state(p, extend_order=extend_order)
-    visited = {seed.key(): 0}
-    payload = [seed]
-    depth = [0]
-    edges_raw = set()
-    frontier = [seed]
-    level = 0
-    while frontier:
-        nxt_frontier = []
-        for state in sorted(frontier, key=lambda s: s.key()):
-            u = visited[state.key()]
-            for move, nxt in tcd_neighbors(state):
-                w = visited.get(nxt.key())
-                if w is None:
-                    if len(visited) >= vertex_cap:
-                        raise ResourceCapExceeded(
-                            "vertex cap exceeded enumerating diagrams",
-                            partial_count=len(visited),
-                        )
-                    w = len(visited)
-                    visited[nxt.key()] = w
-                    payload.append(nxt)
-                    depth.append(level + 1)
-                    nxt_frontier.append(nxt)
-                edges_raw.add((min(u, w), max(u, w), move.kind))
-        frontier = nxt_frontier
-        level += 1
-    order = sorted(range(len(payload)), key=lambda i: payload[i].key())
-    remap = {old: new for new, old in enumerate(order)}
-    vertices = [payload[i].key() for i in order]
-    payloads = [payload[i] for i in order]
-    ranks = [depth[i] for i in order]
-    edges = sorted(
-        (min(remap[u], remap[w]), max(remap[u], remap[w]), kind) for u, w, kind in edges_raw
+    """BFS closure of the 2<->2 moves.  Stored moves are labelled by their
+    TCDMove, edges by the move kind."""
+    graph = bfs_closure(
+        seed_state(p, extend_order=extend_order),
+        lambda frontier: map(tcd_neighbors, frontier),
+        vertex_cap,
+        "vertex cap exceeded enumerating diagrams",
+        key=TCDState.key,
     )
-    dedup = []
-    seen = set()
-    for u, v, kind in edges:
-        if (u, v) not in seen:
-            seen.add((u, v))
-            dedup.append((u, v, kind))
-    return FlipGraph(vertices, dedup, ranks, remap[0], None, payloads)
+    graph.edges = [(u, v, move.kind) for u, v, move in graph.edges]
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -320,28 +288,8 @@ def _embedded_present(state: TCDState, family: frozenset, walk5) -> bool:
     return total == area
 
 
-def _trace_cycle(graph: FlipGraph, index, vid: int, family: frozenset, expected: int):
-    def restricted(v):
-        out = []
-        for move, nxt in tcd_neighbors(graph.payloads[v]):
-            if move.support_labels() <= family:
-                out.append(index[nxt.key()])
-        return sorted(out)
-
-    first = restricted(vid)
-    if len(first) != 2:
-        raise AssertionError("embedded diagram region is not on a 2-regular cycle")
-    cycle = [vid]
-    prev, cur = vid, first[0]
-    while cur != vid:
-        cycle.append(cur)
-        nxt = [w for w in restricted(cur) if w != prev]
-        if len(nxt) != 1 or len(cycle) > expected:
-            raise AssertionError("embedded diagram cycle has unexpected shape")
-        prev, cur = cur, nxt[0]
-    if len(cycle) != expected:
-        raise AssertionError("diagram cycle length %d != %d" % (len(cycle), expected))
-    return cycle
+def _disjoint_support(a: TCDMove, b: TCDMove) -> bool:
+    return not a.support_labels() & b.support_labels()
 
 
 def build_t_complex(p, vertex_cap: int = DEFAULT_VERTEX_CAP, extend_order: str = "colex"):
@@ -357,45 +305,23 @@ def build_t_complex(p, vertex_cap: int = DEFAULT_VERTEX_CAP, extend_order: str =
     elif any(c != WHITE for _, c in p.fixed_color):
         raise ArgumentError("triple crossing diagrams have undecorated fixed points")
     graph = enumerate_tcd(p, vertex_cap=vertex_cap, extend_order=extend_order)
-    index = {key: i for i, key in enumerate(graph.vertices)}
     k = graph.payloads[0].k
 
     cells = {}
-    for vid, state in enumerate(graph.payloads):
-        nbrs = tcd_neighbors(state)
-        for (m1, s1), (m2, s2) in itertools.combinations(nbrs, 2):
-            if m1.support_labels() & m2.support_labels():
-                continue
-            n1 = dict(tcd_neighbors(s1))
-            n2 = dict(tcd_neighbors(s2))
-            if m2 not in n1 or m1 not in n2:
-                continue
-            s12 = n1[m2]
-            s21 = n2[m1]
-            if s12.key() != s21.key():
-                continue
-            quad = (vid, index[s1.key()], index[s12.key()], index[s2.key()])
-            if len(set(quad)) == 4:
-                cells.setdefault(frozenset(quad), ("quad", quad))
+    for quad, _, _ in commuting_squares(graph, _disjoint_support):
+        cells.setdefault(frozenset(quad), ("quad", quad))
 
-    for h in (1, 2, 3):
-        s_size = k - h
-        if s_size < 0 or s_size > p.n - 5:
+    # families outside, vertices inside
+    for h, family, walk5 in plabic._embedded_candidates(p.n, k):
+        if h > 3:
             continue
-        sub_neck = combinat.necklace_of(combinat.cyclic_decorated(5, h))
-        hsubsets = list(itertools.combinations(range(1, 6), h))
-        for amask_elems in itertools.combinations(range(1, p.n + 1), 5):
-            rest = [x for x in range(1, p.n + 1) if x not in amask_elems]
-            psi = {i + 1: amask_elems[i] for i in range(5)}
-            for s_elems in itertools.combinations(rest, s_size):
-                smask = mask_of(s_elems)
-                family = frozenset(smask | mask_of(psi[i] for i in kk) for kk in hsubsets)
-                walk5 = tuple(smask | mask_of(psi[i] for i in sub_neck[j]) for j in range(1, 6))
-                for vid, state in enumerate(graph.payloads):
-                    if not _embedded_present(state, family, walk5):
-                        continue
-                    cycle = _trace_cycle(graph, index, vid, family, _T_CELL_LEN[h])
-                    cells.setdefault(frozenset(cycle), (_T_CELL_KIND[h], tuple(cycle)))
+        for vid, state in enumerate(graph.payloads):
+            if not _embedded_present(state, family, walk5):
+                continue
+            cycle = move_cycle(
+                graph, vid, lambda m: m.support_labels() <= family, _T_CELL_LEN[h], by_id=True
+            )
+            cells.setdefault(frozenset(cycle), (_T_CELL_KIND[h], tuple(cycle)))
 
     cell_list = [
         (name, cyc)

@@ -20,8 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .errors import ArgumentError, PreconditionError, ResourceCapExceeded, ValidationError
-from .flipgraph import FlipGraph
+from .errors import ArgumentError, PreconditionError, ValidationError
+from .flipgraph import FlipGraph, bfs_closure, commuting_squares, move_cycle
 
 DEFAULT_VERTEX_CAP = 200_000
 
@@ -520,55 +520,34 @@ def validate_tiling(spec: ZonotopeSpec, tiles) -> ValidationReport:
 def enumerate_tilings(spec: ZonotopeSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) -> FlipGraph:
     """BFS closure of the flip relation from the minimal tiling.
 
-    Vertices are re-indexed in sorted key order so the output is
-    deterministic.  Asserts gradedness and the uniqueness of the extremes.
+    A frontier is scanned in one batch by `_kernels.scan_available`; each
+    flip is labelled by its (d+1)-subset mask.  Asserts gradedness and the
+    uniqueness of the extremes.
     """
     tiles_idx, elem_bits, smask_np = spec.flip_tables_np()
     sites = spec.flip_sites_table()
-    start = minimal_tiling(spec).plus
-    visited: dict[tuple[int, ...], int] = {start: 0}
-    depth: list[int] = [0]
-    keys: list[tuple[int, ...]] = [start]
-    edges_raw: set[tuple[int, int, int]] = set()
-    frontier = [start]
-    level = 0
-    while frontier:
+
+    def expand(frontier):
         mat = np.array(frontier, dtype=np.uint64)
         avail = _kernels.scan_available(mat, tiles_idx, elem_bits, smask_np)
-        next_frontier = []
-        for row, key in enumerate(frontier):
-            u = visited[key]
-            for s in np.flatnonzero(avail[row]):
+        for key, row in zip(frontier, avail):
+            out = []
+            for s in np.flatnonzero(row):
                 smask, tls, bits = sites[s]
                 new = list(key)
                 for ti, bit in zip(tls, bits):
                     new[ti] ^= bit
-                nkey = tuple(new)
-                w = visited.get(nkey)
-                if w is None:
-                    if len(visited) >= vertex_cap:
-                        raise ResourceCapExceeded(
-                            "vertex cap %d exceeded enumerating Z(%d,%d)"
-                            % (vertex_cap, spec.n, spec.d),
-                            partial_count=len(visited),
-                        )
-                    w = len(visited)
-                    visited[nkey] = w
-                    keys.append(nkey)
-                    depth.append(level + 1)
-                    next_frontier.append(nkey)
-                edges_raw.add((min(u, w), max(u, w), smask))
-        frontier = sorted(next_frontier)
-        level += 1
+                out.append((smask, tuple(new)))
+            yield out
 
-    order = sorted(range(len(keys)), key=lambda i: keys[i])
-    remap = {old: new for new, old in enumerate(order)}
-    vertices = [keys[i] for i in order]
-    ranks = [depth[i] for i in order]
-    edges = sorted(
-        (min(remap[u], remap[w]), max(remap[u], remap[w]), smask) for u, w, smask in edges_raw
+    graph = bfs_closure(
+        minimal_tiling(spec).plus,
+        expand,
+        vertex_cap,
+        "vertex cap %d exceeded enumerating Z(%d,%d)" % (vertex_cap, spec.n, spec.d),
     )
-    for u, w, _ in edges:
+    ranks = graph.ranks
+    for u, w, _ in graph.edges:
         if abs(ranks[u] - ranks[w]) != 1:
             raise AssertionError("flip graph is not graded by BFS depth")
     top = spec_top_rank(spec)
@@ -576,8 +555,9 @@ def enumerate_tilings(spec: ZonotopeSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) 
     maxima = [i for i, r in enumerate(ranks) if r == top]
     if len(minima) != 1 or len(maxima) != 1 or max(ranks) != top:
         raise AssertionError("flip poset extremes are not unique at ranks 0 and C(n,d+1)")
-    payloads = [Tiling(spec, key) for key in vertices]
-    return FlipGraph(vertices, edges, ranks, minima[0], maxima[0], payloads)
+    graph.max_vertex = maxima[0]
+    graph.payloads = [Tiling(spec, key) for key in graph.vertices]
+    return graph
 
 
 def spec_top_rank(spec: ZonotopeSpec) -> int:
@@ -594,36 +574,17 @@ def build_z_complex(graph: FlipGraph):
     """2-cells over the flip graph: operationally commuting flip pairs give
     quadrilaterals; coarse (d+2)-subset tiles give (2d+4)-gon cycles.
 
-    Returns (TwoComplex, cells) where cells is a list of (kind, vertex cycle).
+    Cells are read from the moves stored by `enumerate_tilings`.  Returns
+    (TwoComplex, cells) where cells is a list of (kind, vertex cycle).
     """
     from .topology import TwoComplex
 
-    assert graph.payloads, "build_z_complex needs tiling payloads"
+    assert graph.payloads and graph.moves, "build_z_complex needs tiling payloads and moves"
     spec: ZonotopeSpec = graph.payloads[0].spec
-    index = {key: i for i, key in enumerate(graph.vertices)}
-    flips_at = [available_flips(t) for t in graph.payloads]
 
     cells: dict[frozenset[int], tuple[str, tuple[int, ...]]] = {}
-
-    for vid, tiling in enumerate(graph.payloads):
-        sites = flips_at[vid]
-        for a, b in itertools.combinations(range(len(sites)), 2):
-            sa, sb = sites[a], sites[b]
-            ta = apply_flip(tiling, sa)
-            tb = apply_flip(tiling, sb)
-            ia, ib = index[ta.key()], index[tb.key()]
-            if not any(s.smask == sb.smask for s in flips_at[ia]):
-                continue
-            if not any(s.smask == sa.smask for s in flips_at[ib]):
-                continue
-            tab = apply_flip(ta, next(s for s in flips_at[ia] if s.smask == sb.smask))
-            tba = apply_flip(tb, next(s for s in flips_at[ib] if s.smask == sa.smask))
-            if tab.key() != tba.key():
-                continue
-            iab = index[tab.key()]
-            quad = (vid, ia, iab, ib)
-            if len(set(quad)) == 4:
-                cells.setdefault(frozenset(quad), ("quad", quad))
+    for quad, _, _ in commuting_squares(graph):
+        cells.setdefault(frozenset(quad), ("quad", quad))
 
     coarse = [
         mask_of(c) for c in itertools.combinations(range(1, spec.n + 1), spec.d + 2)
@@ -632,13 +593,21 @@ def build_z_complex(graph: FlipGraph):
         tmask: [spec.tile_index(m) for m in spec.dsubsets if m & ~tmask == 0] for tmask in coarse
     }
     expected_len = 2 * spec.d + 4
+    # (vertex, coarse tile) on a traced cycle: a cycle is first traced from its
+    # lowest vertex, and tracing it from another would find the same cell
+    traced: set[tuple[int, int]] = set()
     for vid, tiling in enumerate(graph.payloads):
         for tmask in coarse:
+            if (vid, tmask) in traced:
+                continue
             tls = member_tiles[tmask]
             prefixes = {tiling.plus[ti] & ~tmask for ti in tls}
             if len(prefixes) != 1:
                 continue
-            cycle = _trace_coarse_cycle(graph, index, flips_at, vid, tmask, expected_len)
+            # the walk leaves vid by its first coarse flip in scan order, not
+            # towards the lower vertex id: the pinned canonical hashes record it
+            cycle = move_cycle(graph, vid, lambda smask: smask & ~tmask == 0, expected_len)
+            traced.update((v, tmask) for v in cycle)
             cells.setdefault(frozenset(cycle), ("gon%d" % expected_len, tuple(cycle)))
 
     cell_list = sorted(cells.values(), key=lambda kc: tuple(sorted(kc[1])))
@@ -648,34 +617,6 @@ def build_z_complex(graph: FlipGraph):
         [cyc for _, cyc in cell_list],
     )
     return complex_, cell_list
-
-
-def _trace_coarse_cycle(graph, index, flips_at, vid, tmask, expected_len):
-    """Walk the cycle of tilings reachable by flips supported inside tmask."""
-    def restricted(v):
-        out = []
-        for s in flips_at[v]:
-            if s.smask & ~tmask == 0:
-                t = apply_flip(graph.payloads[v], s)
-                out.append(index[t.key()])
-        return out
-
-    start_next = restricted(vid)
-    if len(start_next) != 2:
-        raise AssertionError("coarse sub-tiling is not on a 2-regular cycle")
-    cycle = [vid]
-    prev, cur = vid, start_next[0]
-    while cur != vid:
-        cycle.append(cur)
-        nbrs = [w for w in restricted(cur) if w != prev]
-        if len(nbrs) != 1:
-            raise AssertionError("coarse sub-tiling is not on a 2-regular cycle")
-        prev, cur = cur, nbrs[0]
-        if len(cycle) > expected_len:
-            raise AssertionError("coarse cycle longer than 2d+4")
-    if len(cycle) != expected_len:
-        raise AssertionError("coarse cycle shorter than 2d+4")
-    return cycle
 
 
 # ---------------------------------------------------------------------------
