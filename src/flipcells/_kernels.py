@@ -1,90 +1,26 @@
-"""Flip-availability scan kernels for tiling enumeration.
+"""Flip-availability scan kernel for tiling enumeration.
 
 The scan is the innermost loop of `zonotope.enumerate_tilings`: for every
 tiling in a BFS frontier and every (d+1)-subset S, gather the d+1 tiles
 whose zero set lies in S, compare their plus-masks outside S and check that
-the in-S membership bits alternate.
-
-Two implementations are provided:
-
-* a numba @njit kernel (default), and
-* a vectorized pure-numpy fallback,
-
-selected by the environment variable FLIPCELLS_KERNELS in {"auto", "numba",
-"numpy"}.  Both produce bit-identical results; `bench/bench_kernels.py`
-compares their throughput.
+the in-S membership bits alternate.  It is vectorized with numpy over the
+whole frontier.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-_CHOICE = os.environ.get("FLIPCELLS_KERNELS", "auto").lower()
-if _CHOICE not in ("auto", "numba", "numpy"):
-    raise RuntimeError("FLIPCELLS_KERNELS must be 'auto', 'numba' or 'numpy'")
-
-_njit_scan = None
-if _CHOICE in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        @njit(nogil=True)
-        def _njit_scan(plus, tiles_idx, elem_bits, smask, out):  # pragma: no cover
-            n_t = plus.shape[0]
-            n_s = tiles_idx.shape[0]
-            m = tiles_idx.shape[1]
-            for t in range(n_t):
-                for s in range(n_s):
-                    inv = ~smask[s]
-                    v0 = plus[t, tiles_idx[s, 0]]
-                    prefix = v0 & inv
-                    prev = (v0 & elem_bits[s, 0]) != 0
-                    ok = True
-                    for ell in range(1, m):
-                        v = plus[t, tiles_idx[s, ell]]
-                        if v & inv != prefix:
-                            ok = False
-                            break
-                        bit = (v & elem_bits[s, ell]) != 0
-                        if bit == prev:
-                            ok = False
-                            break
-                        prev = bit
-                    out[t, s] = ok
-
-    except ImportError:
-        if _CHOICE == "numba":
-            raise
-        _njit_scan = None
-
-BACKEND = "numba" if _njit_scan is not None else "numpy"
-if _CHOICE == "numpy":
-    BACKEND = "numpy"
-
-
-def scan_available_numpy(plus, tiles_idx, elem_bits, smask):
-    gathered = plus[:, tiles_idx]  # (n_tilings, n_subsets, d+1)
-    prefix = gathered & ~smask[None, :, None]
-    eq = (prefix == prefix[:, :, :1]).all(axis=2)
-    bits = (gathered & elem_bits[None, :, :]) != 0
-    alt = (bits[:, :, :-1] != bits[:, :, 1:]).all(axis=2)
-    return eq & alt
-
-
-def scan_available_numba(plus, tiles_idx, elem_bits, smask):
-    out = np.empty((plus.shape[0], tiles_idx.shape[0]), dtype=np.bool_)
-    _njit_scan(plus, tiles_idx, elem_bits, smask, out)
-    return out
+BACKEND = "numpy"
 
 
 def scan_available(plus, tiles_idx, elem_bits, smask):
     """Availability matrix (n_tilings, n_subsets) for a frontier of tilings.
 
     `plus` is a uint64 matrix of per-tile plus-masks; the remaining tables
-    come from `ZonotopeSpec.flip_tables()`.
+    come from `ZonotopeSpec.flip_tables_np()`.
     """
-    if BACKEND == "numba":
-        return scan_available_numba(plus, tiles_idx, elem_bits, smask)
-    return scan_available_numpy(plus, tiles_idx, elem_bits, smask)
+    gathered = plus[:, tiles_idx]  # (n_tilings, n_subsets, d+1)
+    prefix = gathered & ~smask[None, :, None]
+    eq = (prefix == prefix[:, :, :1]).all(axis=2)
+    bits = (gathered & elem_bits[None, :, :]) != 0
+    alt = (bits[:, :, :-1] != bits[:, :, 1:]).all(axis=2)
+    return eq & alt

@@ -9,21 +9,17 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import combinat, plabic, tcd, topology, zonotope
+from . import combinat, flipgraph, plabic, tcd, topology, zonotope
 from .combinat import DecoratedPermutation, GrassmannNecklace
 from .errors import ArgumentError, PreconditionError, ResourceCapExceeded, ValidationError
-
-DEFAULT_CAP = 200_000
-DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass
 class RunConfig:
-    vertex_cap: int = DEFAULT_CAP
-    pi1_budget: int = DEFAULT_BUDGET
+    vertex_cap: int = flipgraph.DEFAULT_VERTEX_CAP
+    pi1_budget: int = topology.DEFAULT_PI1_BUDGET
     fmt: str = "json"
     out: str | None = None
-    seed_order: str = "colex"
 
 
 def _emit(config: RunConfig, text: str) -> None:
@@ -121,9 +117,7 @@ def cmd_zcomplex(args, config: RunConfig) -> int:
 
 def cmd_plabic(args, config: RunConfig) -> int:
     p = _parse_conn(args)
-    complex_, info = plabic.build_plabic_complex(
-        p, args.kind, vertex_cap=config.vertex_cap, extend_order=config.seed_order
-    )
+    complex_, info = plabic.build_plabic_complex(p, args.kind, vertex_cap=config.vertex_cap)
     data = {
         "schema_version": 1,
         "connectivity": p.to_json(),
@@ -141,9 +135,7 @@ def cmd_plabic(args, config: RunConfig) -> int:
 
 def cmd_tcd(args, config: RunConfig) -> int:
     p = _parse_conn(args)
-    complex_, info = tcd.build_t_complex(
-        p, vertex_cap=config.vertex_cap, extend_order=config.seed_order
-    )
+    complex_, info = tcd.build_t_complex(p, vertex_cap=config.vertex_cap)
     data = {
         "schema_version": 1,
         "connectivity": p.to_json(),
@@ -285,12 +277,6 @@ def _common_flags() -> argparse.ArgumentParser:
         "--format", default=argparse.SUPPRESS, choices=["json", "dot", "svg"]
     )
     common.add_argument("--out", default=argparse.SUPPRESS, help="output path (default: stdout)")
-    common.add_argument(
-        "--seed-order",
-        choices=["colex", "revcolex"],
-        default=argparse.SUPPRESS,
-        help="candidate ordering for the seed extension",
-    )
     return common
 
 
@@ -371,11 +357,10 @@ def main(argv=None) -> int:
     parser = _shared_parser()
     args = parser.parse_args(argv)
     config = RunConfig(
-        vertex_cap=getattr(args, "cap", DEFAULT_CAP),
-        pi1_budget=getattr(args, "budget", DEFAULT_BUDGET),
-        fmt=getattr(args, "format", "json"),
-        out=getattr(args, "out", None),
-        seed_order=getattr(args, "seed_order", "colex"),
+        vertex_cap=getattr(args, "cap", RunConfig.vertex_cap),
+        pi1_budget=getattr(args, "budget", RunConfig.pi1_budget),
+        fmt=getattr(args, "format", RunConfig.fmt),
+        out=getattr(args, "out", RunConfig.out),
     )
     if config.vertex_cap < 1 or config.pi1_budget < 1:
         parser.error("cap and budget must be positive")

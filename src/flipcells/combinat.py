@@ -284,15 +284,15 @@ def is_weakly_separated(a: Iterable[int], b: Iterable[int], n: int) -> bool:
     return changes <= 2
 
 
-def _mask(s: Iterable[int]) -> int:
+def mask_of(elems: Iterable[int]) -> int:
     m = 0
-    for i in s:
+    for i in elems:
         m |= 1 << (i - 1)
     return m
 
 
-def _unmask(m: int) -> frozenset[int]:
-    return frozenset(i + 1 for i in range(m.bit_length()) if m >> i & 1)
+def elems_of(mask: int) -> tuple[int, ...]:
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def is_weakly_separated_mask(a: int, b: int) -> bool:
@@ -325,17 +325,17 @@ def extend_to_maximal_ws(collection: LabelCollection) -> LabelCollection:
     which makes the output deterministic.
     """
     n, k = collection.n, collection.k
-    members = [_mask(s) for s in collection.labels]
+    members = [mask_of(s) for s in collection.labels]
     for x, y in itertools.combinations(members, 2):
         if not is_weakly_separated_mask(x, y):
             raise ValidationError("input collection is not weakly separated")
     have = set(members)
-    for cand in sorted(_mask(c) for c in itertools.combinations(range(1, n + 1), k)):
+    for cand in sorted(mask_of(c) for c in itertools.combinations(range(1, n + 1), k)):
         if cand in have:
             continue
         if all(is_weakly_separated_mask(cand, m) for m in have):
             have.add(cand)
-    return LabelCollection(n, k, frozenset(_unmask(m) for m in have))
+    return LabelCollection(n, k, frozenset(frozenset(elems_of(m)) for m in have))
 
 
 def all_decorated_permutations(n: int) -> Iterator[DecoratedPermutation]:

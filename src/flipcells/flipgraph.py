@@ -14,6 +14,8 @@ from typing import Any, Callable, Hashable, Iterable
 
 from .errors import ResourceCapExceeded
 
+DEFAULT_VERTEX_CAP = 200_000
+
 
 @dataclass
 class FlipGraph:

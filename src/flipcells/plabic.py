@@ -19,18 +19,24 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import combinat
-from .combinat import BLACK, WHITE, DecoratedPermutation, GrassmannNecklace, LabelCollection
+from .combinat import (
+    BLACK,
+    WHITE,
+    DecoratedPermutation,
+    GrassmannNecklace,
+    LabelCollection,
+    elems_of,
+    mask_of,
+)
 from .errors import (
     ArgumentError,
     MalformedGraphError,
     PreconditionError,
     ValidationError,
 )
-from .flipgraph import FlipGraph, bfs_closure, commuting_squares, move_cycle
+from .flipgraph import DEFAULT_VERTEX_CAP, FlipGraph, bfs_closure, commuting_squares, move_cycle
 from .geometry import ccw_order, orient, shoelace2, triangle_area2, winding_number
-from .zonotope import SignedSubset, Tiling, ZonotopeSpec, elems_of, mask_of
-
-DEFAULT_VERTEX_CAP = 200_000
+from .zonotope import SignedSubset, Tiling, ZonotopeSpec
 
 
 @lru_cache(maxsize=None)
@@ -500,10 +506,10 @@ def available_moves(sigma: PlabicTriangulation) -> tuple[Move, ...]:
     for v, tris in star.items():
         if v in boundary_set or len(tris) != 4:
             continue
-        cyc = _chain_star(v, tris)
-        if cyc is None:
+        order = _chain_pairs([tuple(x for x in t if x != v) for t in tris])
+        if order is None:
             continue
-        cols = [triangle_color(t) for t in cyc]
+        cols = [triangle_color(tris[i]) for i in order]
         if cols[0] == cols[1] or cols[1] == cols[2] or cols[2] == cols[3]:
             continue
         all5 = [v] + sorted({x for t in tris for x in t if x != v})
@@ -523,24 +529,24 @@ def available_moves(sigma: PlabicTriangulation) -> tuple[Move, ...]:
     return tuple(moves)
 
 
-def _chain_star(v: int, tris) -> list[tuple[int, int, int]] | None:
-    """Cyclic order of the triangles around v, chained by shared neighbors."""
-    pairs = []
-    for t in tris:
-        others = [x for x in t if x != v]
-        if len(others) != 2:
-            return None
-        pairs.append(tuple(others))
+def _chain_pairs(pairs) -> list[int] | None:
+    """Cyclic order of the faces around a vertex, chained by shared neighbors.
+
+    Each face is given by the pair of its neighbors of that vertex; returns
+    the face indices in cyclic order, or None if they do not close up.
+    """
     incid: dict[int, list[int]] = {}
-    for idx, (a, b) in enumerate(pairs):
-        incid.setdefault(a, []).append(idx)
-        incid.setdefault(b, []).append(idx)
+    for idx, pair in enumerate(pairs):
+        if len(pair) != 2:
+            return None
+        for x in pair:
+            incid.setdefault(x, []).append(idx)
     if any(len(lst) != 2 for lst in incid.values()):
         return None
     order = [0]
     used = {0}
     joint = pairs[0][1]
-    while len(order) < len(tris):
+    while len(order) < len(pairs):
         nxt = [i for i in incid[joint] if i not in used]
         if not nxt:
             return None
@@ -550,7 +556,7 @@ def _chain_star(v: int, tris) -> list[tuple[int, int, int]] | None:
         joint = b if a == joint else a
     if joint != pairs[0][0]:
         return None
-    return [tris[i] for i in order]
+    return order
 
 
 def apply_move(sigma: PlabicTriangulation, move: Move) -> PlabicTriangulation:
@@ -598,9 +604,9 @@ def _clique_polygons(labels: list[int], n: int, k: int) -> list[list[int]]:
     for lab in labels:
         for i in elems_of(lab):
             s = lab & ~(1 << (i - 1))
-            if ("w", s) in seen:
+            if s in seen:
                 continue
-            seen.add(("w", s))
+            seen.add(s)
             members = [
                 (x, s | (1 << (x - 1)))
                 for x in range(1, n + 1)
@@ -608,21 +614,30 @@ def _clique_polygons(labels: list[int], n: int, k: int) -> list[list[int]]:
             ]
             if len(members) >= 3:
                 polys.append([m for _, m in sorted(members)])
+    return polys + list(_black_cliques(labels, n).values())
+
+
+def _black_cliques(labels, n: int) -> dict[int, list[int]]:
+    """Black cliques: union mask -> members (labels) in convex (removed-element) order."""
+    label_set = set(labels)
+    out: dict[int, list[int]] = {}
+    seen = set()
+    for lab in labels:
         for i in range(1, n + 1):
             if lab >> (i - 1) & 1:
                 continue
             u = lab | (1 << (i - 1))
-            if ("b", u) in seen:
+            if u in seen:
                 continue
-            seen.add(("b", u))
+            seen.add(u)
             members = [
                 (x, u & ~(1 << (x - 1)))
                 for x in elems_of(u)
                 if u & ~(1 << (x - 1)) in label_set
             ]
             if len(members) >= 3:
-                polys.append([m for _, m in sorted(members)])
-    return polys
+                out[u] = [m for _, m in sorted(members)]
+    return out
 
 
 def _fan_triangles(poly: list[int]) -> list[tuple[int, int, int]]:
@@ -640,7 +655,7 @@ def _fan_triangles(poly: list[int]) -> list[tuple[int, int, int]]:
 # enumeration
 
 
-def seed_triangulation(p: DecoratedPermutation, extend_order: str = "colex") -> PlabicTriangulation:
+def seed_triangulation(p: DecoratedPermutation) -> PlabicTriangulation:
     """Canonical seed: extend the necklace to a maximal weakly separated
     collection, build a full cyclic triangulation whose chords respect the
     necklace walk, and restrict to the necklace region."""
@@ -649,11 +664,7 @@ def seed_triangulation(p: DecoratedPermutation, extend_order: str = "colex") -> 
     walk = tuple(mask_of(s) for s in necklace.sets)
     if k == 0 or k == n:
         return PlabicTriangulation.make(n, k, [], walk)
-    base = LabelCollection(n, k, frozenset(necklace.sets))
-    if extend_order == "revcolex":
-        extended = _extend_revcolex(base)
-    else:
-        extended = combinat.extend_to_maximal_ws(base)
+    extended = combinat.extend_to_maximal_ws(LabelCollection(n, k, frozenset(necklace.sets)))
     ext_masks = sorted(mask_of(s) for s in extended.labels)
     forced = {
         (min(a, b), max(a, b))
@@ -687,25 +698,6 @@ def _cyclic_triangulation(
     return full
 
 
-def _extend_revcolex(base: LabelCollection) -> LabelCollection:
-    """Alternative extension order, used to test seed independence."""
-    n, k = base.n, base.k
-    have = [mask_of(s) for s in base.labels]
-    for a, b in itertools.combinations(have, 2):
-        if not combinat.is_weakly_separated_mask(a, b):
-            raise ValidationError("input collection is not weakly separated")
-    have_set = set(have)
-    cands = sorted(
-        (mask_of(c) for c in itertools.combinations(range(1, n + 1), k)), reverse=True
-    )
-    for cand in cands:
-        if cand in have_set:
-            continue
-        if all(combinat.is_weakly_separated_mask(cand, m) for m in have_set):
-            have_set.add(cand)
-    return LabelCollection(n, k, frozenset(frozenset(elems_of(m)) for m in have_set))
-
-
 def restrict_to_walk(sigma: PlabicTriangulation, walk: tuple[int, ...]) -> PlabicTriangulation:
     """Sub-triangulation of the region enclosed by a necklace walk."""
     walk_pts = [tuple(3 * c for c in pos(m)) for m in walk]
@@ -727,8 +719,6 @@ def restrict_to_walk(sigma: PlabicTriangulation, walk: tuple[int, ...]) -> Plabi
 def enumerate_plabic(
     p: DecoratedPermutation,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
-    validate: bool = False,
-    extend_order: str = "colex",
 ) -> FlipGraph:
     """BFS closure of the moves M1/M2/M3 from the canonical seed.
 
@@ -744,13 +734,11 @@ def enumerate_plabic(
                 set(sigma.triangles).difference(move.removed).union(move.added),
                 sigma.boundary,
             )
-            if validate:
-                _validate_move_edge(sigma, nxt, p)
             out.append((move, nxt))
         return out
 
     return bfs_closure(
-        seed_triangulation(p, extend_order=extend_order),
+        seed_triangulation(p),
         lambda frontier: map(moves_of, frontier),
         vertex_cap,
         "vertex cap %d exceeded enumerating plabic graphs" % vertex_cap,
@@ -760,16 +748,6 @@ def enumerate_plabic(
 
 def _invert_move(m: Move) -> Move:
     return Move(m.kind, m.added, m.removed, center=m.replacement, replacement=m.center)
-
-
-def _validate_move_edge(sigma, nxt, p):
-    for s in (sigma, nxt):
-        g = dual_graph(s)
-        rep = is_reduced(g)
-        if not rep.ok:
-            raise AssertionError("move produced a non-reduced graph: %s" % rep.violations)
-        if strand_permutation(g) != p:
-            raise AssertionError("move changed the strand permutation")
 
 
 # ---------------------------------------------------------------------------
@@ -1236,7 +1214,6 @@ def build_plabic_complex(
     p: DecoratedPermutation,
     kind: str,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
-    extend_order: str = "colex",
 ):
     """The 2-complex of trivalent plabic graphs (kind "X") or of their
     square-move classes (kind "Y") for a decorated permutation.
@@ -1247,7 +1224,7 @@ def build_plabic_complex(
 
     if kind not in ("X", "Y"):
         raise ArgumentError("kind must be 'X' or 'Y'")
-    graph = enumerate_plabic(p, vertex_cap=vertex_cap, extend_order=extend_order)
+    graph = enumerate_plabic(p, vertex_cap=vertex_cap)
     quads = _quad_cells(graph)
     embedded = {}
     cands = _embedded_candidates(p.n, graph.payloads[0].k)

@@ -15,11 +15,13 @@ from dataclasses import dataclass
 from . import plabic
 from .combinat import BLACK, WHITE, DecoratedPermutation
 from .errors import ArgumentError, ValidationError
-from .flipgraph import FlipGraph, bfs_closure, commuting_squares, move_cycle
+from .flipgraph import DEFAULT_VERTEX_CAP, FlipGraph, bfs_closure, commuting_squares, move_cycle
 from .geometry import shoelace2, triangle_area2
 from .plabic import (
     PlabicGraph,
     PlabicTriangulation,
+    _black_cliques,
+    _chain_pairs,
     _fan_triangles,
     _norm_tri,
     available_moves,
@@ -29,9 +31,6 @@ from .plabic import (
     strand_permutation,
     triangle_color,
 )
-from .zonotope import elems_of
-
-DEFAULT_VERTEX_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -77,24 +76,7 @@ class TCDState:
 
     def black_cliques(self) -> dict[int, list[int]]:
         """Union mask -> members (labels) in convex (removed-element) order."""
-        labs = set(self.labels)
-        out: dict[int, list[int]] = {}
-        for lab in self.labels:
-            for i in range(1, self.n + 1):
-                bit = 1 << (i - 1)
-                if lab & bit:
-                    continue
-                u = lab | bit
-                if u in out:
-                    continue
-                members = [
-                    (x, u & ~(1 << (x - 1)))
-                    for x in elems_of(u)
-                    if u & ~(1 << (x - 1)) in labs
-                ]
-                if len(members) >= 3:
-                    out[u] = [m for _, m in sorted(members)]
-        return out
+        return _black_cliques(self.labels, self.n)
 
     def representative(self) -> PlabicTriangulation:
         """Trivalent representative: black cliques fanned canonically."""
@@ -164,10 +146,10 @@ def _square_moves(state: TCDState) -> list[TCDMove]:
             continue
         faces = [("w", t, tuple(x for x in t if x != v)) for t in whites]
         faces += [("b", u, nb) for u, nb in black_faces]
-        cyc = _chain_face_cycle(faces)
-        if cyc is None:
+        order = _chain_pairs([f[2] for f in faces])
+        if order is None:
             continue
-        kinds = [f[0] for f in cyc]
+        kinds = [faces[i][0] for i in order]
         if kinds in (["w", "b", "w", "b"], ["b", "w", "b", "w"]):
             outer = sorted({x for f in faces for x in f[2]})
             if len(outer) != 4:
@@ -191,31 +173,6 @@ def _square_moves(state: TCDState) -> list[TCDMove]:
     return out
 
 
-def _chain_face_cycle(faces):
-    """Cyclic order of faces around a vertex, chained by shared neighbors."""
-    incid: dict[int, list[int]] = {}
-    for idx, f in enumerate(faces):
-        a, b = f[2]
-        incid.setdefault(a, []).append(idx)
-        incid.setdefault(b, []).append(idx)
-    if any(len(lst) != 2 for lst in incid.values()):
-        return None
-    order = [0]
-    used = {0}
-    joint = faces[0][2][1]
-    while len(order) < len(faces):
-        nxt = [i for i in incid[joint] if i not in used]
-        if not nxt:
-            return None
-        order.append(nxt[0])
-        used.add(nxt[0])
-        a, b = faces[nxt[0]][2]
-        joint = b if a == joint else a
-    if joint != faces[0][2][0]:
-        return None
-    return [faces[i] for i in order]
-
-
 def apply_tcd_move(state: TCDState, move: TCDMove) -> TCDState:
     whites = set(state.whites)
     if move.kind == "M1":
@@ -235,8 +192,8 @@ def tcd_neighbors(state: TCDState) -> list[tuple[TCDMove, TCDState]]:
     return [(m, apply_tcd_move(state, m)) for m in moves]
 
 
-def seed_state(p: DecoratedPermutation, extend_order: str = "colex") -> TCDState:
-    return normalize(seed_triangulation(p, extend_order=extend_order))
+def seed_state(p: DecoratedPermutation) -> TCDState:
+    return normalize(seed_triangulation(p))
 
 
 def permutation_for_tcd(image) -> DecoratedPermutation:
@@ -246,13 +203,11 @@ def permutation_for_tcd(image) -> DecoratedPermutation:
     return DecoratedPermutation.make(image, {i: WHITE for i in fixed})
 
 
-def enumerate_tcd(
-    p: DecoratedPermutation, vertex_cap: int = DEFAULT_VERTEX_CAP, extend_order: str = "colex"
-) -> FlipGraph:
+def enumerate_tcd(p: DecoratedPermutation, vertex_cap: int = DEFAULT_VERTEX_CAP) -> FlipGraph:
     """BFS closure of the 2<->2 moves.  Stored moves are labelled by their
     TCDMove, edges by the move kind."""
     graph = bfs_closure(
-        seed_state(p, extend_order=extend_order),
+        seed_state(p),
         lambda frontier: map(tcd_neighbors, frontier),
         vertex_cap,
         "vertex cap exceeded enumerating diagrams",
@@ -292,7 +247,7 @@ def _disjoint_support(a: TCDMove, b: TCDMove) -> bool:
     return not a.support_labels() & b.support_labels()
 
 
-def build_t_complex(p, vertex_cap: int = DEFAULT_VERTEX_CAP, extend_order: str = "colex"):
+def build_t_complex(p, vertex_cap: int = DEFAULT_VERTEX_CAP):
     """The 2-complex of triple crossing diagrams for a permutation.
 
     Accepts a plain one-line permutation or a DecoratedPermutation with
@@ -304,7 +259,7 @@ def build_t_complex(p, vertex_cap: int = DEFAULT_VERTEX_CAP, extend_order: str =
         p = permutation_for_tcd(p)
     elif any(c != WHITE for _, c in p.fixed_color):
         raise ArgumentError("triple crossing diagrams have undecorated fixed points")
-    graph = enumerate_tcd(p, vertex_cap=vertex_cap, extend_order=extend_order)
+    graph = enumerate_tcd(p, vertex_cap=vertex_cap)
     k = graph.payloads[0].k
 
     cells = {}

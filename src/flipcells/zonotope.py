@@ -20,21 +20,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
+from .combinat import elems_of, mask_of
 from .errors import ArgumentError, PreconditionError, ValidationError
-from .flipgraph import FlipGraph, bfs_closure, commuting_squares, move_cycle
-
-DEFAULT_VERTEX_CAP = 200_000
-
-
-def mask_of(elems) -> int:
-    m = 0
-    for i in elems:
-        m |= 1 << (i - 1)
-    return m
-
-
-def elems_of(mask: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+from .flipgraph import DEFAULT_VERTEX_CAP, FlipGraph, bfs_closure, commuting_squares, move_cycle
 
 
 @dataclass(frozen=True)

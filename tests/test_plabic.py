@@ -18,6 +18,22 @@ def labels_of(sigma):
     return {frozenset(elems_of(l)) for l in sigma.labels()}
 
 
+def revcolex_seed(p):
+    """The seed built like `seed_triangulation`, but from the maximal weakly
+    separated extension of the necklace that scans candidates in reverse
+    colex order."""
+    necklace = C.necklace_of(p)
+    n, k = p.n, necklace.k
+    walk = tuple(mask_of(s) for s in necklace.sets)
+    have = set(walk)
+    for cand in sorted((mask_of(c) for c in itertools.combinations(range(1, n + 1), k)),
+                       reverse=True):
+        if all(C.is_weakly_separated_mask(cand, m) for m in have):
+            have.add(cand)
+    forced = {(min(a, b), max(a, b)) for a, b in zip(walk, walk[1:] + walk[:1]) if a != b}
+    return P.restrict_to_walk(P._cyclic_triangulation(sorted(have), n, k, forced), walk)
+
+
 def count_triangulations(m):
     """Independent oracle: enumerate triangulations of a convex m-gon."""
 
@@ -159,9 +175,12 @@ class TestMoves:
             P.apply_move(s2, P.available_moves(s)[0])
 
     def test_moves_preserve_strands_and_reducedness(self):
-        # validate=True re-checks both on every enumeration edge
-        P.enumerate_plabic(C.cyclic_decorated(5, 2), validate=True)
-        P.enumerate_plabic(C.cyclic_decorated(5, 1), validate=True)
+        # every graph reached by moves is reduced with the seed's strands
+        for p in (C.cyclic_decorated(5, 2), C.cyclic_decorated(5, 1)):
+            for sigma in P.enumerate_plabic(p).payloads:
+                g = P.dual_graph(sigma)
+                assert P.is_reduced(g).ok
+                assert P.strand_permutation(g) == p
 
 
 class TestEnumeration:
@@ -182,11 +201,17 @@ class TestEnumeration:
         assert kinds == ["M1"] * 5 + ["M2"] * 5
 
     def test_seed_independence(self):
-        for p in (C.cyclic_decorated(5, 2), C.cyclic_decorated(4, 2),
-                  C.DecoratedPermutation.make((2, 1, 5, 3, 4))):
-            a = P.enumerate_plabic(p, extend_order="colex")
-            b = P.enumerate_plabic(p, extend_order="revcolex")
-            assert a.vertices == b.vertices
+        # a seed from another maximal extension is a vertex of the same graph
+        differ = [
+            p
+            for n in range(1, 6)
+            for p in C.all_decorated_permutations(n)
+            if 0 < C.necklace_of(p).k < n and revcolex_seed(p) != P.seed_triangulation(p)
+        ]
+        assert differ
+        for p in [C.cyclic_decorated(5, 2), C.cyclic_decorated(4, 2),
+                  C.DecoratedPermutation.make((2, 1, 5, 3, 4))] + differ:
+            assert revcolex_seed(p).key() in P.enumerate_plabic(p).vertices
 
     def test_face_labels_weakly_separated_and_contain_necklace(self):
         for p in (C.cyclic_decorated(5, 2), C.DecoratedPermutation.make((2, 1, 5, 3, 4))):
