@@ -588,7 +588,7 @@ def triangulation_from_labels(
         if w not in labels:
             raise ValidationError("boundary label missing from the collection")
     tris = []
-    for poly in _clique_polygons(labels, n, k):
+    for poly in _clique_polygons(labels, n):
         tris.extend(_fan_triangles(poly))
     sigma = PlabicTriangulation.make(n, k, tris, walk)
     if sigma.triangles_area2() != sigma.boundary_area2():
@@ -596,7 +596,7 @@ def triangulation_from_labels(
     return sigma
 
 
-def _clique_polygons(labels: list[int], n: int, k: int) -> list[list[int]]:
+def _clique_polygons(labels: list[int], n: int) -> list[list[int]]:
     """White and black clique polygons (vertex lists in convex order)."""
     label_set = set(labels)
     polys = []
@@ -684,7 +684,7 @@ def _cyclic_triangulation(
 ) -> PlabicTriangulation:
     """Full cyclic triangulation of a maximal collection with forced chords."""
     tris = []
-    for poly in _clique_polygons(ext_masks, n, k):
+    for poly in _clique_polygons(ext_masks, n):
         poly_set = set(poly)
         chords = {
             seg
@@ -794,7 +794,7 @@ def layer_step(sigma: PlabicTriangulation, direction: str) -> PlabicTriangulatio
     for t in fixed:
         labels.update(t)
     tris = list(fixed)
-    for poly in _clique_polygons(sorted(labels), n, k2):
+    for poly in _clique_polygons(sorted(labels), n):
         color = triangle_color(_norm_tri(poly[:3])) if len(poly) == 3 else _poly_color(poly)
         if color == free_color:
             tris.extend(_fan_triangles(poly))

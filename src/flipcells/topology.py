@@ -1,8 +1,12 @@
 """Integer homology and fundamental-group certificates for 2-complexes.
 
-H1 is computed from an exact Smith normal form of the 2-cell boundary
-matrix (the rank of the 1-cell boundary is V - #components).  The pi1 field
-of a certificate takes one of three values, each with its own proof:
+A certificate builds one spanning-tree presentation of pi1 (generators:
+the non-tree edges; relators: the cell boundaries) and reads H1 from its
+abelianization by an exact Smith normal form; `h1` says why that matrix and
+the 2-cell boundary d2 have the same nonzero invariant factors, and the
+tests check the two against each other through `boundary_matrices`.  The
+pi1 field of a certificate takes one of three values, each with its own
+proof:
 
 * "trivial": a Todd-Coxeter style coset enumeration against the trivial
   subgroup closed on a single coset;
@@ -275,20 +279,6 @@ def boundary_matrices(k: TwoComplex):
     return d1, d2
 
 
-def h1(k: TwoComplex) -> tuple[int, list[int]]:
-    """First integer homology: (betti number, nontrivial torsion coefficients)."""
-    comps = k.components()
-    if len(comps) != 1:
-        raise PreconditionError("complex is disconnected; components: %s" % (comps,))
-    # the cokernel of d1 is Z^#components, so rank(d1) needs no elimination
-    rank_d1 = k.nv - len(comps)
-    _, d2 = boundary_matrices(k)
-    inv_d2 = _sparse_snf(d2)
-    betti = len(k.edges) - rank_d1 - len(inv_d2)
-    torsion = [v for v in inv_d2 if v > 1]
-    return betti, torsion
-
-
 @dataclass(frozen=True)
 class GroupPresentation:
     n_generators: int
@@ -336,6 +326,34 @@ def pi1_presentation(k: TwoComplex) -> GroupPresentation:
                 word.append(gen_of[e] if step > 0 else -gen_of[e])
         relators.append(tuple(word))
     return GroupPresentation(len(gen_of), tuple(relators))
+
+
+def h1(k: TwoComplex) -> tuple[int, list[int]]:
+    """First integer homology: (betti number, nontrivial torsion coefficients).
+
+    Read from the abelianized spanning-tree presentation of pi1.  The
+    fundamental cycles of the non-tree edges are a basis of ker d1, which is
+    a direct summand of Z^E (Z^E / ker d1 = im d1 is free), and a cell
+    boundary written in that basis is its abelianized relator; so that
+    matrix and d2 have the same nonzero invariant factors.
+    """
+    return _abelianized_h1(pi1_presentation(k))
+
+
+def _abelianized_h1(pres: GroupPresentation) -> tuple[int, list[int]]:
+    """H1 = abelianization of the presented group: one row of exponent sums
+    per relator, reduced by Smith normal form, shortest rows first."""
+    rows = []
+    for rel in pres.relators:
+        row: dict[int, int] = {}
+        for g in rel:
+            row[abs(g)] = row.get(abs(g), 0) + (1 if g > 0 else -1)
+        row = {g: v for g, v in row.items() if v}
+        if row:
+            rows.append(row)
+    rows.sort(key=len)
+    inv = _sparse_snf(rows)
+    return pres.n_generators - len(inv), [v for v in inv if v > 1]
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +501,12 @@ def certificate(k: TwoComplex, budget: int = DEFAULT_PI1_BUDGET) -> dict:
     ``budget`` bounds only the last case; it is recorded either way.
     """
     t0 = time.monotonic()
-    betti, torsion = h1(k)
+    pres = pi1_presentation(k)
+    betti, torsion = _abelianized_h1(pres)
     if betti or torsion:
         pi1 = "nontrivial"
     else:
-        pi1 = certify_trivial(pi1_presentation(k), budget=budget)
+        pi1 = certify_trivial(pres, budget=budget)
     return {
         "schema_version": 1,
         "V": k.nv,

@@ -5,9 +5,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipcells import combinat as C
 from flipcells import plabic as P
+from flipcells import tcd
 from flipcells import topology as T
 from flipcells import zonotope as Z
 from flipcells.errors import PreconditionError
@@ -120,7 +123,7 @@ class TestDivisibilityChain:
         ids=["Z(5,3)", "X(pi(5,2))"],
     )
     def test_d1_rank_is_vertices_minus_one(self, build):
-        # h1 takes rank(d1) = V - #components without elimination
+        # the reference H1 route takes rank(d1) = V - 1 without elimination
         k = build()
         d1, _ = T.boundary_matrices(k)
         assert len(k.components()) == 1
@@ -162,6 +165,105 @@ class TestH1:
         # one vertex, two loops, relator aba^-1b^-1
         k = T.TwoComplex(1, ((0, 0), (0, 0)), ((1, 2, -1, -2),))
         assert T.h1(k) == (2, [])
+
+
+def h1_by_boundary(k):
+    """Reference H1 route: betti1 = E - (V - 1) - rank d2 and the torsion,
+    both from the Smith normal form of the full boundary matrix d2."""
+    _, d2 = T.boundary_matrices(k)
+    inv = T._sparse_snf(d2)
+    return len(k.edges) - (k.nv - 1) - len(inv), [v for v in inv if v > 1]
+
+
+def assert_h1_routes_agree(k):
+    """h1 (abelianized presentation) equals the d2 route, on k and on k
+    with every other cell dropped, which usually leaves H1 != 0."""
+    for cx in (k, T.TwoComplex(k.nv, k.edges, k.cells[::2])):
+        assert T.h1(cx) == h1_by_boundary(cx)
+
+
+@st.composite
+def one_vertex_complexes(draw):
+    """One vertex, m loops: every word in the loops is a closed walk."""
+    m = draw(st.integers(1, 5))
+    letters = st.integers(1, m).flatmap(lambda g: st.sampled_from([g, -g]))
+    cells = draw(st.lists(st.lists(letters, min_size=1, max_size=10).map(tuple), max_size=6))
+    return T.TwoComplex(1, ((0, 0),) * m, tuple(cells))
+
+
+@st.composite
+def connected_complexes(draw):
+    """A random spanning tree (edge i - 1 joins vertex i to a lower vertex)
+    plus random extra edges, loops and parallel edges among them; each cell
+    is a random walk closed by the tree path back to its start."""
+    nv = draw(st.integers(1, 7))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, nv)]
+    vertex = st.integers(0, nv - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+    incident = {x: [] for x in range(nv)}
+    for e, (u, v) in enumerate(edges):
+        incident[u].append((e + 1, v))
+        incident[v].append((-(e + 1), u))
+
+    def up(x):  # tree path from x to vertex 0
+        path = []
+        while x:
+            path.append(-x)
+            x = edges[x - 1][0]
+        return path
+
+    cells = []
+    for _ in range(draw(st.integers(0, 6))):
+        start = at = draw(vertex)
+        walk = []
+        for _ in range(draw(st.integers(1, 10))):
+            if not incident[at]:
+                break
+            step, at = draw(st.sampled_from(incident[at]))
+            walk.append(step)
+        walk += up(at) + [-s for s in reversed(up(start))]
+        if walk:
+            cells.append(tuple(walk))
+    return T.TwoComplex(nv, tuple(edges), tuple(cells))
+
+
+class TestH1Routes:
+    """H1 from the abelianized presentation against H1 from d2's SNF."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_vertex_complexes())
+    def test_one_vertex_complexes(self, k):
+        assert T.h1(k) == h1_by_boundary(k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(connected_complexes())
+    def test_connected_complexes(self, k):
+        assert T.h1(k) == h1_by_boundary(k)
+
+    @pytest.mark.parametrize(
+        "loops, relator, expected",
+        [(2, (1, 2, 1, -2), (1, [2])), (1, (1, 1, 1), (0, [3]))],
+        ids=["klein_bottle", "cube_of_a_generator"],
+    )
+    def test_one_relator(self, loops, relator, expected):
+        k = T.TwoComplex(1, ((0, 0),) * loops, (relator,))
+        assert T.h1(k) == h1_by_boundary(k) == expected
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_zonotopal(self, n):
+        for d in range(1, n):
+            assert_h1_routes_agree(Z.build_z_complex(Z.enumerate_tilings(Z.zonotope_spec(n, d)))[0])
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_plabic(self, n):
+        for p in C.all_decorated_permutations(n):
+            for kind in ("X", "Y"):
+                assert_h1_routes_agree(P.build_plabic_complex(p, kind)[0])
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_tcd(self, n):
+        for image in itertools.permutations(range(1, n + 1)):
+            assert_h1_routes_agree(tcd.build_t_complex(image)[0])
 
 
 class TestPi1:
@@ -238,7 +340,31 @@ class TestCertificates:
         def fail(*args, **kwargs):
             raise AssertionError("coset enumeration ran although H1 != 0")
 
-        monkeypatch.setattr(T, "pi1_presentation", fail)
         monkeypatch.setattr(T, "certify_trivial", fail)
         cert = T.certificate(cycle_complex(10, False), budget=1)
         assert cert["pi1"] == "nontrivial" and cert["pi1_budget"] == 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Z.build_z_complex(Z.enumerate_tilings(Z.zonotope_spec(5, 3)))[0],
+            lambda: cycle_complex(10, False),
+        ],
+        ids=["trivial", "nontrivial"],
+    )
+    def test_one_presentation_and_no_boundary_matrix(self, build, monkeypatch):
+        k = build()
+        calls = []
+        presentation = T.pi1_presentation
+
+        def spy(cx):
+            calls.append(cx)
+            return presentation(cx)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("certificate built a boundary matrix")
+
+        monkeypatch.setattr(T, "pi1_presentation", spy)
+        monkeypatch.setattr(T, "boundary_matrices", fail)
+        T.certificate(k)
+        assert calls == [k]
