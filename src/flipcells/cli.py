@@ -44,6 +44,11 @@ def parse_permutation(text: str) -> DecoratedPermutation:
     """One-line images with w/b suffixes on fixed points, e.g. '2,1,3w,4b'."""
     if text.strip().startswith("{"):
         return DecoratedPermutation.from_json(json.loads(text))
+    return DecoratedPermutation.make(*_one_line(text))
+
+
+def _one_line(text: str) -> tuple[tuple[int, ...], dict[int, str]]:
+    """The image and the fixed-point colors of a one-line permutation."""
     image = []
     colors = {}
     for pos_, tok in enumerate(text.split(","), start=1):
@@ -57,17 +62,25 @@ def parse_permutation(text: str) -> DecoratedPermutation:
         image.append(int(tok))
         if suffix:
             colors[pos_] = combinat.WHITE if suffix == "w" else combinat.BLACK
-    return DecoratedPermutation.make(tuple(image), colors)
+    return tuple(image), colors
 
 
 def _parse_conn(args) -> DecoratedPermutation:
+    """The connectivity argument.  Triple crossing diagrams take plain
+    permutations: their fixed points are white, and a bare one is too."""
     if args.perm[0] == "cyclic":
         if len(args.perm) != 3:
             raise ArgumentError("usage: cyclic n k")
         return combinat.cyclic_decorated(int(args.perm[1]), int(args.perm[2]))
     if len(args.perm) != 1:
         raise ArgumentError("expected one permutation argument or 'cyclic n k'")
-    return parse_permutation(args.perm[0])
+    text = args.perm[0]
+    if args.kind != "T" or text.strip().startswith("{"):
+        return parse_permutation(text)
+    image, colors = _one_line(text)
+    if combinat.BLACK in colors.values():
+        raise ArgumentError("triple crossing diagrams have undecorated fixed points")
+    return tcd.permutation_for_tcd(image)
 
 
 def _load_necklace(text: str) -> GrassmannNecklace:
@@ -115,31 +128,16 @@ def cmd_zcomplex(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_plabic(args, config: RunConfig) -> int:
+def cmd_complex(args, config: RunConfig) -> int:
     p = _parse_conn(args)
-    complex_, info = plabic.build_plabic_complex(p, args.kind, vertex_cap=config.vertex_cap)
+    if args.kind == "T":
+        complex_, info = tcd.build_t_complex(p, vertex_cap=config.vertex_cap)
+    else:
+        complex_, info = plabic.build_plabic_complex(p, args.kind, vertex_cap=config.vertex_cap)
     data = {
         "schema_version": 1,
         "connectivity": p.to_json(),
         "kind": args.kind,
-        "V": complex_.nv,
-        "E": len(complex_.edges),
-        "F": len(complex_.cells),
-        "cells": sorted(name for name, _ in info["cells"]),
-    }
-    if args.certify:
-        data["certificate"] = topology.certificate(complex_, budget=config.pi1_budget)
-    _emit(config, _dump(data))
-    return 0
-
-
-def cmd_tcd(args, config: RunConfig) -> int:
-    p = _parse_conn(args)
-    complex_, info = tcd.build_t_complex(p, vertex_cap=config.vertex_cap)
-    data = {
-        "schema_version": 1,
-        "connectivity": p.to_json(),
-        "kind": "T",
         "V": complex_.nv,
         "E": len(complex_.edges),
         "F": len(complex_.cells),
@@ -305,12 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("perm", nargs="+", help="'3,4,5,1,2' / '2,1,3w' / cyclic n k")
     s.add_argument("--kind", default="X", choices=["X", "Y"])
     s.add_argument("--certify", action="store_true")
-    s.set_defaults(func=cmd_plabic)
+    s.set_defaults(func=cmd_complex)
 
     s = sub.add_parser("tcd", parents=[common], help="build and certify a triple crossing diagram complex")
-    s.add_argument("perm", nargs="+")
+    s.add_argument("perm", nargs="+", help="'3,4,5,1,2' / '2,1,3' (fixed points are white) / cyclic n k")
     s.add_argument("--certify", action="store_true")
-    s.set_defaults(func=cmd_tcd)
+    s.set_defaults(func=cmd_complex, kind="T")
 
     s = sub.add_parser("cross-section", parents=[common], help="cross-section of a tiling of Z(n,3)")
     s.add_argument("--tiling", required=True)

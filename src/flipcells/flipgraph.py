@@ -3,7 +3,8 @@
 `bfs_closure` is the one enumerator behind tilings, plabic graphs and triple
 crossing diagrams.  It scans every vertex's moves exactly once and stores
 them, and the cell finders (`commuting_squares`, `move_cycle`) read cells
-from those stored moves with dictionary lookups alone.
+from those stored moves with dictionary lookups alone.  `sorted_cells` is
+the canonical order of the cells found.
 """
 
 from __future__ import annotations
@@ -215,3 +216,9 @@ def move_cycle(
     if len(cycle) != expected:
         raise AssertionError("restricted cycle length %d != %d" % (len(cycle), expected))
     return cycle
+
+
+def sorted_cells(cells: dict[frozenset[int], tuple]) -> list[tuple]:
+    """The values of `cells`, keyed by vertex set, in the canonical cell
+    order: by sorted vertex set."""
+    return [cells[key] for key in sorted(cells, key=sorted)]

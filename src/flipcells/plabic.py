@@ -34,7 +34,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .flipgraph import DEFAULT_VERTEX_CAP, FlipGraph, bfs_closure, commuting_squares, move_cycle
+from .flipgraph import DEFAULT_VERTEX_CAP, FlipGraph, bfs_closure, commuting_squares, move_cycle, sorted_cells
 from .geometry import ccw_order, orient, shoelace2, triangle_area2, winding_number
 from .zonotope import SignedSubset, Tiling, ZonotopeSpec
 
@@ -64,6 +64,11 @@ def interval_mask(n: int, start: int, length: int) -> int:
 def cyclic_walk(n: int, k: int) -> tuple[int, ...]:
     """Boundary walk of the full cross-section: necklace of pi(n, k)."""
     return tuple(interval_mask(n, i, k) for i in range(1, n + 1))
+
+
+def walked_segments(boundary) -> set[tuple[int, int]]:
+    """The segments a boundary walk steps along, as sorted label pairs."""
+    return {(min(a, b), max(a, b)) for a, b in zip(boundary, boundary[1:] + boundary[:1]) if a != b}
 
 
 def triangle_color(tri: tuple[int, int, int]) -> str:
@@ -115,8 +120,9 @@ class PlabicTriangulation:
     def interior_labels(self) -> frozenset[int]:
         return self.labels() - set(self.boundary)
 
-    def color(self, tri: tuple[int, int, int]) -> str:
-        return triangle_color(tri)
+    def polygons(self) -> tuple[tuple[int, ...], ...]:
+        """The polygons that tile the region: its triangles."""
+        return self.triangles
 
     def necklace(self) -> GrassmannNecklace:
         return GrassmannNecklace.make(self.n, [elems_of(m) for m in self.boundary])
@@ -130,9 +136,6 @@ class PlabicTriangulation:
             if a != b:
                 out.append((i, a, b))
         return out
-
-    def walked_segments(self) -> set[tuple[int, int]]:
-        return {(min(a, b), max(a, b)) for _, a, b in self.walk_steps()}
 
     def boundary_area2(self) -> int:
         return abs(shoelace2([pos(m) for m in self.boundary]))
@@ -259,7 +262,7 @@ def dual_graph(sigma: PlabicTriangulation) -> PlabicGraph:
         for a, b in itertools.combinations(t, 2):
             third = next(x for x in t if x != a and x != b)
             seg_map.setdefault((min(a, b), max(a, b)), []).append((ti, third))
-    walked = sigma.walked_segments()
+    walked = walked_segments(sigma.boundary)
 
     edges: list[tuple[tuple, tuple]] = []
     # interior edges between triangles
@@ -471,31 +474,7 @@ class Move:
 
 def available_moves(sigma: PlabicTriangulation) -> tuple[Move, ...]:
     """All moves available in sigma, sorted canonically."""
-    moves = []
-    seg_map: dict[tuple[int, int], list[tuple[tuple[int, int, int], int]]] = {}
-    for t in sigma.triangles:
-        for a, b in itertools.combinations(t, 2):
-            third = next(x for x in t if x != a and x != b)
-            seg_map.setdefault((min(a, b), max(a, b)), []).append((t, third))
-    walked = sigma.walked_segments()
-
-    # trivalent flips: two same-color triangles across an interior diagonal
-    for seg, lst in seg_map.items():
-        if len(lst) != 2 or seg in walked:
-            continue
-        (t1, a), (t2, d) = lst
-        c1, c2 = triangle_color(t1), triangle_color(t2)
-        if c1 != c2:
-            continue
-        b_, c_ = seg
-        if orient(pos(a), pos(d), pos(b_)) * orient(pos(a), pos(d), pos(c_)) >= 0:
-            continue
-        if orient(pos(b_), pos(c_), pos(a)) * orient(pos(b_), pos(c_), pos(d)) >= 0:
-            continue
-        added = tuple(sorted((_norm_tri((a, b_, d)), _norm_tri((a, c_, d)))))
-        moves.append(
-            Move("M1" if c1 == WHITE else "M3", tuple(sorted((t1, t2))), added)
-        )
+    moves = trivalent_flips(sigma.triangles, sigma.boundary)
 
     # square moves: interior degree-4 vertices with alternating star
     star: dict[int, list[tuple[int, int, int]]] = {}
@@ -512,21 +491,56 @@ def available_moves(sigma: PlabicTriangulation) -> tuple[Move, ...]:
         cols = [triangle_color(tris[i]) for i in order]
         if cols[0] == cols[1] or cols[1] == cols[2] or cols[2] == cols[3]:
             continue
-        all5 = [v] + sorted({x for t in tris for x in t if x != v})
-        common = all5[0]
-        union = 0
-        for lab in all5:
-            common &= lab
-            union |= lab
-        diff = union & ~common
-        if bin(diff).count("1") != 4:
+        v2 = square_relabel(v, {x for t in tris for x in t if x != v})
+        if v2 is None:
             continue
-        v2 = common | (diff & ~v)
         removed = tuple(sorted(tris))
         added = tuple(sorted(_norm_tri([v2 if x == v else x for x in t]) for t in tris))
         moves.append(Move("M2", removed, added, center=v, replacement=v2))
     moves.sort(key=lambda m: (m.kind, m.removed, m.added))
     return tuple(moves)
+
+
+def trivalent_flips(triangles, boundary) -> list[Move]:
+    """Flips of two same-color triangles across an interior diagonal: M1
+    for white, M3 for black.  Segments of the boundary walk never flip."""
+    seg_map: dict[tuple[int, int], list[tuple[tuple[int, int, int], int]]] = {}
+    for t in triangles:
+        for a, b in itertools.combinations(t, 2):
+            third = next(x for x in t if x != a and x != b)
+            seg_map.setdefault((min(a, b), max(a, b)), []).append((t, third))
+    walked = walked_segments(boundary)
+    moves = []
+    for seg, lst in seg_map.items():
+        if len(lst) != 2 or seg in walked:
+            continue
+        (t1, a), (t2, d) = lst
+        c1, c2 = triangle_color(t1), triangle_color(t2)
+        if c1 != c2:
+            continue
+        b_, c_ = seg
+        if orient(pos(a), pos(d), pos(b_)) * orient(pos(a), pos(d), pos(c_)) >= 0:
+            continue
+        if orient(pos(b_), pos(c_), pos(a)) * orient(pos(b_), pos(c_), pos(d)) >= 0:
+            continue
+        added = tuple(sorted((_norm_tri((a, b_, d)), _norm_tri((a, c_, d)))))
+        moves.append(
+            Move("M1" if c1 == WHITE else "M3", tuple(sorted((t1, t2))), added)
+        )
+    return moves
+
+
+def square_relabel(center: int, outer) -> int | None:
+    """The label that replaces `center` in a square move whose four outer
+    labels are `outer`, or None if the five labels do not form a square."""
+    common = union = center
+    for lab in outer:
+        common &= lab
+        union |= lab
+    diff = union & ~common
+    if len(outer) != 4 or bin(diff).count("1") != 4:
+        return None
+    return common | (diff & ~center)
 
 
 def _chain_pairs(pairs) -> list[int] | None:
@@ -666,11 +680,7 @@ def seed_triangulation(p: DecoratedPermutation) -> PlabicTriangulation:
         return PlabicTriangulation.make(n, k, [], walk)
     extended = combinat.extend_to_maximal_ws(LabelCollection(n, k, frozenset(necklace.sets)))
     ext_masks = sorted(mask_of(s) for s in extended.labels)
-    forced = {
-        (min(a, b), max(a, b))
-        for a, b in zip(walk, walk[1:] + walk[:1])
-        if a != b
-    }
+    forced = walked_segments(walk)
     full = _cyclic_triangulation(ext_masks, n, k, forced)
     sigma = restrict_to_walk(full, walk)
     dual = dual_graph(sigma)
@@ -857,7 +867,7 @@ def embed_in_cyclic(sigma: PlabicTriangulation) -> tuple[PlabicTriangulation, tu
     for t in sigma.triangles:
         for a, b in itertools.combinations(t, 2):
             forced.add((min(a, b), max(a, b)))
-    forced.update(sigma.walked_segments())
+    forced.update(walked_segments(sigma.boundary))
     full = _cyclic_triangulation(ext_masks, n, k, forced)
     if not set(sigma.triangles) <= set(full.triangles):
         raise AssertionError("embedding does not contain the original triangulation")
@@ -1183,31 +1193,46 @@ def _embedded_candidates(n: int, k: int) -> tuple[tuple[int, frozenset, tuple[in
     return tuple(cands)
 
 
-_CELL_KIND = {1: "pentagon_white", 2: "decagon_white", 3: "decagon_black", 4: "pentagon_black"}
-_CELL_LEN = {1: 5, 2: 10, 3: 10, 4: 5}
+def embedded_cells(graph: FlipGraph, table: dict[int, tuple[str, int]]) -> dict:
+    """Cells of the embedded pi(5, h) sub-necklaces, for each h in `table`
+    (h -> (cell name, cycle length)): frozenset(cycle) -> (name, cycle).
 
-
-def _embedded_region_present(sigma: PlabicTriangulation, family: frozenset, walk5) -> bool:
-    labs = sigma.labels()
-    if any(b not in labs for b in walk5):
-        return False
-    area = abs(shoelace2([pos(b) for b in walk5]))
-    if area == 0:
-        return False
-    tri_area = sum(
-        triangle_area2(pos(a), pos(b), pos(c))
-        for a, b, c in sigma.triangles
-        if a in family and b in family and c in family
-    )
-    return tri_area == area
-
-
-def _quad_cells(graph: FlipGraph):
-    """Operationally commuting move pairs with disjoint modified triangles."""
+    A vertex carries the cell of a family when the family's sub-walk is in
+    its labels and the polygons of its `polygons()` whose labels all lie in
+    the family tile the region of the sub-walk.  The cell is the cycle of
+    the moves supported in the family, walked from the first vertex in id
+    order that carries it.
+    """
+    first = graph.payloads[0]
+    cands = []
+    for h, family, walk5 in _embedded_candidates(first.n, first.k):
+        area = abs(shoelace2([pos(b) for b in walk5]))
+        if h in table and area:
+            cands.append((h, family, walk5, area))
     cells = {}
-    for quad, m1, m2 in commuting_squares(graph, lambda a, b: not set(a.removed) & set(b.removed)):
-        cells.setdefault(frozenset(quad), ("quad", quad, (m1.kind, m2.kind)))
+    for vid, payload in enumerate(graph.payloads):
+        polys = payload.polygons()
+        labs = set(payload.boundary).union(*polys)
+        tiles = [(frozenset(poly), abs(shoelace2([pos(x) for x in poly]))) for poly in polys]
+        for h, family, walk5, area in cands:
+            if not labs.issuperset(walk5):
+                continue
+            if sum(a for verts, a in tiles if verts <= family) != area:
+                continue
+            name, length = table[h]
+            cycle = move_cycle(graph, vid, lambda m: m.support_labels() <= family, length, by_id=True)
+            cells.setdefault(frozenset(cycle), (name, tuple(cycle)))
     return cells
+
+
+_X_CELLS = {
+    1: ("pentagon_white", 5),
+    2: ("decagon_white", 10),
+    3: ("decagon_black", 10),
+    4: ("pentagon_black", 5),
+}
+# Y keeps the decagons only: each projects to a pentagon of square moves
+_Y_CELLS = {h: _X_CELLS[h] for h in (2, 3)}
 
 
 def build_plabic_complex(
@@ -1225,24 +1250,14 @@ def build_plabic_complex(
     if kind not in ("X", "Y"):
         raise ArgumentError("kind must be 'X' or 'Y'")
     graph = enumerate_plabic(p, vertex_cap=vertex_cap)
-    quads = _quad_cells(graph)
-    embedded = {}
-    cands = _embedded_candidates(p.n, graph.payloads[0].k)
-    for vid, sigma in enumerate(graph.payloads):
-        for h, family, walk5 in cands:
-            if not _embedded_region_present(sigma, family, walk5):
-                continue
-            cycle = move_cycle(
-                graph, vid, lambda m: m.support_labels() <= family, _CELL_LEN[h], by_id=True
-            )
-            embedded.setdefault(frozenset(cycle), (_CELL_KIND[h], tuple(cycle), h))
+    # operationally commuting move pairs with disjoint modified triangles
+    quads = {}
+    for quad, a, b in commuting_squares(graph, lambda a, b: not set(a.removed) & set(b.removed)):
+        quads.setdefault(frozenset(quad), ("quad", quad, (a.kind, b.kind)))
 
     if kind == "X":
-        cells = [("quad", cyc) for _, (kname, cyc, _) in sorted(quads.items(), key=lambda kv: tuple(sorted(kv[0])))]
-        cells += [
-            (kname, cyc)
-            for _, (kname, cyc, _) in sorted(embedded.items(), key=lambda kv: tuple(sorted(kv[0])))
-        ]
+        cells = [(name, cyc) for name, cyc, _ in sorted_cells(quads)]
+        cells += sorted_cells(embedded_cells(graph, _X_CELLS))
         complex_ = TwoComplex.from_graph(
             graph.n_vertices,
             [(u, v) for u, v, _ in graph.edges],
@@ -1285,15 +1300,13 @@ def build_plabic_complex(
         }
     )
     y_cells = {}
-    for key, (_, quad, kinds) in quads.items():
+    for _, quad, kinds in quads.values():
         if kinds != ("M2", "M2"):
             continue
         cyc = tuple(cls(v) for v in quad)
         if len(set(cyc)) == 4:
             y_cells.setdefault(frozenset(cyc), ("quad", cyc))
-    for key, (kname, cyc, h) in embedded.items():
-        if h not in (2, 3):
-            continue
+    for _, cyc in embedded_cells(graph, _Y_CELLS).values():
         proj = []
         for v in cyc:
             c = cls(v)
@@ -1302,10 +1315,7 @@ def build_plabic_complex(
         if len(proj) != 5 or len(set(proj)) != 5:
             raise AssertionError("decagon does not project to a square-move pentagon")
         y_cells.setdefault(frozenset(proj), ("pentagon", tuple(proj)))
-    cells = [
-        (name, cyc)
-        for _, (name, cyc) in sorted(y_cells.items(), key=lambda kv: tuple(sorted(kv[0])))
-    ]
+    cells = sorted_cells(y_cells)
     complex_ = TwoComplex.from_graph(len(reps), y_edges, [cyc for _, cyc in cells])
     info = {
         "kind": "Y",

@@ -4,32 +4,33 @@ A (minimal) triple crossing diagram is stored as the bipartite-normalized
 plabic data it corresponds to: white regions triangulated, black regions
 fully contracted.  The state is therefore (label collection, white
 triangles); black regions are recomputed from the labels.  The 2<->2 moves
-are white trivalent flips, and square moves followed by re-contraction of
-the black side.
+are plabic `Move`s: white trivalent flips of the white triangles, and square
+moves followed by re-contraction of the black side.  The complex T is read
+with the plabic cell finders, applied to the contracted states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import plabic
 from .combinat import BLACK, WHITE, DecoratedPermutation
 from .errors import ArgumentError, ValidationError
-from .flipgraph import DEFAULT_VERTEX_CAP, FlipGraph, bfs_closure, commuting_squares, move_cycle
-from .geometry import shoelace2, triangle_area2
+from .flipgraph import DEFAULT_VERTEX_CAP, FlipGraph, bfs_closure, commuting_squares, sorted_cells
 from .plabic import (
+    Move,
     PlabicGraph,
     PlabicTriangulation,
     _black_cliques,
     _chain_pairs,
     _fan_triangles,
     _norm_tri,
-    available_moves,
+    embedded_cells,
     is_reduced,
-    pos,
     seed_triangulation,
+    square_relabel,
     strand_permutation,
     triangle_color,
+    trivalent_flips,
 )
 
 
@@ -71,12 +72,13 @@ class TCDState:
     def key(self):
         return (self.whites, self.labels)
 
-    def label_set(self) -> frozenset[int]:
-        return frozenset(self.labels)
-
     def black_cliques(self) -> dict[int, list[int]]:
         """Union mask -> members (labels) in convex (removed-element) order."""
         return _black_cliques(self.labels, self.n)
+
+    def polygons(self) -> tuple[tuple[int, ...], ...]:
+        """The polygons that tile the region: white triangles and black cliques."""
+        return self.whites + tuple(tuple(m) for m in self.black_cliques().values())
 
     def representative(self) -> PlabicTriangulation:
         """Trivalent representative: black cliques fanned canonically."""
@@ -92,37 +94,10 @@ def normalize(sigma: PlabicTriangulation) -> TCDState:
     return TCDState(sigma.n, sigma.k, whites, tuple(sorted(sigma.labels())), sigma.boundary)
 
 
-@dataclass(frozen=True)
-class TCDMove:
-    """A 2<->2 move: a white flip, or a square relabel plus re-contraction."""
-
-    kind: str  # "M1" or "M2"
-    removed_whites: tuple[tuple[int, int, int], ...]
-    added_whites: tuple[tuple[int, int, int], ...]
-    center: int = 0
-    replacement: int = 0
-
-    def support_labels(self) -> frozenset[int]:
-        out = {self.center, self.replacement} - {0}
-        for t in self.removed_whites + self.added_whites:
-            out.update(t)
-        return frozenset(out)
-
-
-def _white_moves(state: TCDState) -> list[TCDMove]:
-    """White trivalent flips of the state (via its representative)."""
-    rep = state.representative()
-    out = []
-    for m in available_moves(rep):
-        if m.kind == "M1":
-            out.append(TCDMove("M1", m.removed, m.added))
-    return out
-
-
-def _square_moves(state: TCDState) -> list[TCDMove]:
+def _square_moves(state: TCDState) -> list[Move]:
     """Square sites of the contracted diagram: interior labels whose star is
     two white triangles alternating with two black regions."""
-    labs = state.label_set()
+    labs = set(state.labels)
     boundary_set = set(state.boundary)
     cliques = state.black_cliques()
     star_w: dict[int, list[tuple[int, int, int]]] = {}
@@ -130,7 +105,7 @@ def _square_moves(state: TCDState) -> list[TCDMove]:
         for lab in t:
             star_w.setdefault(lab, []).append(t)
     out = []
-    for v in sorted(labs):
+    for v in state.labels:
         if v in boundary_set:
             continue
         whites = star_w.get(v, [])
@@ -150,45 +125,28 @@ def _square_moves(state: TCDState) -> list[TCDMove]:
         if order is None:
             continue
         kinds = [faces[i][0] for i in order]
-        if kinds in (["w", "b", "w", "b"], ["b", "w", "b", "w"]):
-            outer = sorted({x for f in faces for x in f[2]})
-            if len(outer) != 4:
-                continue
-            all5 = [v] + outer
-            common = all5[0]
-            union = 0
-            for lab in all5:
-                common &= lab
-                union |= lab
-            diff = union & ~common
-            if bin(diff).count("1") != 4:
-                continue
-            v2 = common | (diff & ~v)
-            if v2 in labs:
-                continue
-            added = tuple(
-                sorted(_norm_tri((nb[0], v2, nb[1])) for u, nb in black_faces)
-            )
-            out.append(TCDMove("M2", tuple(sorted(whites)), added, center=v, replacement=v2))
+        if kinds not in (["w", "b", "w", "b"], ["b", "w", "b", "w"]):
+            continue
+        v2 = square_relabel(v, {x for f in faces for x in f[2]})
+        if v2 is None or v2 in labs:
+            continue
+        added = tuple(sorted(_norm_tri((nb[0], v2, nb[1])) for u, nb in black_faces))
+        out.append(Move("M2", tuple(sorted(whites)), added, center=v, replacement=v2))
     return out
 
 
-def apply_tcd_move(state: TCDState, move: TCDMove) -> TCDState:
-    whites = set(state.whites)
-    if move.kind == "M1":
-        whites.difference_update(move.removed_whites)
-        whites.update(move.added_whites)
-        return TCDState(state.n, state.k, tuple(sorted(whites)), state.labels, state.boundary)
-    whites.difference_update(move.removed_whites)
-    whites.update(move.added_whites)
-    labels = sorted(set(state.labels) - {move.center} | {move.replacement})
-    return TCDState(state.n, state.k, tuple(sorted(whites)), tuple(labels), state.boundary)
+def apply_tcd_move(state: TCDState, move: Move) -> TCDState:
+    whites = set(state.whites).difference(move.removed).union(move.added)
+    labels = state.labels
+    if move.kind == "M2":
+        labels = tuple(sorted(set(labels) - {move.center} | {move.replacement}))
+    return TCDState(state.n, state.k, tuple(sorted(whites)), labels, state.boundary)
 
 
-def tcd_neighbors(state: TCDState) -> list[tuple[TCDMove, TCDState]]:
+def tcd_neighbors(state: TCDState) -> list[tuple[Move, TCDState]]:
     """All 2<->2 neighbors of a normalized diagram, sorted canonically."""
-    moves = _white_moves(state) + _square_moves(state)
-    moves.sort(key=lambda m: (m.kind, m.removed_whites, m.added_whites, m.center))
+    moves = trivalent_flips(state.whites, state.boundary) + _square_moves(state)
+    moves.sort(key=lambda m: (m.kind, m.removed, m.added, m.center))
     return [(m, apply_tcd_move(state, m)) for m in moves]
 
 
@@ -205,7 +163,7 @@ def permutation_for_tcd(image) -> DecoratedPermutation:
 
 def enumerate_tcd(p: DecoratedPermutation, vertex_cap: int = DEFAULT_VERTEX_CAP) -> FlipGraph:
     """BFS closure of the 2<->2 moves.  Stored moves are labelled by their
-    TCDMove, edges by the move kind."""
+    plabic Move, edges by the move kind."""
     graph = bfs_closure(
         seed_state(p),
         lambda frontier: map(tcd_neighbors, frontier),
@@ -221,29 +179,10 @@ def enumerate_tcd(p: DecoratedPermutation, vertex_cap: int = DEFAULT_VERTEX_CAP)
 # the complex T
 
 
-_T_CELL_LEN = {1: 5, 2: 10, 3: 5}
-_T_CELL_KIND = {1: "pentagon_white", 2: "decagon", 3: "pentagon_square"}
+_T_CELLS = {1: ("pentagon_white", 5), 2: ("decagon", 10), 3: ("pentagon_square", 5)}
 
 
-def _embedded_present(state: TCDState, family: frozenset, walk5) -> bool:
-    labs = state.label_set()
-    if any(b not in labs for b in walk5):
-        return False
-    area = abs(shoelace2([pos(b) for b in walk5]))
-    if area == 0:
-        return False
-    total = sum(
-        triangle_area2(pos(a), pos(b), pos(c))
-        for a, b, c in state.whites
-        if a in family and b in family and c in family
-    )
-    for u, members in state.black_cliques().items():
-        if all(m in family for m in members):
-            total += abs(shoelace2([pos(m) for m in members]))
-    return total == area
-
-
-def _disjoint_support(a: TCDMove, b: TCDMove) -> bool:
+def _disjoint_support(a: Move, b: Move) -> bool:
     return not a.support_labels() & b.support_labels()
 
 
@@ -260,28 +199,11 @@ def build_t_complex(p, vertex_cap: int = DEFAULT_VERTEX_CAP):
     elif any(c != WHITE for _, c in p.fixed_color):
         raise ArgumentError("triple crossing diagrams have undecorated fixed points")
     graph = enumerate_tcd(p, vertex_cap=vertex_cap)
-    k = graph.payloads[0].k
-
     cells = {}
     for quad, _, _ in commuting_squares(graph, _disjoint_support):
         cells.setdefault(frozenset(quad), ("quad", quad))
-
-    # families outside, vertices inside
-    for h, family, walk5 in plabic._embedded_candidates(p.n, k):
-        if h > 3:
-            continue
-        for vid, state in enumerate(graph.payloads):
-            if not _embedded_present(state, family, walk5):
-                continue
-            cycle = move_cycle(
-                graph, vid, lambda m: m.support_labels() <= family, _T_CELL_LEN[h], by_id=True
-            )
-            cells.setdefault(frozenset(cycle), (_T_CELL_KIND[h], tuple(cycle)))
-
-    cell_list = [
-        (name, cyc)
-        for _, (name, cyc) in sorted(cells.items(), key=lambda kv: tuple(sorted(kv[0])))
-    ]
+    cells.update(embedded_cells(graph, _T_CELLS))
+    cell_list = sorted_cells(cells)
     complex_ = TwoComplex.from_graph(
         graph.n_vertices,
         [(u, v) for u, v, _ in graph.edges],

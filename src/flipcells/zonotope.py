@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from .combinat import elems_of, mask_of
 from .errors import ArgumentError, PreconditionError, ValidationError
-from .flipgraph import DEFAULT_VERTEX_CAP, FlipGraph, bfs_closure, commuting_squares, move_cycle
+from .flipgraph import DEFAULT_VERTEX_CAP, FlipGraph, bfs_closure, commuting_squares, move_cycle, sorted_cells
 
 
 @dataclass(frozen=True)
@@ -598,7 +598,7 @@ def build_z_complex(graph: FlipGraph):
             traced.update((v, tmask) for v in cycle)
             cells.setdefault(frozenset(cycle), ("gon%d" % expected_len, tuple(cycle)))
 
-    cell_list = sorted(cells.values(), key=lambda kc: tuple(sorted(kc[1])))
+    cell_list = sorted_cells(cells)
     complex_ = TwoComplex.from_graph(
         graph.n_vertices,
         [(u, v) for u, v, _ in graph.edges],

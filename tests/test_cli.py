@@ -54,6 +54,20 @@ class TestCommands:
         assert data["cells"] == ["decagon"]
         assert data["certificate"]["pi1"] == "trivial"
 
+    def test_tcd_bare_fixed_points_are_white(self, capsys):
+        code, bare = run(capsys, "tcd", "2,1,3", "--certify")
+        assert code == 0
+        _, marked = run(capsys, "tcd", "2,1,3w", "--certify")
+        d1, d2 = json.loads(bare), json.loads(marked)
+        d1["certificate"].pop("wall_time_s")
+        d2["certificate"].pop("wall_time_s")
+        assert d1 == d2
+        assert d1["connectivity"]["fixed_color"] == {"3": "white"}
+
+    def test_tcd_black_fixed_point_is_usage_error(self, capsys):
+        assert cli.main(["tcd", "2,1,3b"]) == 2
+        assert "undecorated" in capsys.readouterr().err
+
     def test_updown_necklace(self, capsys):
         code, out = run(
             capsys, "updown", "--necklace", "[[1,2],[2,3],[3,4],[4,5],[5,1]]", "--dir", "down"
@@ -115,6 +129,8 @@ class TestDeterminismAndErrors:
     def test_bad_permutation_is_usage_error(self, capsys):
         code = cli.main(["plabic", "1,1,2"])
         assert code == 2
+        # plabic fixed points need a color
+        assert cli.main(["plabic", "2,1,3"]) == 2
 
     def test_bad_subcommand(self):
         with pytest.raises(SystemExit):

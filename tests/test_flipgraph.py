@@ -1,5 +1,9 @@
 """The flip-graph engine: pinned complexes, stored moves, and call counts."""
 
+import hashlib
+import itertools
+import json
+
 import pytest
 
 from flipcells import combinat as C
@@ -31,6 +35,29 @@ def _build(name):
 @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
 def test_pinned_canonical_hash(name):
     assert _build(name).canonical_hash() == PINNED_HASHES[name]
+
+
+# sha256 over (kind, connectivity, cell names, canonical_hash()) of X and Y
+# for every decorated permutation and of T for every permutation, n <= 5.
+SMALL_COMPLEXES_HASH = "208f9ab335f9d0bf81e572809e64d6f764c9a5177a147db274b8ae3cd65c2187"
+
+
+def _small_complexes():
+    for n in range(1, 6):
+        for p in C.all_decorated_permutations(n):
+            for kind in ("X", "Y"):
+                yield kind, p, P.build_plabic_complex(p, kind)
+        for image in itertools.permutations(range(1, n + 1)):
+            p = tcd.permutation_for_tcd(image)
+            yield "T", p, tcd.build_t_complex(p)
+
+
+def test_pinned_small_complexes():
+    digest = hashlib.sha256()
+    for kind, p, (cx, info) in _small_complexes():
+        row = [kind, p.to_json(), [name for name, _ in info["cells"]], cx.canonical_hash()]
+        digest.update(json.dumps(row, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == SMALL_COMPLEXES_HASH
 
 
 def _z52():
@@ -87,16 +114,17 @@ class TestStoredMoves:
 
 class _Spy:
     """Counts calls of library functions, patched into every module that
-    binds them."""
+    binds them (or onto their class, for methods)."""
 
     def __init__(self, monkeypatch):
         self.calls = {}
         for mods, name in (
             ((Z,), "available_flips"),
             ((Z,), "apply_flip"),
-            ((P, tcd), "available_moves"),
+            ((P,), "available_moves"),
             ((P,), "apply_move"),
             ((tcd,), "tcd_neighbors"),
+            ((tcd.TCDState,), "representative"),
         ):
             fn = getattr(mods[0], name)
             self.calls[name] = 0
@@ -134,10 +162,13 @@ class TestCallCounts:
         assert spy.calls["apply_move"] == 0
 
     def test_t_complex(self, monkeypatch):
+        # T reads its moves from the contracted states: it never builds a
+        # trivalent representative nor scans one for plabic moves
         spy = _Spy(monkeypatch)
         for image in ((3, 4, 5, 1, 2), (2, 3, 4, 5, 6, 1)):
-            spy.calls["tcd_neighbors"] = spy.calls["available_moves"] = 0
+            spy.calls["tcd_neighbors"] = 0
             _, info = tcd.build_t_complex(image)
             assert spy.calls["tcd_neighbors"] <= info["n_vertices"]
-            assert spy.calls["available_moves"] <= info["n_vertices"]
+        assert spy.calls["available_moves"] == 0
+        assert spy.calls["representative"] == 0
         assert spy.calls["apply_move"] == 0

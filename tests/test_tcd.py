@@ -1,5 +1,7 @@
 """Triple crossing diagrams: normalization, 2<->2 moves, the complex T."""
 
+import itertools
+
 import pytest
 
 from flipcells import combinat as C
@@ -56,9 +58,19 @@ class TestNeighbors:
     def test_degree_agreement(self):
         for p in (C.cyclic_decorated(5, 2), C.cyclic_decorated(6, 3)):
             for state in tcd.enumerate_tcd(p).payloads:
-                n_m1 = len(tcd._white_moves(state))
+                n_m1 = len(P.trivalent_flips(state.whites, state.boundary))
                 n_m2 = len(tcd._square_moves(state))
                 assert len(tcd.tcd_neighbors(state)) == n_m1 + n_m2
+
+    def test_white_flips_are_the_m1_moves_of_the_representative(self):
+        # reference route: the white flips of the trivalent representative,
+        # which fans every black clique
+        for n in range(1, 7):
+            for image in itertools.permutations(range(1, n + 1)):
+                for state in tcd.enumerate_tcd(tcd.permutation_for_tcd(image)).payloads:
+                    want = [m for m in P.available_moves(state.representative()) if m.kind == "M1"]
+                    got = [m for m, _ in tcd.tcd_neighbors(state) if m.kind == "M1"]
+                    assert got == want
 
 
 class TestNormalization:
