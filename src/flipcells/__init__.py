@@ -44,7 +44,6 @@ from .topology import (
     certify_trivial,
     h1,
     pi1_presentation,
-    smith_normal_form,
 )
 from .zonotope import (
     FlipSite,

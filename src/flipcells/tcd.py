@@ -12,6 +12,7 @@ with the plabic cell finders, applied to the contracted states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .combinat import BLACK, WHITE, DecoratedPermutation
 from .errors import ArgumentError, ValidationError
@@ -73,7 +74,14 @@ class TCDState:
         return (self.whites, self.labels)
 
     def black_cliques(self) -> dict[int, list[int]]:
-        """Union mask -> members (labels) in convex (removed-element) order."""
+        """Union mask -> members (labels) in convex (removed-element) order.
+
+        Computed once per state and shared by every caller: do not mutate.
+        """
+        return self._cliques
+
+    @cached_property
+    def _cliques(self) -> dict[int, list[int]]:
         return _black_cliques(self.labels, self.n)
 
     def polygons(self) -> tuple[tuple[int, ...], ...]:

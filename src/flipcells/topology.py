@@ -1,15 +1,20 @@
 """Integer homology and fundamental-group certificates for 2-complexes.
 
 A certificate builds one spanning-tree presentation of pi1 (generators:
-the non-tree edges; relators: the cell boundaries) and reads H1 from its
-abelianization by an exact Smith normal form; `h1` says why that matrix and
-the 2-cell boundary d2 have the same nonzero invariant factors, and the
-tests check the two against each other through `boundary_matrices`.  The
-pi1 field of a certificate takes one of three values, each with its own
-proof:
+the non-tree edges; relators: the cell boundaries) and first simplifies it
+by Tietze transformations: a relator in which some generator occurs exactly
+once is solved for that generator, which is then substituted away.  The
+residual presentation, on the generators that survive, presents the same
+group.  When no generator survives, pi1 = 1 and so H1 = 0.  Otherwise H1 is
+read from the residual's abelianization by an exact Smith normal form; `h1`
+says why the abelianized presentation and the 2-cell boundary d2 have the
+same nonzero invariant factors, and the tests check the two against each
+other.  The pi1 field of a certificate takes one of three values, each with
+its own proof:
 
-* "trivial": a Todd-Coxeter style coset enumeration against the trivial
-  subgroup closed on a single coset;
+* "trivial": elimination removed every generator, or a Todd-Coxeter style
+  coset enumeration of the residual against the trivial subgroup closed on
+  a single coset;
 * "nontrivial": H1 != 0, and H1 is the abelianization of pi1, so no coset
   enumeration runs;
 * "inconclusive": H1 = 0 but coset enumeration exhausted its budget, which
@@ -19,6 +24,7 @@ proof:
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 import time
@@ -116,23 +122,6 @@ class TwoComplex:
 
 # ---------------------------------------------------------------------------
 # Smith normal form
-
-
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[list[int], int]:
-    """Diagonal d1 | d2 | ... of an integer matrix, plus its rank.
-
-    Exact big-integer arithmetic throughout; entries of the returned diagonal
-    are nonnegative and satisfy the divisibility chain.
-    """
-    rows = [
-        {j: int(v) for j, v in enumerate(row) if v}
-        for row in matrix
-    ]
-    ncols = max((len(list(row)) for row in matrix), default=0)
-    diag = _sparse_snf(rows)
-    rank = len(diag)
-    width = min(len(matrix), ncols)
-    return diag + [0] * (width - rank), rank
 
 
 def _sparse_snf(rows: list[dict[int, int]]) -> list[int]:
@@ -260,25 +249,6 @@ def _divisibility_chain(diag: list[int]) -> list[int]:
 # homology
 
 
-def boundary_matrices(k: TwoComplex):
-    """(d1, d2) as sparse row lists: d1 is edges x vertices, d2 cells x edges."""
-    d1 = []
-    for u, v in k.edges:
-        row: dict[int, int] = {}
-        if u != v:
-            row[v] = 1
-            row[u] = -1
-        d1.append(row)
-    d2 = []
-    for walk in k.cells:
-        row = {}
-        for step in walk:
-            e = abs(step) - 1
-            row[e] = row.get(e, 0) + (1 if step > 0 else -1)
-        d2.append({e: v for e, v in row.items() if v})
-    return d1, d2
-
-
 @dataclass(frozen=True)
 class GroupPresentation:
     n_generators: int
@@ -306,8 +276,7 @@ def pi1_presentation(k: TwoComplex) -> GroupPresentation:
     tree_edges: set[int] = set()
     seen = {0} if k.nv else set()
     queue = [0] if k.nv else []
-    while queue:
-        x = queue.pop(0)
+    for x in queue:  # breadth first: the loop visits what it appends
         for y, e in adj[x]:
             if y not in seen:
                 seen.add(y)
@@ -354,6 +323,117 @@ def _abelianized_h1(pres: GroupPresentation) -> tuple[int, list[int]]:
     rows.sort(key=len)
     inv = _sparse_snf(rows)
     return pres.n_generators - len(inv), [v for v in inv if v > 1]
+
+
+# ---------------------------------------------------------------------------
+# Tietze elimination
+
+# Only relators of at most this many letters are solved for a generator;
+# longer ones are rewritten by substitution but never solved.
+TIETZE_LENGTH_CAP = 12
+
+
+def _reduce(word: list[int]) -> list[int]:
+    """The freely and cyclically reduced form of a relator."""
+    out: list[int] = []
+    for x in word:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    i, j = 0, len(out) - 1
+    while i < j and out[i] == -out[j]:
+        i += 1
+        j -= 1
+    return out[i : j + 1]
+
+
+def _tietze_eliminate(pres: GroupPresentation) -> tuple[GroupPresentation, list[tuple[int, int]]]:
+    """Eliminate generators by Tietze transformations.
+
+    Relators are kept freely and cyclically reduced.  Each step takes the
+    shortest relator of at most `TIETZE_LENGTH_CAP` letters (ties: lowest
+    index) in which some generator occurs exactly once; of those generators
+    it picks the one with the fewest occurrences over all relators (ties:
+    lowest id).  Writing the relator as u g^e v, it substitutes
+    g^e = (v u)^-1 into every relator, which empties the solved one.
+
+    Returns the residual presentation, on the surviving generators
+    renumbered 1..m in order and the nonempty relators in order, and the
+    log of (relator index, generator) steps in original numbering.
+    """
+    n, cap = pres.n_generators, TIETZE_LENGTH_CAP
+    rels = [_reduce(r) for r in pres.relators]
+    count = [0] * (n + 1)  # letters of each generator over all relators
+    # relators that may hold each generator; stale ids are skipped on use
+    occ: list[set[int] | None] = [set() for _ in range(n + 1)]
+    buckets: list[list[int]] = [[] for _ in range(cap + 1)]  # heaps of ids by length
+    for rid, w in enumerate(rels):
+        for x in w:
+            g = x if x > 0 else -x
+            count[g] += 1
+            occ[g].add(rid)
+        if 0 < len(w) <= cap:
+            buckets[len(w)].append(rid)
+    log: list[tuple[int, int]] = []
+    length = 1
+    while length <= cap:
+        bucket = buckets[length]
+        if not bucket:
+            length += 1
+            continue
+        rid = heapq.heappop(bucket)
+        w = rels[rid]
+        if len(w) != length:
+            continue
+        gens = [x if x > 0 else -x for x in w]
+        g = 0
+        for a in gens:
+            if gens.count(a) == 1 and (not g or (count[a], a) < (count[g], g)):
+                g = a
+        if not g:
+            continue  # queued again if a substitution changes it
+        p = gens.index(g)
+        rest = w[p + 1 :] + w[:p]
+        sub = rest if w[p] < 0 else [-x for x in reversed(rest)]
+        inv = [-x for x in reversed(sub)]
+        for x in w:
+            count[x if x > 0 else -x] -= 1
+        rels[rid] = []
+        for other in occ[g]:
+            old = rels[other]
+            if g not in old and -g not in old:
+                continue
+            expanded: list[int] = []
+            for x in old:
+                if x == g:
+                    expanded += sub
+                elif x == -g:
+                    expanded += inv
+                else:
+                    expanded.append(x)
+            new = _reduce(expanded)
+            for x in old:
+                count[x if x > 0 else -x] -= 1
+            for x in new:
+                a = x if x > 0 else -x
+                count[a] += 1
+                occ[a].add(other)
+            rels[other] = new
+            if 0 < len(new) <= cap:
+                heapq.heappush(buckets[len(new)], other)
+                length = min(length, len(new))
+        occ[g] = None
+        log.append((rid, g))
+    gone = {g for _, g in log}
+    renumber = [0] * (n + 1)
+    m = 0
+    for g in range(1, n + 1):
+        if g not in gone:
+            m += 1
+            renumber[g] = m
+    residual = tuple(tuple(renumber[x] if x > 0 else -renumber[-x] for x in w) for w in rels if w)
+    return GroupPresentation(m, residual), log
 
 
 # ---------------------------------------------------------------------------
@@ -492,21 +572,26 @@ def certify_trivial(pres: GroupPresentation, budget: int = DEFAULT_PI1_BUDGET) -
 
 
 def certificate(k: TwoComplex, budget: int = DEFAULT_PI1_BUDGET) -> dict:
-    """Simple-connectivity certificate: H1, then pi1 when H1 leaves it open.
+    """Simple-connectivity certificate of the spanning-tree presentation.
 
-    The "pi1" field is one of
-      "trivial"       coset enumeration closed on one coset: a proof;
+    Tietze elimination runs first; H1 and coset enumeration see only the
+    residual presentation, which presents the same group.  The "pi1" field
+    is one of
+      "trivial"       elimination removed every generator (so H1 = 0), or
+                      coset enumeration of the residual closed on one
+                      coset: a proof;
       "nontrivial"    H1 != 0, and H1 is the abelianization of pi1: a proof;
       "inconclusive"  H1 = 0 but coset enumeration exhausted ``budget``.
-    ``budget`` bounds only the last case; it is recorded either way.
+    ``budget`` bounds only the Todd-Coxeter fallback; it is recorded either
+    way.
     """
     t0 = time.monotonic()
-    pres = pi1_presentation(k)
-    betti, torsion = _abelianized_h1(pres)
-    if betti or torsion:
-        pi1 = "nontrivial"
+    residual, _ = _tietze_eliminate(pi1_presentation(k))
+    if not residual.n_generators:
+        betti, torsion, pi1 = 0, [], "trivial"
     else:
-        pi1 = certify_trivial(pres, budget=budget)
+        betti, torsion = _abelianized_h1(residual)
+        pi1 = "nontrivial" if betti or torsion else certify_trivial(residual, budget=budget)
     return {
         "schema_version": 1,
         "V": k.nv,

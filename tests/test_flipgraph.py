@@ -124,6 +124,7 @@ class _Spy:
             ((P,), "available_moves"),
             ((P,), "apply_move"),
             ((tcd,), "tcd_neighbors"),
+            ((tcd,), "_black_cliques"),
             ((tcd.TCDState,), "representative"),
         ):
             fn = getattr(mods[0], name)
@@ -163,12 +164,14 @@ class TestCallCounts:
 
     def test_t_complex(self, monkeypatch):
         # T reads its moves from the contracted states: it never builds a
-        # trivalent representative nor scans one for plabic moves
+        # trivalent representative nor scans one for plabic moves, and it
+        # finds each state's black cliques once
         spy = _Spy(monkeypatch)
-        for image in ((3, 4, 5, 1, 2), (2, 3, 4, 5, 6, 1)):
-            spy.calls["tcd_neighbors"] = 0
+        for image in ((3, 4, 5, 1, 2), (2, 3, 4, 5, 6, 1), (4, 5, 6, 1, 2, 3)):
+            spy.calls["tcd_neighbors"] = spy.calls["_black_cliques"] = 0
             _, info = tcd.build_t_complex(image)
             assert spy.calls["tcd_neighbors"] <= info["n_vertices"]
+            assert spy.calls["_black_cliques"] <= info["n_vertices"]
         assert spy.calls["available_moves"] == 0
         assert spy.calls["representative"] == 0
         assert spy.calls["apply_move"] == 0

@@ -1,4 +1,5 @@
-"""Smith normal form, homology, and coset-enumeration certificates."""
+"""Smith normal form, homology, Tietze elimination, and coset-enumeration
+certificates."""
 
 import itertools
 import math
@@ -16,6 +17,39 @@ from flipcells import zonotope as Z
 from flipcells.errors import PreconditionError
 
 
+def smith_normal_form(matrix):
+    """Diagonal d1 | d2 | ... of a dense integer matrix, plus its rank.
+
+    Exact big-integer arithmetic throughout; entries of the returned diagonal
+    are nonnegative and satisfy the divisibility chain.
+    """
+    rows = [{j: int(v) for j, v in enumerate(row) if v} for row in matrix]
+    ncols = max((len(list(row)) for row in matrix), default=0)
+    diag = T._sparse_snf(rows)
+    rank = len(diag)
+    width = min(len(matrix), ncols)
+    return diag + [0] * (width - rank), rank
+
+
+def boundary_matrices(k):
+    """(d1, d2) as sparse row lists: d1 is edges x vertices, d2 cells x edges."""
+    d1 = []
+    for u, v in k.edges:
+        row = {}
+        if u != v:
+            row[v] = 1
+            row[u] = -1
+        d1.append(row)
+    d2 = []
+    for walk in k.cells:
+        row = {}
+        for step in walk:
+            e = abs(step) - 1
+            row[e] = row.get(e, 0) + (1 if step > 0 else -1)
+        d2.append({e: v for e, v in row.items() if v})
+    return d1, d2
+
+
 def cycle_complex(m, with_cell):
     edges = [(i, (i + 1) % m) for i in range(m)]
     cells = [list(range(m))] if with_cell else []
@@ -24,16 +58,16 @@ def cycle_complex(m, with_cell):
 
 class TestSNF:
     def test_zero_matrix(self):
-        diag, rank = T.smith_normal_form([[0, 0], [0, 0]])
+        diag, rank = smith_normal_form([[0, 0], [0, 0]])
         assert rank == 0
         assert diag == [0, 0]
 
     def test_spec_example(self):
-        diag, rank = T.smith_normal_form([[2, 4], [6, 8]])
+        diag, rank = smith_normal_form([[2, 4], [6, 8]])
         assert (diag, rank) == ([2, 4], 2)
 
     def test_identity(self):
-        diag, rank = T.smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        diag, rank = smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert (diag, rank) == ([1, 1, 1], 3)
 
     def test_divisibility_and_determinantal_divisors(self):
@@ -42,7 +76,7 @@ class TestSNF:
             rows = rng.randrange(1, 4)
             cols = rng.randrange(1, 4)
             m = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
-            diag, rank = T.smith_normal_form(m)
+            diag, rank = smith_normal_form(m)
             nonzero = [d for d in diag if d]
             for a, b in zip(nonzero, nonzero[1:]):
                 assert b % a == 0
@@ -61,7 +95,7 @@ class TestSNF:
 
     def test_square_determinant_preserved(self):
         m = [[3, 1, 2], [0, 2, 5], [1, 1, 1]]
-        diag, rank = T.smith_normal_form(m)
+        diag, rank = smith_normal_form(m)
         assert rank == 3
         assert math.prod(diag) == abs(_det(m))
 
@@ -125,7 +159,7 @@ class TestDivisibilityChain:
     def test_d1_rank_is_vertices_minus_one(self, build):
         # the reference H1 route takes rank(d1) = V - 1 without elimination
         k = build()
-        d1, _ = T.boundary_matrices(k)
+        d1, _ = boundary_matrices(k)
         assert len(k.components()) == 1
         assert k.nv - 1 == len(T._sparse_snf(d1))
 
@@ -170,7 +204,7 @@ class TestH1:
 def h1_by_boundary(k):
     """Reference H1 route: betti1 = E - (V - 1) - rank d2 and the torsion,
     both from the Smith normal form of the full boundary matrix d2."""
-    _, d2 = T.boundary_matrices(k)
+    _, d2 = boundary_matrices(k)
     inv = T._sparse_snf(d2)
     return len(k.edges) - (k.nv - 1) - len(inv), [v for v in inv if v > 1]
 
@@ -266,6 +300,113 @@ class TestH1Routes:
             assert_h1_routes_agree(tcd.build_t_complex(image)[0])
 
 
+def _reference_reduce(word):
+    """Cancel adjacent inverse pairs until none is left, then strip inverse
+    pairs from the two ends."""
+    word = list(word)
+    i = 0
+    while i + 1 < len(word):
+        if word[i] == -word[i + 1]:
+            del word[i : i + 2]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    while len(word) > 1 and word[0] == -word[-1]:
+        word = word[1:-1]
+    return word
+
+
+def replay_elimination(pres, residual, log):
+    """Replay a Tietze log from the original relators and check each step
+    and the result.  Each (relator, generator) step needs the generator
+    exactly once in the current reduced relator u g^e v; it substitutes
+    g = (v u)^-e everywhere.  At the end the nonempty relators, renumbered
+    over the surviving generators, must be the residual presentation."""
+    rels = [_reference_reduce(r) for r in pres.relators]
+    gone = set()
+    for rid, g in log:
+        word = rels[rid]
+        assert g not in gone
+        gens = [abs(x) for x in word]
+        assert gens.count(g) == 1, "generator %d occurs %d times in relator %d" % (g, gens.count(g), rid)
+        p = gens.index(g)
+        value = word[p + 1 :] + word[:p]  # v u = g^-e
+        if word[p] > 0:
+            value = [-x for x in reversed(value)]
+        inverse = [-x for x in reversed(value)]
+        for i, w in enumerate(rels):
+            if g in w or -g in w:
+                out = []
+                for x in w:
+                    out += value if x == g else inverse if x == -g else [x]
+                rels[i] = _reference_reduce(out)
+        assert rels[rid] == []
+        gone.add(g)
+    survivors = [g for g in range(1, pres.n_generators + 1) if g not in gone]
+    new_id = {g: i for i, g in enumerate(survivors, start=1)}
+    renumbered = tuple(tuple(new_id[x] if x > 0 else -new_id[-x] for x in w) for w in rels if w)
+    assert residual.n_generators == len(survivors)
+    assert residual.relators == renumbered
+
+
+def assert_elimination_replays(k):
+    pres = T.pi1_presentation(k)
+    residual, log = T._tietze_eliminate(pres)
+    replay_elimination(pres, residual, log)
+
+
+@st.composite
+def presentations(draw):
+    m = draw(st.integers(1, 6))
+    letters = st.integers(1, m).flatmap(lambda g: st.sampled_from([g, -g]))
+    relators = draw(st.lists(st.lists(letters, max_size=14).map(tuple), max_size=8))
+    return T.GroupPresentation(m, tuple(relators))
+
+
+class TestTietze:
+    """Every elimination log replays from the original relators."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(presentations())
+    def test_random_presentations(self, pres):
+        residual, log = T._tietze_eliminate(pres)
+        replay_elimination(pres, residual, log)
+        assert T._abelianized_h1(residual) == T._abelianized_h1(pres)
+
+    def test_substitution_inverts_and_reduces(self):
+        # a = (b c)^-1 from the first relator turns a^-1 c^-1 b^3 into
+        # b c c^-1 b^3 = b^4; c is then free
+        pres = T.GroupPresentation(3, ((1, 2, 3), (-1, -3, 2, 2, 2)))
+        residual, log = T._tietze_eliminate(pres)
+        assert log == [(0, 1)]
+        assert residual == T.GroupPresentation(2, ((1, 1, 1, 1),))
+        replay_elimination(pres, residual, log)
+
+    def test_length_cap(self):
+        # a generator occurring once in a relator over the cap stays
+        long = (1,) + (2, 3) * (T.TIETZE_LENGTH_CAP // 2)
+        residual, log = T._tietze_eliminate(T.GroupPresentation(3, (long,)))
+        assert log == [] and residual.relators == (long,)
+        residual, log = T._tietze_eliminate(T.GroupPresentation(3, (long[:-1],)))
+        assert log == [(0, 1)] and residual == T.GroupPresentation(2, ())
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_zonotopal(self, n):
+        for d in range(1, n):
+            assert_elimination_replays(Z.build_z_complex(Z.enumerate_tilings(Z.zonotope_spec(n, d)))[0])
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_plabic(self, n):
+        for p in C.all_decorated_permutations(n):
+            for kind in ("X", "Y"):
+                assert_elimination_replays(P.build_plabic_complex(p, kind)[0])
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_tcd(self, n):
+        for image in itertools.permutations(range(1, n + 1)):
+            assert_elimination_replays(tcd.build_t_complex(image)[0])
+
+
 class TestPi1:
     def test_tree_presentation_empty(self):
         k = T.TwoComplex(4, ((0, 1), (1, 2), (1, 3)), ())
@@ -307,7 +448,7 @@ class TestCertificates:
             g = Z.enumerate_tilings(Z.zonotope_spec(n, d))
             k, _ = Z.build_z_complex(g)
             betti1, torsion = T.h1(k)
-            _, d2 = T.boundary_matrices(k)
+            _, d2 = boundary_matrices(k)
             rank_d2 = len(T._sparse_snf(d2))
             betti2 = len(k.cells) - rank_d2
             assert 1 - betti1 + betti2 == k.nv - len(k.edges) + len(k.cells)
@@ -321,7 +462,6 @@ class TestCertificates:
         assert T.certificate(k)["input_hash"] == cert["input_hash"]
 
     def test_trivial_pi1_implies_h1_zero(self):
-        # certificate() runs coset enumeration only once H1 = 0
         g = Z.enumerate_tilings(Z.zonotope_spec(5, 3))
         k, _ = Z.build_z_complex(g)
         cert = T.certificate(k)
@@ -361,10 +501,46 @@ class TestCertificates:
             calls.append(cx)
             return presentation(cx)
 
-        def fail(*args, **kwargs):
-            raise AssertionError("certificate built a boundary matrix")
-
         monkeypatch.setattr(T, "pi1_presentation", spy)
-        monkeypatch.setattr(T, "boundary_matrices", fail)
         T.certificate(k)
         assert calls == [k]
+        assert not hasattr(T, "boundary_matrices")
+
+    def test_closed_elimination_needs_no_snf_nor_coset_enumeration(self, monkeypatch):
+        k = Z.build_z_complex(Z.enumerate_tilings(Z.zonotope_spec(5, 3)))[0]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("elimination closed, yet SNF or coset enumeration ran")
+
+        monkeypatch.setattr(T, "certify_trivial", fail)
+        monkeypatch.setattr(T, "_sparse_snf", fail)
+        cert = T.certificate(k)
+        assert (cert["betti1"], cert["torsion"], cert["pi1"]) == (0, [], "trivial")
+
+    def test_stuck_elimination_falls_back_to_coset_enumeration(self, monkeypatch):
+        # <a, b | a b a^-1 b^-2, b a b^-1 a^-2>: no generator occurs once in
+        # any relator, H1 = 0, and the group is trivial
+        k = T.TwoComplex(1, ((0, 0), (0, 0)), ((1, 2, -1, -2, -2), (2, 1, -2, -1, -1)))
+        calls = []
+        enumerate_cosets = T.certify_trivial
+
+        def spy(pres, budget):
+            calls.append(pres)
+            return enumerate_cosets(pres, budget=budget)
+
+        monkeypatch.setattr(T, "certify_trivial", spy)
+        cert = T.certificate(k)
+        assert (cert["betti1"], cert["torsion"], cert["pi1"]) == (0, [], "trivial")
+        assert [pres.n_generators for pres in calls] == [2]
+
+    def test_tcd_n6_certificates_match_h1(self):
+        # elimination gets stuck exactly where H1 != 0 (a known T defect),
+        # and the residual keeps betti1 and torsion
+        nontrivial = 0
+        for image in itertools.permutations(range(1, 7)):
+            k = tcd.build_t_complex(image)[0]
+            cert = T.certificate(k, budget=100_000)
+            assert (cert["betti1"], cert["torsion"]) == T.h1(k)
+            assert cert["pi1"] == ("nontrivial" if cert["betti1"] or cert["torsion"] else "trivial")
+            nontrivial += cert["pi1"] == "nontrivial"
+        assert nontrivial == 34
