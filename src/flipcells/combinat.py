@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ArgumentError, PreconditionError, ValidationError
@@ -182,25 +183,14 @@ def necklace_of(p: DecoratedPermutation) -> GrassmannNecklace:
     n = p.n
     inv = p.inverse_image()
     blacks = {i for i, c in p.fixed_color if c == BLACK}
-    sets = []
-    for i in range(1, n + 1):
-        cur = set(blacks)
-        for j in range(1, n + 1):
-            a = inv[j - 1]
-            if a == j:
-                continue
-            # i in (a, j] cyclically
-            if _in_cyclic_window(i, a, j):
-                cur.add(j)
-        sets.append(frozenset(cur))
-    return GrassmannNecklace(n, tuple(sets))
-
-
-def _in_cyclic_window(i: int, a: int, j: int) -> bool:
-    """True iff i lies in the half-open cyclic interval (a, j]."""
-    if a < j:
-        return a < i <= j
-    return i > a or i <= j
+    sets = [set(blacks) for _ in range(n)]
+    for j in range(1, n + 1):
+        i = inv[j - 1]
+        # walk the window (pi^{-1}(j), j] cyclically; empty for a fixed point
+        while i != j:
+            i = i % n + 1
+            sets[i - 1].add(j)
+    return GrassmannNecklace(n, tuple(frozenset(s) for s in sets))
 
 
 def decorated_of(necklace: GrassmannNecklace) -> DecoratedPermutation:
@@ -295,6 +285,7 @@ def elems_of(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+@lru_cache(maxsize=1 << 16)
 def is_weakly_separated_mask(a: int, b: int) -> bool:
     """Bitmask variant of `is_weakly_separated` (equal popcounts assumed)."""
     only_a = a & ~b
@@ -318,6 +309,12 @@ def is_weakly_separated_mask(a: int, b: int) -> bool:
     return changes <= 2
 
 
+@lru_cache(maxsize=None)
+def colex_masks(n: int, k: int) -> tuple[int, ...]:
+    """Every k-subset of [n] as a mask, in colex (ascending mask) order."""
+    return tuple(sorted(mask_of(c) for c in itertools.combinations(range(1, n + 1), k)))
+
+
 def extend_to_maximal_ws(collection: LabelCollection) -> LabelCollection:
     """Extend a weakly separated collection to a maximal one inside C([n], k).
 
@@ -330,7 +327,7 @@ def extend_to_maximal_ws(collection: LabelCollection) -> LabelCollection:
         if not is_weakly_separated_mask(x, y):
             raise ValidationError("input collection is not weakly separated")
     have = set(members)
-    for cand in sorted(mask_of(c) for c in itertools.combinations(range(1, n + 1), k)):
+    for cand in colex_masks(n, k):
         if cand in have:
             continue
         if all(is_weakly_separated_mask(cand, m) for m in have):

@@ -61,19 +61,24 @@ def triangle_area2(a: Point, b: Point, c: Point) -> int:
 
 
 def winding_number(walk: Sequence[Point], z: Point) -> int:
-    """Winding number of a closed walk around z; z must not lie on the walk.
+    """Winding number of a closed walk around z, counting clockwise turns
+    as positive.
 
-    Counts signed crossings of the horizontal ray from z to +infinity.
+    Counts signed crossings of the horizontal ray from z to -infinity.  It is
+    undefined for a point on the walk, so such a z raises ValueError.
     """
     w = 0
     m = len(walk)
     for i in range(m):
         p = walk[i]
         q = walk[(i + 1) % m]
-        if p == q:
+        if not min(p[1], q[1]) <= z[1] <= max(p[1], q[1]):
             continue
-        if p[1] <= z[1] < q[1] and orient(p, q, z) < 0:
+        o = orient(p, q, z)
+        if o == 0 and min(p[0], q[0]) <= z[0] <= max(p[0], q[0]):
+            raise ValueError("point %s lies on the walk" % (z,))
+        if p[1] <= z[1] < q[1] and o < 0:
             w += 1
-        elif q[1] <= z[1] < p[1] and orient(p, q, z) > 0:
+        elif q[1] <= z[1] < p[1] and o > 0:
             w -= 1
     return w

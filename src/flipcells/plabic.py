@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import combinat
 from .combinat import (
@@ -79,6 +79,13 @@ def triangle_color(tri: tuple[int, int, int]) -> str:
     if bin(a | b | c).count("1") == k + 1:
         return BLACK
     raise ValidationError("label triple %s is neither white nor black" % (tri,))
+
+
+def _sides(tri) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The sides of a triangle as sorted label pairs, each with the label
+    opposite it."""
+    a, b, c = sorted(tri)
+    return (((a, b), c), ((a, c), b), ((b, c), a))
 
 
 def _norm_tri(labels) -> tuple[int, int, int]:
@@ -228,8 +235,17 @@ class PlabicGraph:
     edges: tuple[tuple[tuple, tuple], ...]
     rotations: tuple[tuple[tuple[int, int], ...], ...]
 
+    @cached_property
+    def _boundary_legs(self) -> dict[int, list[int]]:
+        """Boundary vertex i -> the edges at b_i, each listed once."""
+        legs: dict[int, list[int]] = {}
+        for e, ends in enumerate(self.edges):
+            for i in {end[1] for end in ends if end[0] == "b"}:
+                legs.setdefault(i, []).append(e)
+        return legs
+
     def boundary_edge(self, i: int) -> int:
-        hits = [e for e, (a, b) in enumerate(self.edges) if a == ("b", i) or b == ("b", i)]
+        hits = self._boundary_legs.get(i, [])
         if len(hits) != 1:
             raise MalformedGraphError("boundary vertex b_%d must have exactly one edge" % i)
         return hits[0]
@@ -259,12 +275,19 @@ def dual_graph(sigma: PlabicTriangulation) -> PlabicGraph:
     colors: list[str] = [triangle_color(t) for t in tris]
     seg_map: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for ti, t in enumerate(tris):
-        for a, b in itertools.combinations(t, 2):
-            third = next(x for x in t if x != a and x != b)
-            seg_map.setdefault((min(a, b), max(a, b)), []).append((ti, third))
+        for seg, third in _sides(t):
+            seg_map.setdefault(seg, []).append((ti, third))
     walked = walked_segments(sigma.boundary)
 
     edges: list[tuple[tuple, tuple]] = []
+    # arms[v]: (dart, direction from the opposite label across the segment)
+    # of every dart at triangle v, in edge order
+    arms: list[list[tuple[tuple[int, int], tuple[int, int]]]] = [[] for _ in tris]
+
+    def arm(ti, end, a, b, third):
+        pa, pb, pc = pos(a), pos(b), pos(third)
+        arms[ti].append(((len(edges), end), (pa[0] + pb[0] - 2 * pc[0], pa[1] + pb[1] - 2 * pc[1])))
+
     # interior edges between triangles
     for seg, lst in sorted(seg_map.items()):
         if seg in walked:
@@ -279,6 +302,8 @@ def dual_graph(sigma: PlabicTriangulation) -> PlabicGraph:
         p, q = pos(seg[0]), pos(seg[1])
         if orient(p, q, pos(th1)) * orient(p, q, pos(th2)) >= 0:
             raise ValidationError("triangles overlap across segment %s" % (seg,))
+        arm(t1, 0, seg[0], seg[1], th1)
+        arm(t2, 1, seg[0], seg[1], th2)
         edges.append((("v", t1), ("v", t2)))
 
     # boundary legs
@@ -296,6 +321,7 @@ def dual_graph(sigma: PlabicTriangulation) -> PlabicGraph:
         if len(candidates) > 1:
             raise ValidationError("boundary step %d has two inner triangles" % i)
         if candidates:
+            arm(candidates[0][0], 0, a, b, candidates[0][1])
             edges.append((("v", candidates[0][0]), ("b", i)))
             continue
         partners = step_by_pair.get((b, a), [])
@@ -306,39 +332,20 @@ def dual_graph(sigma: PlabicTriangulation) -> PlabicGraph:
             done_bb.add((min(i, j), max(i, j)))
             edges.append((("b", i), ("b", j)))
 
-    # isolated vertices for fixed points
+    # rotation systems for triangle-dual vertices
+    rotations: list[tuple[tuple[int, int], ...]] = []
+    for darts in arms:
+        order = ccw_order([d for _, d in darts])
+        rotations.append(tuple(darts[i][0] for i in order))
+
+    # isolated vertices for fixed points, one dart each
     for i in range(1, sigma.n + 1):
         a = sigma.boundary[i - 1]
         b = sigma.boundary[i % sigma.n]
         if a == b:
-            v = len(colors)
+            rotations.append(((len(edges), 0),))
             colors.append(BLACK if a >> (i - 1) & 1 else WHITE)
-            edges.append((("v", v), ("b", i)))
-
-    # rotation systems for triangle-dual vertices; lone vertices have one dart
-    rotations: list[tuple[tuple[int, int], ...]] = []
-    incident: dict[int, list[tuple[int, int]]] = {v: [] for v in range(len(colors))}
-    for e, (a, b) in enumerate(edges):
-        if a[0] == "v":
-            incident[a[1]].append((e, 0))
-        if b[0] == "v":
-            incident[b[1]].append((e, 1))
-    for v in range(len(colors)):
-        darts = incident[v]
-        if v >= len(tris):
-            rotations.append(tuple(darts))
-            continue
-        tri = tris[v]
-        dirs = []
-        for e, end in darts:
-            other = edges[e][1 - end]
-            seg = _edge_segment(sigma, tri, edges[e], other)
-            p, q = seg
-            third = next(x for x in tri if x != p and x != q)
-            a_, b_, c_ = pos(p), pos(q), pos(third)
-            dirs.append((a_[0] + b_[0] - 2 * c_[0], a_[1] + b_[1] - 2 * c_[1]))
-        order = ccw_order(dirs)
-        rotations.append(tuple(darts[i] for i in order))
+            edges.append((("v", len(colors) - 1), ("b", i)))
     return PlabicGraph(sigma.n, tuple(colors), tuple(edges), tuple(rotations))
 
 
@@ -506,9 +513,8 @@ def trivalent_flips(triangles, boundary) -> list[Move]:
     for white, M3 for black.  Segments of the boundary walk never flip."""
     seg_map: dict[tuple[int, int], list[tuple[tuple[int, int, int], int]]] = {}
     for t in triangles:
-        for a, b in itertools.combinations(t, 2):
-            third = next(x for x in t if x != a and x != b)
-            seg_map.setdefault((min(a, b), max(a, b)), []).append((t, third))
+        for seg, third in _sides(t):
+            seg_map.setdefault(seg, []).append((t, third))
     walked = walked_segments(boundary)
     moves = []
     for seg, lst in seg_map.items():
@@ -592,15 +598,18 @@ def triangulation_from_labels(
     """Build the plabic triangulation of a weakly separated collection:
     white/black cliques become convex polygons fanned from their
     colex-minimal vertex."""
-    n, k = collection.n, collection.k
     labels = sorted(mask_of(s) for s in collection.labels)
+    walk = tuple(mask_of(s) for s in boundary.sets)
+    return _tile_labels(collection.n, collection.k, labels, walk)
+
+
+def _tile_labels(n: int, k: int, labels: list[int], walk: tuple[int, ...]) -> PlabicTriangulation:
+    """`triangulation_from_labels` on sorted label masks and a walk of masks."""
     for a, b in itertools.combinations(labels, 2):
         if not combinat.is_weakly_separated_mask(a, b):
             raise ValidationError("collection is not weakly separated")
-    walk = tuple(mask_of(s) for s in boundary.sets)
-    for w in walk:
-        if w not in labels:
-            raise ValidationError("boundary label missing from the collection")
+    if not set(walk) <= set(labels):
+        raise ValidationError("boundary label missing from the collection")
     tris = []
     for poly in _clique_polygons(labels, n):
         tris.extend(_fan_triangles(poly))
@@ -612,46 +621,27 @@ def triangulation_from_labels(
 
 def _clique_polygons(labels: list[int], n: int) -> list[list[int]]:
     """White and black clique polygons (vertex lists in convex order)."""
-    label_set = set(labels)
-    polys = []
-    seen = set()
+    whites: dict[int, list[tuple[int, int]]] = {}
     for lab in labels:
-        for i in elems_of(lab):
-            s = lab & ~(1 << (i - 1))
-            if s in seen:
-                continue
-            seen.add(s)
-            members = [
-                (x, s | (1 << (x - 1)))
-                for x in range(1, n + 1)
-                if not s >> (x - 1) & 1 and s | (1 << (x - 1)) in label_set
-            ]
-            if len(members) >= 3:
-                polys.append([m for _, m in sorted(members)])
+        m = lab
+        while m:
+            low = m & -m
+            whites.setdefault(lab ^ low, []).append((low, lab))
+            m ^= low
+    polys = [[lab for _, lab in sorted(members)] for members in whites.values() if len(members) >= 3]
     return polys + list(_black_cliques(labels, n).values())
 
 
 def _black_cliques(labels, n: int) -> dict[int, list[int]]:
     """Black cliques: union mask -> members (labels) in convex (removed-element) order."""
-    label_set = set(labels)
-    out: dict[int, list[int]] = {}
-    seen = set()
+    blacks: dict[int, list[tuple[int, int]]] = {}
     for lab in labels:
-        for i in range(1, n + 1):
-            if lab >> (i - 1) & 1:
-                continue
-            u = lab | (1 << (i - 1))
-            if u in seen:
-                continue
-            seen.add(u)
-            members = [
-                (x, u & ~(1 << (x - 1)))
-                for x in elems_of(u)
-                if u & ~(1 << (x - 1)) in label_set
-            ]
-            if len(members) >= 3:
-                out[u] = [m for _, m in sorted(members)]
-    return out
+        m = ((1 << n) - 1) & ~lab
+        while m:
+            low = m & -m
+            blacks.setdefault(lab | low, []).append((low, lab))
+            m ^= low
+    return {u: [lab for _, lab in sorted(members)] for u, members in blacks.items() if len(members) >= 3}
 
 
 def _fan_triangles(poly: list[int]) -> list[tuple[int, int, int]]:
@@ -670,19 +660,34 @@ def _fan_triangles(poly: list[int]) -> list[tuple[int, int, int]]:
 
 
 def seed_triangulation(p: DecoratedPermutation) -> PlabicTriangulation:
-    """Canonical seed: extend the necklace to a maximal weakly separated
-    collection, build a full cyclic triangulation whose chords respect the
-    necklace walk, and restrict to the necklace region."""
+    """Canonical seed: a maximal weakly separated collection inside the
+    necklace walk, tiled by its white and black clique polygons
+    (Oh-Postnikov-Speyer).
+
+    The collection starts from the necklace labels and scans the k-subsets
+    once in colex order, keeping each one that is weakly separated from
+    every label kept so far and whose point the walk winds around.  A
+    candidate that passes the separation test but lies on the walk has no
+    winding number, and raises ValidationError.
+    """
     necklace = combinat.necklace_of(p)
     n, k = p.n, necklace.k
     walk = tuple(mask_of(s) for s in necklace.sets)
     if k == 0 or k == n:
         return PlabicTriangulation.make(n, k, [], walk)
-    extended = combinat.extend_to_maximal_ws(LabelCollection(n, k, frozenset(necklace.sets)))
-    ext_masks = sorted(mask_of(s) for s in extended.labels)
-    forced = walked_segments(walk)
-    full = _cyclic_triangulation(ext_masks, n, k, forced)
-    sigma = restrict_to_walk(full, walk)
+    walk_pts = [pos(m) for m in walk]
+    walk_set = set(walk)
+    kept = sorted(walk_set)
+    for cand in combinat.colex_masks(n, k):
+        if cand in walk_set or not all(combinat.is_weakly_separated_mask(cand, m) for m in kept):
+            continue
+        try:
+            inside = winding_number(walk_pts, pos(cand))
+        except ValueError as exc:
+            raise ValidationError("label %s lies on the necklace walk" % (elems_of(cand),)) from exc
+        if inside:
+            kept.append(cand)
+    sigma = _tile_labels(n, k, sorted(kept), walk)
     dual = dual_graph(sigma)
     if strand_permutation(dual) != p:
         raise AssertionError("seed triangulation has wrong strand permutation")
@@ -738,12 +743,9 @@ def enumerate_plabic(
     def moves_of(sigma):
         out = []
         for move in available_moves(sigma):
-            nxt = PlabicTriangulation.make(
-                sigma.n,
-                sigma.k,
-                set(sigma.triangles).difference(move.removed).union(move.added),
-                sigma.boundary,
-            )
+            # sigma's triangles and move.added are already normalised
+            tris = set(sigma.triangles).difference(move.removed).union(move.added)
+            nxt = PlabicTriangulation(sigma.n, sigma.k, tuple(sorted(tris)), sigma.boundary)
             out.append((move, nxt))
         return out
 
@@ -1164,12 +1166,13 @@ def _fan_path(verts, tris: set, kind: str):
 
 
 @lru_cache(maxsize=None)
-def _embedded_candidates(n: int, k: int) -> tuple[tuple[int, frozenset, tuple[int, ...]], ...]:
-    """(h, family, sub-walk) for every possible embedded pi(5,h) sub-necklace.
+def _embedded_candidates(n: int, k: int) -> tuple[tuple[int, frozenset, tuple[int, ...], int], ...]:
+    """(h, family, sub-walk, area) for every possible embedded pi(5,h) sub-necklace.
 
     h = 1/4 give white/black pentagon supports, h = 2/3 white/black decagons.
-    The family is the set of labels S u psi(K) over h-subsets K of [5].
-    Entries are grouped by ascending h.
+    The family is the set of labels S u psi(K) over h-subsets K of [5], and
+    the area is twice the unsigned area the sub-walk encloses.  Entries are
+    grouped by ascending h.
     """
     cands = []
     for h in (1, 2, 3, 4):
@@ -1189,7 +1192,7 @@ def _embedded_candidates(n: int, k: int) -> tuple[tuple[int, frozenset, tuple[in
                 walk5 = tuple(
                     smask | mask_of(psi[i] for i in sub_neck[j]) for j in range(1, 6)
                 )
-                cands.append((h, family, walk5))
+                cands.append((h, family, walk5, abs(shoelace2([pos(b) for b in walk5]))))
     return tuple(cands)
 
 
@@ -1204,11 +1207,11 @@ def embedded_cells(graph: FlipGraph, table: dict[int, tuple[str, int]]) -> dict:
     order that carries it.
     """
     first = graph.payloads[0]
-    cands = []
-    for h, family, walk5 in _embedded_candidates(first.n, first.k):
-        area = abs(shoelace2([pos(b) for b in walk5]))
-        if h in table and area:
-            cands.append((h, family, walk5, area))
+    cands = [
+        (h, family, walk5, area)
+        for h, family, walk5, area in _embedded_candidates(first.n, first.k)
+        if h in table and area
+    ]
     cells = {}
     for vid, payload in enumerate(graph.payloads):
         polys = payload.polygons()

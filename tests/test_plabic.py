@@ -8,7 +8,7 @@ from flipcells import combinat as C
 from flipcells import plabic as P
 from flipcells import topology as T
 from flipcells import zonotope as Z
-from flipcells.errors import ArgumentError, PreconditionError
+from flipcells.errors import ArgumentError, MalformedGraphError, PreconditionError, ValidationError
 from flipcells.zonotope import elems_of, mask_of
 
 WHITE, BLACK = C.WHITE, C.BLACK
@@ -85,6 +85,25 @@ class TestCrossSection:
             P.cross_section(Z.minimal_tiling(spec), 5)
 
 
+class TestPositions:
+    def test_weakly_separated_labels_have_distinct_points(self):
+        # plabic geometry places every label at pos(), so the labels of one
+        # triangulation must have distinct points
+        for n in range(1, 10):
+            for k in range(n + 1):
+                by_point = {}
+                for c in itertools.combinations(range(1, n + 1), k):
+                    by_point.setdefault(P.pos(mask_of(c)), []).append(mask_of(c))
+                for same in by_point.values():
+                    for a, b in itertools.combinations(same, 2):
+                        assert not C.is_weakly_separated_mask(a, b), (elems_of(a), elems_of(b))
+
+    def test_labels_that_are_not_weakly_separated_can_collide(self):
+        a, b = mask_of([1, 2, 6, 7]), mask_of([1, 3, 4, 8])
+        assert P.pos(a) == P.pos(b) == (16, 90)
+        assert not C.is_weakly_separated_mask(a, b)
+
+
 class TestDualAndStrands:
     def test_square_graph(self):
         s = P.seed_triangulation(C.cyclic_decorated(4, 2))
@@ -136,6 +155,18 @@ class TestDualAndStrands:
         g = P.dual_graph(P.seed_triangulation(p))
         assert P.is_reduced(g).ok
         assert P.strand_permutation(g) == p
+
+    def test_boundary_edge_needs_exactly_one_edge(self):
+        u = ("v", 0)
+        # b_2 has no edge, b_1 has two
+        g = P.PlabicGraph(2, (WHITE,), ((u, ("b", 1)), (u, ("b", 1))), (((0, 0), (1, 0)),))
+        for i in (1, 2):
+            with pytest.raises(MalformedGraphError):
+                g.boundary_edge(i)
+        with pytest.raises(MalformedGraphError):
+            P.strand_permutation(g)
+        g = P.PlabicGraph(2, (WHITE,), ((u, ("b", 1)), (("b", 2), u)), (((0, 0), (1, 1)),))
+        assert (g.boundary_edge(1), g.boundary_edge(2)) == (0, 1)
 
 
 class TestMoves:
@@ -212,6 +243,30 @@ class TestEnumeration:
         for p in [C.cyclic_decorated(5, 2), C.cyclic_decorated(4, 2),
                   C.DecoratedPermutation.make((2, 1, 5, 3, 4))] + differ:
             assert revcolex_seed(p).key() in P.enumerate_plabic(p).vertices
+
+    def test_seed_is_maximal_inside_the_necklace(self):
+        # maximal weakly separated collections inside one necklace all have
+        # the same size, so the colex-greedy seed matches the old route's
+        for n in range(1, 7):
+            for p in C.all_decorated_permutations(n):
+                if not 0 < C.necklace_of(p).k < n:
+                    continue
+                seed = P.seed_triangulation(p)
+                seed.check()
+                assert len(seed.labels()) == len(revcolex_seed(p).labels())
+
+    def test_seed_rejects_a_label_on_the_walk(self, monkeypatch):
+        # a label the seed would keep, placed on the walk: its side is undefined
+        p = C.cyclic_decorated(4, 2)
+        inner = mask_of([1, 3])
+        assert inner in P.seed_triangulation(p).labels()
+        a, b = (P.pos(mask_of(s)) for s in C.necklace_of(p).sets[:2])
+        mid = ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
+        assert 2 * mid[0] == a[0] + b[0] and 2 * mid[1] == a[1] + b[1]
+        pos = P.pos
+        monkeypatch.setattr(P, "pos", lambda m: mid if m == inner else pos(m))
+        with pytest.raises(ValidationError, match="lies on the necklace walk"):
+            P.seed_triangulation(p)
 
     def test_face_labels_weakly_separated_and_contain_necklace(self):
         for p in (C.cyclic_decorated(5, 2), C.DecoratedPermutation.make((2, 1, 5, 3, 4))):
