@@ -28,10 +28,13 @@ def _emit(config: RunConfig, text: str) -> None:
         out_dir = os.environ.get("FLIPCELLS_OUT_DIR")
         if out_dir and not os.path.isabs(path):
             path = os.path.join(out_dir, path)
-        with open(path, "w") as fh:
+        # overwrite in place and cut the tail, rather than truncate on open:
+        # truncating a file to zero and rewriting it makes ext4 flush on close
+        with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
+            fh.truncate()
     else:
         print(text)
 

@@ -155,6 +155,15 @@ class TestDeterminismAndErrors:
         assert code == 0
         assert json.loads(out.read_text())["n_vertices"] == 2
 
+    def test_out_file_overwrites_longer_file(self, capsys, tmp_path):
+        out = tmp_path / "res.json"
+        out.write_text("x" * 100_000 + "\n")
+        assert cli.main(["tilings", "3", "2", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text.endswith("}\n") and json.loads(text)["n_vertices"] == 2
+        cli.main(["tilings", "3", "2"])
+        assert text == capsys.readouterr().out
+
 
 class TestHarnessConfig:
     def test_out_dir_env(self, capsys, tmp_path, monkeypatch):

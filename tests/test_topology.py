@@ -390,6 +390,52 @@ class TestTietze:
         residual, log = T._tietze_eliminate(T.GroupPresentation(3, (long[:-1],)))
         assert log == [(0, 1)] and residual == T.GroupPresentation(2, ())
 
+    def test_kill_needs_exponent_sum_one(self):
+        # <a, b | b, a b a^-1>: b dies, and a b a^-1 is then a a^-1, which
+        # proves nothing about a
+        pres = T.GroupPresentation(2, ((2,), (1, 2, -1)))
+        residual, log = T._tietze_eliminate(pres)
+        assert log == [(0, 2)] and residual == T.GroupPresentation(1, ())
+        replay_elimination(pres, residual, log)
+        k = T.TwoComplex(1, ((0, 0), (0, 0)), ((2,), (1, 2, -1)))
+        cert = T.certificate(k)
+        assert (cert["betti1"], cert["torsion"], cert["pi1"]) == (1, [], "nontrivial")
+
+    def test_kill_with_repeated_generator(self):
+        # with b dead, a a b a^-1 b^-1 is a a a^-1 = a: exponent sum 1
+        pres = T.GroupPresentation(2, ((1, 1, 2, -1, -2), (2,)))
+        residual, log = T._tietze_eliminate(pres)
+        assert log == [(1, 2), (0, 1)] and residual == T.GroupPresentation(0, ())
+        replay_elimination(pres, residual, log)
+
+    def test_residual_deletes_in_kill_order(self):
+        # a, b, g, h = 1, 2, 3, 4.  Deleting g, reducing, then deleting h
+        # leaves a^-1 b a^-1 b; deleting both at once and reducing leaves its
+        # rotation b a^-1 b a^-1, which is not what the log replays to
+        a, b, g, h = 1, 2, 3, 4
+        word = (a, h, -a, h, b, -a, b, -h, -a, g)
+        pres = T.GroupPresentation(4, ((g,), (h,), word))
+        residual, log = T._tietze_eliminate(pres)
+        assert log == [(0, g), (1, h)]
+        assert residual == T.GroupPresentation(2, ((-a, b, -a, b),))
+        replay_elimination(pres, residual, log)
+
+    def test_torsion_kills_nothing(self):
+        pres = T.GroupPresentation(1, ((1, 1),))
+        assert T._tietze_eliminate(pres) == (pres, [])
+        projective_plane = T.TwoComplex(1, ((0, 0),), ((1, 1),))
+        assert T._tietze_eliminate(T.pi1_presentation(projective_plane)) == (pres, [])
+
+    @pytest.mark.parametrize("n, d", [(5, 3), (6, 2)])
+    def test_kill_phase_closes_zonotopal(self, n, d, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the substitution phase ran")
+
+        monkeypatch.setattr(T, "_substitute", fail)
+        k = Z.build_z_complex(Z.enumerate_tilings(Z.zonotope_spec(n, d)))[0]
+        cert = T.certificate(k)
+        assert (cert["betti1"], cert["torsion"], cert["pi1"]) == (0, [], "trivial")
+
     @pytest.mark.parametrize("n", range(3, 7))
     def test_zonotopal(self, n):
         for d in range(1, n):
@@ -401,8 +447,9 @@ class TestTietze:
             for kind in ("X", "Y"):
                 assert_elimination_replays(P.build_plabic_complex(p, kind)[0])
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_tcd(self, n):
+        # n = 6 holds the 34 complexes on which both phases run
         for image in itertools.permutations(range(1, n + 1)):
             assert_elimination_replays(tcd.build_t_complex(image)[0])
 
