@@ -244,16 +244,20 @@ def cmd_align(args, config: RunConfig) -> int:
 
 def cmd_export(args, config: RunConfig) -> int:
     if args.flip_graph:
-        with open(args.flip_graph) as fh:
-            data = json.load(fh)
         if config.fmt != "dot":
             raise ArgumentError("flip graphs export to dot")
+        with open(args.flip_graph) as fh:
+            data = json.load(fh)
         lines = ["graph exported {"]
         for e in data["edges"]:
             lines.append("  %d -- %d;" % (e["u"], e["v"]))
         lines.append("}")
         _emit(config, "\n".join(lines))
         return 0
+    if not args.triangulation:
+        raise ArgumentError("export needs --flip-graph or --triangulation")
+    if config.fmt == "dot":
+        raise ArgumentError("triangulations export to json or svg")
     with open(args.triangulation) as fh:
         sigma = plabic.PlabicTriangulation.from_json(json.load(fh))
     if config.fmt == "svg":
@@ -294,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("tilings", parents=[common], help="enumerate fine zonotopal tilings of Z(n,d)")
     s.add_argument("n", type=int)
     s.add_argument("d", type=int)
-    s.set_defaults(func=cmd_tilings)
+    s.set_defaults(func=cmd_tilings, formats=("json", "dot"))
 
     s = sub.add_parser("zcomplex", parents=[common], help="build and certify the zonotopal flip complex")
     s.add_argument("n", type=int)
@@ -318,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--level", type=int, required=True)
     s.add_argument("--dual", action="store_true", help="overlay the dual graph in svg output")
     s.add_argument("--strands", action="store_true", help="overlay the strand paths in svg output")
-    s.set_defaults(func=cmd_cross_section)
+    s.set_defaults(func=cmd_cross_section, formats=("json", "svg"))
 
     s = sub.add_parser("updown", parents=[common], help="UP/DOWN of a necklace or plabic triangulation")
     s.add_argument("--necklace", help="JSON list of sets, inline or a file path")
@@ -344,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--triangulation")
     s.add_argument("--dual", action="store_true")
     s.add_argument("--strands", action="store_true")
-    s.set_defaults(func=cmd_export)
+    # cmd_export checks the format against --flip-graph or --triangulation
+    s.set_defaults(func=cmd_export, formats=("json", "dot", "svg"))
     return parser
 
 
@@ -366,6 +371,9 @@ def main(argv=None) -> int:
     if config.vertex_cap < 1 or config.pi1_budget < 1:
         parser.error("cap and budget must be positive")
     try:
+        formats = getattr(args, "formats", ("json",))
+        if config.fmt not in formats:
+            raise ArgumentError("%s writes %s, not %s" % (args.command, " or ".join(formats), config.fmt))
         return args.func(args, config)
     except (ArgumentError, ValidationError, PreconditionError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)

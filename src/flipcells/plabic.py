@@ -473,17 +473,31 @@ class Move:
     replacement: int = 0
 
     def support_labels(self) -> frozenset[int]:
+        """The labels of the removed and added triangles.
+
+        Computed once per move and shared by every caller.
+        """
+        return self._support
+
+    @cached_property
+    def _support(self) -> frozenset[int]:
         out = set()
         for t in self.removed + self.added:
             out.update(t)
         return frozenset(out)
 
 
+# Bound of each site memo.  A site (two triangles across a diagonal, or a
+# center and its four triangles) fixes its move, so every vertex and every
+# connectivity that holds it shares one Move.
+SITE_CACHE_SIZE = 1 << 16
+
+
 def available_moves(sigma: PlabicTriangulation) -> tuple[Move, ...]:
     """All moves available in sigma, sorted canonically."""
     moves = trivalent_flips(sigma.triangles, sigma.boundary)
 
-    # square moves: interior degree-4 vertices with alternating star
+    # square moves: interior degree-4 vertices
     star: dict[int, list[tuple[int, int, int]]] = {}
     for t in sigma.triangles:
         for lab in t:
@@ -492,48 +506,69 @@ def available_moves(sigma: PlabicTriangulation) -> tuple[Move, ...]:
     for v, tris in star.items():
         if v in boundary_set or len(tris) != 4:
             continue
-        order = _chain_pairs([tuple(x for x in t if x != v) for t in tris])
-        if order is None:
-            continue
-        cols = [triangle_color(tris[i]) for i in order]
-        if cols[0] == cols[1] or cols[1] == cols[2] or cols[2] == cols[3]:
-            continue
-        v2 = square_relabel(v, {x for t in tris for x in t if x != v})
-        if v2 is None:
-            continue
-        removed = tuple(sorted(tris))
-        added = tuple(sorted(_norm_tri([v2 if x == v else x for x in t]) for t in tris))
-        moves.append(Move("M2", removed, added, center=v, replacement=v2))
+        # sigma's triangles are sorted, so each star is too
+        move = _square_move(v, tuple(tris))
+        if move is not None:
+            moves.append(move)
     moves.sort(key=lambda m: (m.kind, m.removed, m.added))
     return tuple(moves)
 
 
+@lru_cache(maxsize=SITE_CACHE_SIZE)
+def _square_move(center: int, star: tuple[tuple[int, int, int], ...]) -> Move | None:
+    """The square move at `center`, whose star is the four sorted triangles
+    `star`, or None unless their colors alternate around it and the five
+    labels form a square."""
+    order = _chain_pairs([tuple(x for x in t if x != center) for t in star])
+    if order is None:
+        return None
+    cols = [triangle_color(star[i]) for i in order]
+    if cols[0] == cols[1] or cols[1] == cols[2] or cols[2] == cols[3]:
+        return None
+    v2 = square_relabel(center, {x for t in star for x in t if x != center})
+    if v2 is None:
+        return None
+    added = tuple(sorted(_norm_tri([v2 if x == center else x for x in t]) for t in star))
+    return Move("M2", star, added, center=center, replacement=v2)
+
+
 def trivalent_flips(triangles, boundary) -> list[Move]:
     """Flips of two same-color triangles across an interior diagonal: M1
-    for white, M3 for black.  Segments of the boundary walk never flip."""
-    seg_map: dict[tuple[int, int], list[tuple[tuple[int, int, int], int]]] = {}
+    for white, M3 for black.  Segments of the boundary walk never flip.
+    `triangles` is sorted, as triangulations and diagram states store it."""
+    seg_map: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for t in triangles:
-        for seg, third in _sides(t):
-            seg_map.setdefault(seg, []).append((t, third))
+        for seg, _ in _sides(t):
+            seg_map.setdefault(seg, []).append(t)
     walked = walked_segments(boundary)
     moves = []
     for seg, lst in seg_map.items():
         if len(lst) != 2 or seg in walked:
             continue
-        (t1, a), (t2, d) = lst
-        c1, c2 = triangle_color(t1), triangle_color(t2)
-        if c1 != c2:
-            continue
-        b_, c_ = seg
-        if orient(pos(a), pos(d), pos(b_)) * orient(pos(a), pos(d), pos(c_)) >= 0:
-            continue
-        if orient(pos(b_), pos(c_), pos(a)) * orient(pos(b_), pos(c_), pos(d)) >= 0:
-            continue
-        added = tuple(sorted((_norm_tri((a, b_, d)), _norm_tri((a, c_, d)))))
-        moves.append(
-            Move("M1" if c1 == WHITE else "M3", tuple(sorted((t1, t2))), added)
-        )
+        move = _flip_move(*lst)
+        if move is not None:
+            moves.append(move)
     return moves
+
+
+@lru_cache(maxsize=SITE_CACHE_SIZE)
+def _flip_move(t1: tuple[int, int, int], t2: tuple[int, int, int]) -> Move | None:
+    """The flip of the diagonal shared by triangles t1 < t2, or None unless
+    they have one color and form a convex quadrilateral."""
+    c1 = triangle_color(t1)
+    if c1 != triangle_color(t2):
+        return None
+    only1, only2 = set(t1).difference(t2), set(t2).difference(t1)
+    if len(only1) != 1:  # a doubled triangle has no diagonal
+        return None
+    a, d = only1.pop(), only2.pop()
+    b_, c_ = (x for x in t1 if x != a)
+    if orient(pos(a), pos(d), pos(b_)) * orient(pos(a), pos(d), pos(c_)) >= 0:
+        return None
+    if orient(pos(b_), pos(c_), pos(a)) * orient(pos(b_), pos(c_), pos(d)) >= 0:
+        return None
+    added = tuple(sorted((_norm_tri((a, b_, d)), _norm_tri((a, c_, d)))))
+    return Move("M1" if c1 == WHITE else "M3", (t1, t2), added)
 
 
 def square_relabel(center: int, outer) -> int | None:
@@ -1203,28 +1238,35 @@ def embedded_cells(graph: FlipGraph, table: dict[int, tuple[str, int]]) -> dict:
     A vertex carries the cell of a family when the family's sub-walk is in
     its labels and the polygons of its `polygons()` whose labels all lie in
     the family tile the region of the sub-walk.  The cell is the cycle of
-    the moves supported in the family, walked from the first vertex in id
-    order that carries it.
+    the moves supported in the family, walked once, from the first vertex
+    in id order that carries it.  The restricted moves are 2-regular on
+    the cycle, so a walk from any later vertex on it would give the same
+    vertex set: those (family, vertex) pairs are skipped.
     """
     first = graph.payloads[0]
     cands = [
-        (h, family, walk5, area)
-        for h, family, walk5, area in _embedded_candidates(first.n, first.k)
+        (ci, h, family, walk5, area)
+        for ci, (h, family, walk5, area) in enumerate(_embedded_candidates(first.n, first.k))
         if h in table and area
     ]
     cells = {}
+    walked: dict[int, set[int]] = {}  # vertex id -> candidates walked through it
     for vid, payload in enumerate(graph.payloads):
         polys = payload.polygons()
         labs = set(payload.boundary).union(*polys)
         tiles = [(frozenset(poly), abs(shoelace2([pos(x) for x in poly]))) for poly in polys]
-        for h, family, walk5, area in cands:
-            if not labs.issuperset(walk5):
+        done = walked.pop(vid, ())
+        for ci, h, family, walk5, area in cands:
+            if ci in done or not labs.issuperset(walk5):
                 continue
             if sum(a for verts, a in tiles if verts <= family) != area:
                 continue
             name, length = table[h]
             cycle = move_cycle(graph, vid, lambda m: m.support_labels() <= family, length, by_id=True)
             cells.setdefault(frozenset(cycle), (name, tuple(cycle)))
+            for v in cycle:
+                if v > vid:
+                    walked.setdefault(v, set()).add(ci)
     return cells
 
 

@@ -165,6 +165,62 @@ class TestDeterminismAndErrors:
         assert text == capsys.readouterr().out
 
 
+class TestFormats:
+    """Each command writes only the formats it can; the others are usage errors."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        tiling = Z.minimal_tiling(Z.zonotope_spec(5, 3))
+        tfile = tmp_path / "tiling.json"
+        tfile.write_text(json.dumps(Z.tiling_to_json(tiling)))
+        sfile = tmp_path / "sigma.json"
+        assert cli.main(["cross-section", "--tiling", str(tfile), "--level", "2", "--out", str(sfile)]) == 0
+        gfile = tmp_path / "graph.json"
+        assert cli.main(["tilings", "4", "2", "--out", str(gfile)]) == 0
+        return {"TILING": str(tfile), "SIGMA": str(sfile), "GRAPH": str(gfile)}
+
+    def _argv(self, files, argv):
+        return [files.get(a, a) for a in argv]
+
+    @pytest.mark.parametrize(
+        "argv, fmt",
+        [
+            (["tilings", "3", "2"], "svg"),
+            (["cross-section", "--tiling", "TILING", "--level", "2"], "dot"),
+            (["export", "--flip-graph", "GRAPH"], "json"),
+            (["export", "--flip-graph", "GRAPH"], "svg"),
+            (["export", "--triangulation", "SIGMA"], "dot"),
+            (["plabic", "3,1,2"], "dot"),
+            (["tcd", "3,1,2"], "svg"),
+            (["zcomplex", "4", "2"], "dot"),
+            (["updown", "--necklace", "[[1],[2],[3]]", "--dir", "up"], "svg"),
+        ],
+    )
+    def test_rejected(self, capsys, files, argv, fmt):
+        assert cli.main(self._argv(files, argv) + ["--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, fmt, head",
+        [
+            (["tilings", "3", "2"], "dot", "graph"),
+            (["cross-section", "--tiling", "TILING", "--level", "2"], "svg", "<svg"),
+            (["export", "--flip-graph", "GRAPH"], "dot", "graph"),
+            (["export", "--triangulation", "SIGMA"], "json", "{"),
+            (["plabic", "3,1,2"], "json", "{"),
+        ],
+    )
+    def test_accepted(self, capsys, files, argv, fmt, head):
+        code, out = run(capsys, *self._argv(files, argv), "--format", fmt)
+        assert code == 0 and out.startswith(head)
+
+    def test_export_needs_an_input(self, capsys):
+        assert cli.main(["export", "--format", "svg"]) == 2
+        assert "--flip-graph or --triangulation" in capsys.readouterr().err
+
+
 class TestHarnessConfig:
     def test_out_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FLIPCELLS_OUT_DIR", str(tmp_path))

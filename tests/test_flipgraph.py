@@ -175,3 +175,166 @@ class TestCallCounts:
         assert spy.calls["available_moves"] == 0
         assert spy.calls["representative"] == 0
         assert spy.calls["apply_move"] == 0
+
+
+# ---------------------------------------------------------------------------
+# site memos and the walk-once embedded scan, against the per-vertex rules
+# they replace
+
+
+def reference_flips(triangles, boundary):
+    """The per-vertex flip scan: every site's rule re-derived at every vertex."""
+    seg_map = {}
+    for t in triangles:
+        for seg, third in P._sides(t):
+            seg_map.setdefault(seg, []).append((t, third))
+    walked = P.walked_segments(boundary)
+    moves = []
+    for seg, lst in seg_map.items():
+        if len(lst) != 2 or seg in walked:
+            continue
+        (t1, a), (t2, d) = lst
+        c1, c2 = P.triangle_color(t1), P.triangle_color(t2)
+        if c1 != c2:
+            continue
+        b_, c_ = seg
+        pa, pb, pc, pd = P.pos(a), P.pos(b_), P.pos(c_), P.pos(d)
+        if P.orient(pa, pd, pb) * P.orient(pa, pd, pc) >= 0:
+            continue
+        if P.orient(pb, pc, pa) * P.orient(pb, pc, pd) >= 0:
+            continue
+        added = tuple(sorted((P._norm_tri((a, b_, d)), P._norm_tri((a, c_, d)))))
+        moves.append(P.Move("M1" if c1 == C.WHITE else "M3", tuple(sorted((t1, t2))), added))
+    return moves
+
+
+def reference_moves(sigma):
+    """The per-vertex scan of `available_moves`."""
+    moves = reference_flips(sigma.triangles, sigma.boundary)
+    star = {}
+    for t in sigma.triangles:
+        for lab in t:
+            star.setdefault(lab, []).append(t)
+    boundary_set = set(sigma.boundary)
+    for v, tris in star.items():
+        if v in boundary_set or len(tris) != 4:
+            continue
+        order = P._chain_pairs([tuple(x for x in t if x != v) for t in tris])
+        if order is None:
+            continue
+        cols = [P.triangle_color(tris[i]) for i in order]
+        if cols[0] == cols[1] or cols[1] == cols[2] or cols[2] == cols[3]:
+            continue
+        v2 = P.square_relabel(v, {x for t in tris for x in t if x != v})
+        if v2 is None:
+            continue
+        added = tuple(sorted(P._norm_tri([v2 if x == v else x for x in t]) for t in tris))
+        moves.append(P.Move("M2", tuple(sorted(tris)), added, center=v, replacement=v2))
+    moves.sort(key=lambda m: (m.kind, m.removed, m.added))
+    return tuple(moves)
+
+
+def reference_tcd_moves(state):
+    moves = reference_flips(state.whites, state.boundary) + tcd._square_moves(state)
+    moves.sort(key=lambda m: (m.kind, m.removed, m.added, m.center))
+    return moves
+
+
+def _clear_site_caches():
+    P._flip_move.cache_clear()
+    P._square_move.cache_clear()
+
+
+def _site_memo_cases():
+    """(vertex payloads, scan, reference scan) per connectivity: X of every
+    decorated permutation with n <= 5 and of pi(6,3), T with n <= 5."""
+    x_scan = P.available_moves
+    t_scan = lambda state: [m for m, _ in tcd.tcd_neighbors(state)]  # noqa: E731
+    perms = [p for n in range(1, 6) for p in C.all_decorated_permutations(n)]
+    for p in perms + [C.cyclic_decorated(6, 3)]:
+        yield P.enumerate_plabic(p).payloads, x_scan, reference_moves
+    for n in range(1, 6):
+        for image in itertools.permutations(range(1, n + 1)):
+            graph = tcd.enumerate_tcd(tcd.permutation_for_tcd(image))
+            yield graph.payloads, t_scan, reference_tcd_moves
+
+
+class TestSiteMemos:
+    def test_memoized_rules_match_the_reference_scan(self):
+        cases = list(_site_memo_cases())
+        # cold: every vertex scanned right after the caches are emptied
+        for payloads, scan, reference in cases:
+            for payload in payloads:
+                _clear_site_caches()
+                assert tuple(scan(payload)) == tuple(reference(payload))
+        # warm: caches filled by every vertex of every connectivity
+        _clear_site_caches()
+        for _ in range(2):
+            for payloads, scan, reference in cases:
+                for payload in payloads:
+                    assert tuple(scan(payload)) == tuple(reference(payload))
+        assert P._flip_move.cache_info().hits and P._square_move.cache_info().hits
+
+    def test_one_move_object_per_site(self):
+        # equal moves are the same object at every vertex of every
+        # connectivity, and so are the moves a flip graph stores; T builds
+        # its own square moves, so only its flips are shared
+        _clear_site_caches()
+        canon = {}
+        for payloads, scan, _ in _site_memo_cases():
+            for payload in payloads:
+                for m in scan(payload):
+                    if isinstance(payload, P.PlabicTriangulation) or m.kind != "M2":
+                        assert canon.setdefault(m, m) is m
+        stored = P.enumerate_plabic(C.cyclic_decorated(6, 3)).moves
+        assert all(canon[m] is m for out in stored for m in out)
+
+    def test_support_labels_computed_once(self):
+        m = P.available_moves(P.seed_triangulation(C.cyclic_decorated(5, 2)))[0]
+        assert m.support_labels() is m.support_labels()
+        assert m.support_labels() == frozenset(x for t in m.removed + m.added for x in t)
+
+
+def reference_embedded_cells(graph, table):
+    """The scan that walks a cell's cycle from every vertex that carries it."""
+    first = graph.payloads[0]
+    cands = [c for c in P._embedded_candidates(first.n, first.k) if c[0] in table and c[3]]
+    cells = {}
+    for vid, payload in enumerate(graph.payloads):
+        polys = payload.polygons()
+        labs = set(payload.boundary).union(*polys)
+        tiles = [(frozenset(poly), abs(P.shoelace2([P.pos(x) for x in poly]))) for poly in polys]
+        for h, family, walk5, area in cands:
+            if not labs.issuperset(walk5):
+                continue
+            if sum(a for verts, a in tiles if verts <= family) != area:
+                continue
+            name, length = table[h]
+            cycle = P.move_cycle(graph, vid, lambda m: m.support_labels() <= family, length, by_id=True)
+            cells.setdefault(frozenset(cycle), (name, tuple(cycle)))
+    return cells
+
+
+# n = 6 permutations for T: the two that miss their |S| = 1 cells, and a
+# fixed sample of the rest
+T_WALK_SAMPLE = [(5, 6, 1, 2, 3, 4), (4, 5, 6, 1, 2, 3), (2, 3, 4, 5, 6, 1), (3, 4, 5, 6, 1, 2),
+                 (2, 4, 6, 1, 3, 5), (3, 6, 4, 1, 5, 2), (4, 6, 5, 2, 1, 3), (6, 5, 4, 3, 2, 1)]
+
+
+def _walk_cases():
+    for p, tables in ((C.cyclic_decorated(6, 3), (P._X_CELLS, P._Y_CELLS)),
+                      (C.cyclic_decorated(7, 2), (P._X_CELLS,))):
+        graph = P.enumerate_plabic(p)
+        for table in tables:
+            yield graph, table
+    for image in T_WALK_SAMPLE:
+        yield tcd.enumerate_tcd(tcd.permutation_for_tcd(image)), tcd._T_CELLS
+
+
+def test_embedded_cells_walk_once_parity():
+    walked = 0
+    for graph, table in _walk_cases():
+        want = reference_embedded_cells(graph, table)
+        assert list(P.embedded_cells(graph, table).items()) == list(want.items())
+        walked += len(want)
+    assert walked
