@@ -74,7 +74,11 @@ def _parse_conn(args) -> DecoratedPermutation:
     if args.perm[0] == "cyclic":
         if len(args.perm) != 3:
             raise ArgumentError("usage: cyclic n k")
-        return combinat.cyclic_decorated(int(args.perm[1]), int(args.perm[2]))
+        try:
+            n, k = int(args.perm[1]), int(args.perm[2])
+        except ValueError:
+            raise ArgumentError("cyclic n k needs integers, got %s %s" % tuple(args.perm[1:])) from None
+        return combinat.cyclic_decorated(n, k)
     if len(args.perm) != 1:
         raise ArgumentError("expected one permutation argument or 'cyclic n k'")
     text = args.perm[0]

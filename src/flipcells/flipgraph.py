@@ -4,11 +4,14 @@
 crossing diagrams.  It scans every vertex's moves exactly once and stores
 them, and the cell finders (`commuting_squares`, `move_cycle`) read cells
 from those stored moves with dictionary lookups alone.  `sorted_cells` is
-the canonical order of the cells found.
+the canonical order of the cells found.  `collector_paused` keeps the
+cyclic garbage collector off while a build runs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable
@@ -166,21 +169,47 @@ def bfs_closure(
 
 
 def commuting_squares(graph: FlipGraph, independent: Callable[[Any, Any], bool] | None = None):
-    """Yield `((v, va, vab, vb), a, b)` for every vertex v and every pair of
-    its moves a before b in scan order that commute: `a` then `b` and `b`
-    then `a` are both available and meet at vab, over four distinct
-    vertices.  Pairs failing `independent(a, b)` are skipped first."""
+    """Yield `((v, va, vab, vb), a, b)` for every square found from its
+    lowest corner v: every pair of moves a before b in scan order at v that
+    commute, so that `a` then `b` and `b` then `a` are both available and
+    meet at vab, over four distinct vertices all above v.  Pairs failing
+    `independent(a, b)` are skipped first.
+
+    A square found from one corner is found from each of them, so the
+    first square yielded for a vertex set is the one all-corner scan
+    order would find first too: at its lowest corner, by the same pair.
+    """
     moves = graph.moves
     for v, out in enumerate(moves):
-        for (a, va), (b, vb) in itertools.combinations(out.items(), 2):
+        up = [(label, w) for label, w in out.items() if w > v]
+        for (a, va), (b, vb) in itertools.combinations(up, 2):
             if independent is not None and not independent(a, b):
                 continue
             vab = moves[va].get(b)
-            if vab is None or vab != moves[vb].get(a):
+            if vab is None or vab <= v or vab != moves[vb].get(a):
                 continue
             quad = (v, va, vab, vb)
             if len(set(quad)) == 4:
                 yield quad, a, b
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """Keep the cyclic garbage collector off inside the block.
+
+    A build allocates millions of long-lived containers and frees none of
+    them, so the collections it would trigger find nothing to collect.  The
+    collector's state on entry is restored on every exit, errors included;
+    a nested use leaves it off until the outermost use exits.  Usable as a
+    decorator.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def move_cycle(

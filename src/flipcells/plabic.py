@@ -34,9 +34,23 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .flipgraph import DEFAULT_VERTEX_CAP, FlipGraph, bfs_closure, commuting_squares, move_cycle, sorted_cells
+from .flipgraph import (
+    DEFAULT_VERTEX_CAP,
+    FlipGraph,
+    bfs_closure,
+    collector_paused,
+    commuting_squares,
+    move_cycle,
+    sorted_cells,
+)
 from .geometry import ccw_order, orient, shoelace2, triangle_area2, winding_number
 from .zonotope import SignedSubset, Tiling, ZonotopeSpec
+
+# Bound of each site memo.  A site (a triangle, a polygon, two triangles
+# across a diagonal, or a center and its four triangles) fixes what is read
+# from it, so every vertex and every connectivity that holds it shares one
+# answer.
+SITE_CACHE_SIZE = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -66,9 +80,16 @@ def cyclic_walk(n: int, k: int) -> tuple[int, ...]:
     return tuple(interval_mask(n, i, k) for i in range(1, n + 1))
 
 
-def walked_segments(boundary) -> set[tuple[int, int]]:
-    """The segments a boundary walk steps along, as sorted label pairs."""
-    return {(min(a, b), max(a, b)) for a, b in zip(boundary, boundary[1:] + boundary[:1]) if a != b}
+@lru_cache(maxsize=1)
+def walked_segments(boundary: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+    """The segments a boundary walk steps along, as sorted label pairs.
+
+    Every vertex of a flip graph has the same walk, so one entry serves a
+    whole build; a sweep over connectivities keeps no stale walks.
+    """
+    return frozenset(
+        (min(a, b), max(a, b)) for a, b in zip(boundary, boundary[1:] + boundary[:1]) if a != b
+    )
 
 
 def triangle_color(tri: tuple[int, int, int]) -> str:
@@ -81,6 +102,7 @@ def triangle_color(tri: tuple[int, int, int]) -> str:
     raise ValidationError("label triple %s is neither white nor black" % (tri,))
 
 
+@lru_cache(maxsize=SITE_CACHE_SIZE)
 def _sides(tri) -> tuple[tuple[tuple[int, int], int], ...]:
     """The sides of a triangle as sorted label pairs, each with the label
     opposite it."""
@@ -487,12 +509,6 @@ class Move:
         return frozenset(out)
 
 
-# Bound of each site memo.  A site (two triangles across a diagonal, or a
-# center and its four triangles) fixes its move, so every vertex and every
-# connectivity that holds it shares one Move.
-SITE_CACHE_SIZE = 1 << 16
-
-
 def available_moves(sigma: PlabicTriangulation) -> tuple[Move, ...]:
     """All moves available in sigma, sorted canonically."""
     moves = trivalent_flips(sigma.triangles, sigma.boundary)
@@ -772,25 +788,34 @@ def enumerate_plabic(
 ) -> FlipGraph:
     """BFS closure of the moves M1/M2/M3 from the canonical seed.
 
-    Each edge is labelled by the move from its lower vertex id to the other.
+    The BFS runs over triangle keys: a vertex is decoded into its
+    `PlabicTriangulation` once, when it is expanded, and a successor is just
+    its sorted triangles.  Each edge is labelled by the move from its lower
+    vertex id to the other.
     """
+    seed = seed_triangulation(p)
+    n, k, boundary = seed.n, seed.k, seed.boundary
+    decoded: dict[tuple, PlabicTriangulation] = {}
 
-    def moves_of(sigma):
+    def moves_of(key):
+        sigma = decoded[key] = PlabicTriangulation(n, k, key, boundary)
+        base = set(key)
         out = []
         for move in available_moves(sigma):
-            # sigma's triangles and move.added are already normalised
-            tris = set(sigma.triangles).difference(move.removed).union(move.added)
-            nxt = PlabicTriangulation(sigma.n, sigma.k, tuple(sorted(tris)), sigma.boundary)
-            out.append((move, nxt))
+            # keys and move.added are already normalised
+            tris = base.difference(move.removed)
+            tris.update(move.added)
+            out.append((move, tuple(sorted(tris))))
         return out
 
-    return bfs_closure(
-        seed_triangulation(p),
+    graph = bfs_closure(
+        seed.key(),
         lambda frontier: map(moves_of, frontier),
         vertex_cap,
         "vertex cap %d exceeded enumerating plabic graphs" % vertex_cap,
-        key=PlabicTriangulation.key,
     )
+    graph.payloads = [decoded[key] for key in graph.vertices]
+    return graph
 
 
 def _invert_move(m: Move) -> Move:
@@ -1002,15 +1027,6 @@ def flip_move_correspondence(tiling: Tiling) -> list[tuple]:
         if len(match) != 1:
             raise AssertionError("flip at %s has no unique square move" % (elems,))
         out.append((site, level, match[0]))
-    return out
-
-
-def square_moves_by_level(tiling: Tiling) -> dict[int, list[Move]]:
-    """Independent count of square moves in every cross-section."""
-    out = {}
-    for k in range(1, tiling.spec.n):
-        sec = cross_section(tiling, k)
-        out[k] = [m for m in available_moves(sec) if m.kind == "M2"]
     return out
 
 
@@ -1231,6 +1247,12 @@ def _embedded_candidates(n: int, k: int) -> tuple[tuple[int, frozenset, tuple[in
     return tuple(cands)
 
 
+@lru_cache(maxsize=SITE_CACHE_SIZE)
+def _tile(poly: tuple[int, ...]) -> tuple[frozenset[int], int]:
+    """The label set of a polygon and twice its unsigned area."""
+    return frozenset(poly), abs(shoelace2([pos(x) for x in poly]))
+
+
 def embedded_cells(graph: FlipGraph, table: dict[int, tuple[str, int]]) -> dict:
     """Cells of the embedded pi(5, h) sub-necklaces, for each h in `table`
     (h -> (cell name, cycle length)): frozenset(cycle) -> (name, cycle).
@@ -1254,7 +1276,7 @@ def embedded_cells(graph: FlipGraph, table: dict[int, tuple[str, int]]) -> dict:
     for vid, payload in enumerate(graph.payloads):
         polys = payload.polygons()
         labs = set(payload.boundary).union(*polys)
-        tiles = [(frozenset(poly), abs(shoelace2([pos(x) for x in poly]))) for poly in polys]
+        tiles = [_tile(poly) for poly in polys]
         done = walked.pop(vid, ())
         for ci, h, family, walk5, area in cands:
             if ci in done or not labs.issuperset(walk5):
@@ -1280,6 +1302,7 @@ _X_CELLS = {
 _Y_CELLS = {h: _X_CELLS[h] for h in (2, 3)}
 
 
+@collector_paused()
 def build_plabic_complex(
     p: DecoratedPermutation,
     kind: str,

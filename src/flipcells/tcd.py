@@ -16,14 +16,13 @@ from functools import cached_property
 
 from .combinat import BLACK, WHITE, DecoratedPermutation
 from .errors import ArgumentError, ValidationError
-from .flipgraph import DEFAULT_VERTEX_CAP, FlipGraph, bfs_closure, commuting_squares, sorted_cells
+from .flipgraph import DEFAULT_VERTEX_CAP, FlipGraph, bfs_closure, collector_paused, commuting_squares, sorted_cells
 from .plabic import (
     Move,
     PlabicGraph,
     PlabicTriangulation,
     _black_cliques,
     _chain_pairs,
-    _fan_triangles,
     _norm_tri,
     embedded_cells,
     is_reduced,
@@ -87,13 +86,6 @@ class TCDState:
     def polygons(self) -> tuple[tuple[int, ...], ...]:
         """The polygons that tile the region: white triangles and black cliques."""
         return self.whites + tuple(tuple(m) for m in self.black_cliques().values())
-
-    def representative(self) -> PlabicTriangulation:
-        """Trivalent representative: black cliques fanned canonically."""
-        tris = list(self.whites)
-        for poly in self.black_cliques().values():
-            tris.extend(_fan_triangles(poly))
-        return PlabicTriangulation.make(self.n, self.k, tris, self.boundary)
 
 
 def normalize(sigma: PlabicTriangulation) -> TCDState:
@@ -194,6 +186,7 @@ def _disjoint_support(a: Move, b: Move) -> bool:
     return not a.support_labels() & b.support_labels()
 
 
+@collector_paused()
 def build_t_complex(p, vertex_cap: int = DEFAULT_VERTEX_CAP):
     """The 2-complex of triple crossing diagrams for a permutation.
 

@@ -22,7 +22,15 @@ import numpy as np
 from . import _kernels
 from .combinat import elems_of, mask_of
 from .errors import ArgumentError, PreconditionError, ValidationError
-from .flipgraph import DEFAULT_VERTEX_CAP, FlipGraph, bfs_closure, commuting_squares, move_cycle, sorted_cells
+from .flipgraph import (
+    DEFAULT_VERTEX_CAP,
+    FlipGraph,
+    bfs_closure,
+    collector_paused,
+    commuting_squares,
+    move_cycle,
+    sorted_cells,
+)
 
 
 @dataclass(frozen=True)
@@ -505,6 +513,7 @@ def validate_tiling(spec: ZonotopeSpec, tiles) -> ValidationReport:
 # enumeration
 
 
+@collector_paused()
 def enumerate_tilings(spec: ZonotopeSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) -> FlipGraph:
     """BFS closure of the flip relation from the minimal tiling.
 
@@ -558,6 +567,7 @@ def spec_top_rank(spec: ZonotopeSpec) -> int:
 # the flip 2-complex: commuting squares and coarse-tile (2d+4)-gons
 
 
+@collector_paused()
 def build_z_complex(graph: FlipGraph):
     """2-cells over the flip graph: operationally commuting flip pairs give
     quadrilaterals; coarse (d+2)-subset tiles give (2d+4)-gon cycles.

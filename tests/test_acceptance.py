@@ -25,6 +25,15 @@ def enumerate_graph(n, d):
     return Z.enumerate_tilings(Z.zonotope_spec(n, d))
 
 
+def square_moves_by_level(tiling):
+    """Reference route: the square moves of every cross-section, counted
+    independently of the flips."""
+    return {
+        k: [m for m in P.available_moves(P.cross_section(tiling, k)) if m.kind == "M2"]
+        for k in range(1, tiling.spec.n)
+    }
+
+
 def test_01_two_tilings_of_minimal_zonotopes():
     for d in (2, 3):
         g = enumerate_graph(d + 1, d)
@@ -74,7 +83,7 @@ def test_05_flip_square_move_bijection():
         g = enumerate_graph(n, 3)
         for tiling in g.payloads:
             pairs = P.flip_move_correspondence(tiling)
-            by_level = P.square_moves_by_level(tiling)
+            by_level = square_moves_by_level(tiling)
             independent = {
                 (level, m.center, m.replacement)
                 for level, moves in by_level.items()

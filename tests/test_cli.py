@@ -132,6 +132,11 @@ class TestDeterminismAndErrors:
         # plabic fixed points need a color
         assert cli.main(["plabic", "2,1,3"]) == 2
 
+    @pytest.mark.parametrize("command", ["plabic", "tcd"])
+    def test_non_integer_cyclic_is_usage_error(self, capsys, command):
+        assert cli.main([command, "cyclic", "6", "x"]) == 2
+        assert capsys.readouterr().err.startswith("error: cyclic n k needs integers")
+
     def test_bad_subcommand(self):
         with pytest.raises(SystemExit):
             cli.main(["frobnicate"])

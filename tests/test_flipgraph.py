@@ -1,5 +1,6 @@
 """The flip-graph engine: pinned complexes, stored moves, and call counts."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -9,7 +10,10 @@ import pytest
 from flipcells import combinat as C
 from flipcells import plabic as P
 from flipcells import tcd
+from flipcells import topology as T
 from flipcells import zonotope as Z
+from flipcells.errors import ResourceCapExceeded
+from flipcells.flipgraph import DEFAULT_VERTEX_CAP, FlipGraph, bfs_closure, collector_paused, commuting_squares
 
 # canonical_hash() of complexes whose cells must never change.
 PINNED_HASHES = {
@@ -125,7 +129,6 @@ class _Spy:
             ((P,), "apply_move"),
             ((tcd,), "tcd_neighbors"),
             ((tcd,), "_black_cliques"),
-            ((tcd.TCDState,), "representative"),
         ):
             fn = getattr(mods[0], name)
             self.calls[name] = 0
@@ -163,9 +166,9 @@ class TestCallCounts:
         assert spy.calls["apply_move"] == 0
 
     def test_t_complex(self, monkeypatch):
-        # T reads its moves from the contracted states: it never builds a
-        # trivalent representative nor scans one for plabic moves, and it
-        # finds each state's black cliques once
+        # T reads its moves from the contracted states: it never scans a
+        # trivalent triangulation for plabic moves, and it finds each
+        # state's black cliques once
         spy = _Spy(monkeypatch)
         for image in ((3, 4, 5, 1, 2), (2, 3, 4, 5, 6, 1), (4, 5, 6, 1, 2, 3)):
             spy.calls["tcd_neighbors"] = spy.calls["_black_cliques"] = 0
@@ -173,7 +176,6 @@ class TestCallCounts:
             assert spy.calls["tcd_neighbors"] <= info["n_vertices"]
             assert spy.calls["_black_cliques"] <= info["n_vertices"]
         assert spy.calls["available_moves"] == 0
-        assert spy.calls["representative"] == 0
         assert spy.calls["apply_move"] == 0
 
 
@@ -338,3 +340,146 @@ def test_embedded_cells_walk_once_parity():
         assert list(P.embedded_cells(graph, table).items()) == list(want.items())
         walked += len(want)
     assert walked
+
+
+# ---------------------------------------------------------------------------
+# the lowest-corner square finder and the key-based plabic BFS, against the
+# routes they replace
+
+
+def reference_squares(graph, independent=None):
+    """Every square found from each of its four corners, the first kept per
+    vertex set: frozenset(quad) -> (quad, a, b)."""
+    quads = {}
+    for v, out in enumerate(graph.moves):
+        for (a, va), (b, vb) in itertools.combinations(out.items(), 2):
+            if independent is not None and not independent(a, b):
+                continue
+            vab = graph.moves[va].get(b)
+            if vab is None or vab != graph.moves[vb].get(a):
+                continue
+            quad = (v, va, vab, vb)
+            if len(set(quad)) == 4:
+                quads.setdefault(frozenset(quad), (quad, a, b))
+    return quads
+
+
+def lowest_corner_squares(graph, independent=None):
+    """The squares of `commuting_squares`, each found once, from its lowest
+    corner."""
+    quads = {}
+    for quad, a, b in commuting_squares(graph, independent):
+        assert frozenset(quad) not in quads and quad[0] == min(quad)
+        quads[frozenset(quad)] = (quad, a, b)
+    return quads
+
+
+def reference_enumerate_plabic(p):
+    """The BFS over decoded payloads: a triangulation built per successor."""
+
+    def moves_of(sigma):
+        out = []
+        for move in P.available_moves(sigma):
+            tris = set(sigma.triangles).difference(move.removed).union(move.added)
+            out.append((move, P.PlabicTriangulation(sigma.n, sigma.k, tuple(sorted(tris)), sigma.boundary)))
+        return out
+
+    return bfs_closure(
+        P.seed_triangulation(p),
+        lambda frontier: map(moves_of, frontier),
+        DEFAULT_VERTEX_CAP,
+        "cap",
+        key=P.PlabicTriangulation.key,
+    )
+
+
+def _disjoint_removed(a, b):
+    # the independence test of build_plabic_complex
+    return not set(a.removed) & set(b.removed)
+
+
+def test_plabic_payloads_and_squares_match_the_reference():
+    # X and Y of every decorated permutation with n <= 5 and of pi(6,3)
+    perms = [p for n in range(1, 6) for p in C.all_decorated_permutations(n)]
+    squares = 0
+    for p in perms + [C.cyclic_decorated(6, 3)]:
+        graph, want = P.enumerate_plabic(p), reference_enumerate_plabic(p)
+        assert graph.vertices == want.vertices and graph.payloads == want.payloads
+        assert graph.moves == want.moves and graph.edges == want.edges
+        assert (graph.ranks, graph.min_vertex) == (want.ranks, want.min_vertex)
+        ref = reference_squares(graph, _disjoint_removed)
+        assert list(lowest_corner_squares(graph, _disjoint_removed).items()) == list(ref.items())
+        squares += len(ref)
+    assert squares
+
+
+def test_t_and_z_squares_match_the_reference():
+    graphs = [
+        (tcd.enumerate_tcd(tcd.permutation_for_tcd(image)), tcd._disjoint_support)
+        for n in range(1, 6)
+        for image in itertools.permutations(range(1, n + 1))
+    ]
+    graphs += [(Z.enumerate_tilings(Z.zonotope_spec(n, d)), None) for n, d in ((5, 2), (6, 2), (6, 3))]
+    squares = 0
+    for graph, independent in graphs:
+        ref = reference_squares(graph, independent)
+        assert list(lowest_corner_squares(graph, independent).items()) == list(ref.items())
+        squares += len(ref)
+    assert squares
+
+
+# certificate input_hash of the X and Y complexes of pi(7,3)
+PINNED_INPUT_HASHES = {
+    "X": "71f7ce3745abe9035182cd96797ff77ec6e1f34395482b91916091e6cd574764",
+    "Y": "2bc7231c53794ef9c187e367c7994bbf148a62ff5019d65b67ef30285f219e86",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_INPUT_HASHES))
+def test_pinned_pi73_certificate(kind):
+    cert = T.certificate(P.build_plabic_complex(C.cyclic_decorated(7, 3), kind)[0])
+    assert (cert["input_hash"], cert["pi1"]) == (PINNED_INPUT_HASHES[kind], "trivial")
+
+
+# ---------------------------------------------------------------------------
+# the collector pause
+
+
+def _wrapped_builds():
+    """(name, successful call, failing call) of each builder that pauses the
+    collector."""
+    pi52 = C.cyclic_decorated(5, 2)
+    yield "X", lambda: P.build_plabic_complex(pi52, "X"), lambda: P.build_plabic_complex(pi52, "X", vertex_cap=2)
+    yield "T", lambda: tcd.build_t_complex(pi52), lambda: tcd.build_t_complex(pi52, vertex_cap=2)
+    spec = Z.zonotope_spec(5, 2)
+    yield "tilings", lambda: Z.enumerate_tilings(spec), lambda: Z.enumerate_tilings(spec, vertex_cap=2)
+    # a graph without payloads fails build_z_complex's precondition
+    yield "Z", lambda: Z.build_z_complex(Z.enumerate_tilings(spec)), lambda: Z.build_z_complex(FlipGraph([], [], [], 0))
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False], ids=["enabled", "disabled"])
+def test_builders_restore_the_collector_state(caller_enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if caller_enabled else gc.disable)()
+        for name, ok, fails in _wrapped_builds():
+            ok()
+            assert gc.isenabled() is caller_enabled, name
+            with pytest.raises((ResourceCapExceeded, AssertionError)):
+                fails()
+            assert gc.isenabled() is caller_enabled, name
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_nested_pause_keeps_the_collector_off():
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        with collector_paused():
+            with collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()

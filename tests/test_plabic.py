@@ -14,6 +14,15 @@ from flipcells.zonotope import elems_of, mask_of
 WHITE, BLACK = C.WHITE, C.BLACK
 
 
+def square_moves_by_level(tiling):
+    """Reference route: the square moves of every cross-section, counted
+    independently of the flips."""
+    return {
+        k: [m for m in P.available_moves(P.cross_section(tiling, k)) if m.kind == "M2"]
+        for k in range(1, tiling.spec.n)
+    }
+
+
 def labels_of(sigma):
     return {frozenset(elems_of(l)) for l in sigma.labels()}
 
@@ -394,7 +403,7 @@ class TestFlipMoveCorrespondence:
         for t in g.payloads:
             pairs = P.flip_move_correspondence(t)
             assert len(pairs) == 2
-            by_level = P.square_moves_by_level(t)
+            by_level = square_moves_by_level(t)
             assert len(pairs) == sum(len(v) for v in by_level.values())
             for site, level, move in pairs:
                 assert any(

@@ -13,6 +13,15 @@ from flipcells.errors import ValidationError
 WHITE, BLACK = C.WHITE, C.BLACK
 
 
+def representative(state):
+    """Reference route: the trivalent representative of a diagram, its
+    black cliques fanned canonically."""
+    tris = list(state.whites)
+    for poly in state.black_cliques().values():
+        tris.extend(P._fan_triangles(poly))
+    return P.PlabicTriangulation.make(state.n, state.k, tris, state.boundary)
+
+
 class TestAsTcd:
     def test_square_graph_valid(self):
         g = P.dual_graph(P.seed_triangulation(C.cyclic_decorated(4, 2)))
@@ -68,7 +77,7 @@ class TestNeighbors:
         for n in range(1, 7):
             for image in itertools.permutations(range(1, n + 1)):
                 for state in tcd.enumerate_tcd(tcd.permutation_for_tcd(image)).payloads:
-                    want = [m for m in P.available_moves(state.representative()) if m.kind == "M1"]
+                    want = [m for m in P.available_moves(representative(state)) if m.kind == "M1"]
                     got = [m for m, _ in tcd.tcd_neighbors(state) if m.kind == "M1"]
                     assert got == want
 
@@ -77,12 +86,12 @@ class TestNormalization:
     def test_idempotent(self):
         for p in (C.cyclic_decorated(5, 2), C.cyclic_decorated(6, 3)):
             for state in tcd.enumerate_tcd(p).payloads:
-                assert tcd.normalize(state.representative()) == state
+                assert tcd.normalize(representative(state)) == state
 
     def test_representative_is_reduced_with_right_strands(self):
         p = C.cyclic_decorated(6, 3)
         for state in tcd.enumerate_tcd(p).payloads[:6]:
-            g = P.dual_graph(state.representative())
+            g = P.dual_graph(representative(state))
             assert P.is_reduced(g).ok
             assert P.strand_permutation(g) == p
 
@@ -127,7 +136,7 @@ class TestComplex:
 
 def lift_t_edge(s1, move, s2):
     """Lift a T edge to a path of trivalent plabic graphs (an X path)."""
-    rep1, rep2 = s1.representative(), s2.representative()
+    rep1, rep2 = representative(s1), representative(s2)
     if move.kind == "M1":
         return [rep1, rep2]
     v = move.center
