@@ -172,6 +172,8 @@ def cmd_updown(args, config: RunConfig) -> int:
         shifted = combinat.necklace_shift(necklace, args.dir)
         _emit(config, _dump(shifted.to_json()))
         return 0
+    if not args.triangulation:
+        raise ArgumentError("updown needs --necklace or --triangulation")
     with open(args.triangulation) as fh:
         sigma = plabic.PlabicTriangulation.from_json(json.load(fh))
     out = plabic.up_down_graph(sigma, args.dir)

@@ -551,7 +551,7 @@ def _square_move(center: int, star: tuple[tuple[int, int, int], ...]) -> Move | 
 def trivalent_flips(triangles, boundary) -> list[Move]:
     """Flips of two same-color triangles across an interior diagonal: M1
     for white, M3 for black.  Segments of the boundary walk never flip.
-    `triangles` is sorted, as triangulations and diagram states store it."""
+    `triangles` is sorted, as triangulations store it."""
     seg_map: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for t in triangles:
         for seg, _ in _sides(t):
@@ -1298,8 +1298,23 @@ _X_CELLS = {
     3: ("decagon_black", 10),
     4: ("pentagon_black", 5),
 }
-# Y keeps the decagons only: each projects to a pentagon of square moves
-_Y_CELLS = {h: _X_CELLS[h] for h in (2, 3)}
+# The quotients of X: the move kinds each collapses, and the embedded
+# sub-necklaces it keeps (h -> name and length of the projected cell).  Y
+# collapses the trivalent moves, so its decagons project to pentagons of
+# square moves.  T collapses the black flips: black decagons project to
+# pentagons, and black pentagons to a point.
+_QUOTIENTS = {
+    "Y": (frozenset({"M1", "M3"}), {2: ("pentagon", 5), 3: ("pentagon", 5)}),
+    "T": (
+        frozenset({"M3"}),
+        {1: ("pentagon_white", 5), 2: ("decagon", 10), 3: ("pentagon_square", 5)},
+    ),
+}
+
+
+def _disjoint_removed(a: Move, b: Move) -> bool:
+    """Operationally commuting moves modify disjoint triangles."""
+    return not set(a.removed) & set(b.removed)
 
 
 @collector_paused()
@@ -1318,29 +1333,41 @@ def build_plabic_complex(
     if kind not in ("X", "Y"):
         raise ArgumentError("kind must be 'X' or 'Y'")
     graph = enumerate_plabic(p, vertex_cap=vertex_cap)
-    # operationally commuting move pairs with disjoint modified triangles
+    if kind == "Y":
+        return quotient_complex(graph, "Y")
     quads = {}
-    for quad, a, b in commuting_squares(graph, lambda a, b: not set(a.removed) & set(b.removed)):
-        quads.setdefault(frozenset(quad), ("quad", quad, (a.kind, b.kind)))
+    for quad, _, _ in commuting_squares(graph, _disjoint_removed):
+        quads.setdefault(frozenset(quad), ("quad", quad))
+    cells = sorted_cells(quads) + sorted_cells(embedded_cells(graph, _X_CELLS))
+    complex_ = TwoComplex.from_graph(
+        graph.n_vertices,
+        [(u, v) for u, v, _ in graph.edges],
+        [cyc for _, cyc in cells],
+    )
+    info = {
+        "kind": "X",
+        "n_vertices": graph.n_vertices,
+        "n_edges": graph.n_edges,
+        "cells": [(name, list(cyc)) for name, cyc in cells],
+        "graph": graph,
+    }
+    return complex_, info
 
-    if kind == "X":
-        cells = [(name, cyc) for name, cyc, _ in sorted_cells(quads)]
-        cells += sorted_cells(embedded_cells(graph, _X_CELLS))
-        complex_ = TwoComplex.from_graph(
-            graph.n_vertices,
-            [(u, v) for u, v, _ in graph.edges],
-            [cyc for _, cyc in cells],
-        )
-        info = {
-            "kind": "X",
-            "n_vertices": graph.n_vertices,
-            "n_edges": graph.n_edges,
-            "cells": [(name, list(cyc)) for name, cyc in cells],
-            "graph": graph,
-        }
-        return complex_, info
 
-    # kind Y: quotient by trivalent moves, keep square moves
+def quotient_complex(graph: FlipGraph, kind: str):
+    """The complex `kind` ("Y" or "T") of `_QUOTIENTS`, read off X's flip graph.
+
+    Its vertices are the classes of X vertices joined by collapsed moves,
+    numbered in order of their lowest X id, and its edges the other moves
+    between distinct classes.  A quad of X is kept when neither of its moves
+    is collapsed and its corners lie in four classes.  Each kept embedded
+    cell of X must project, with repeated classes merged, onto a simple
+    cycle of its table length, or AssertionError is raised.  Returns
+    (TwoComplex, info); info also holds X's `graph` and `class_of_vertex`.
+    """
+    from .topology import TwoComplex
+
+    collapsed, table = _QUOTIENTS[kind]
     parent = list(range(graph.n_vertices))
 
     def find(x):
@@ -1350,48 +1377,51 @@ def build_plabic_complex(
         return x
 
     for u, v, m in graph.edges:
-        if m.kind in ("M1", "M3"):
+        if m.kind in collapsed:
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[max(ru, rv)] = min(ru, rv)
-    reps = sorted({find(x) for x in range(graph.n_vertices)})
-    class_id = {r: i for i, r in enumerate(reps)}
+    roots = [find(x) for x in range(graph.n_vertices)]
+    class_id = {r: i for i, r in enumerate(sorted(set(roots)))}
+    cls = [class_id[r] for r in roots]
 
-    def cls(v):
-        return class_id[find(v)]
-
-    y_edges = sorted(
+    edges = sorted(
         {
-            (min(cls(u), cls(v)), max(cls(u), cls(v)))
+            (min(cls[u], cls[v]), max(cls[u], cls[v]))
             for u, v, m in graph.edges
-            if m.kind == "M2" and cls(u) != cls(v)
+            if m.kind not in collapsed and cls[u] != cls[v]
         }
     )
-    y_cells = {}
-    for _, quad, kinds in quads.values():
-        if kinds != ("M2", "M2"):
-            continue
-        cyc = tuple(cls(v) for v in quad)
+
+    def kept(a, b):
+        return a.kind not in collapsed and b.kind not in collapsed and _disjoint_removed(a, b)
+
+    cells = {}
+    for quad, _, _ in commuting_squares(graph, kept):
+        cyc = tuple(cls[v] for v in quad)
         if len(set(cyc)) == 4:
-            y_cells.setdefault(frozenset(cyc), ("quad", cyc))
-    for _, cyc in embedded_cells(graph, _Y_CELLS).values():
+            cells.setdefault(frozenset(cyc), ("quad", cyc))
+    # X's cells of the kept sub-necklaces, each named by its h
+    for h, cyc in embedded_cells(graph, {h: (h, _X_CELLS[h][1]) for h in table}).values():
+        name, length = table[h]
         proj = []
         for v in cyc:
-            c = cls(v)
-            if not proj or (proj[-1] != c and c != proj[0]):
-                proj.append(c)
-        if len(proj) != 5 or len(set(proj)) != 5:
-            raise AssertionError("decagon does not project to a square-move pentagon")
-        y_cells.setdefault(frozenset(proj), ("pentagon", tuple(proj)))
-    cells = sorted_cells(y_cells)
-    complex_ = TwoComplex.from_graph(len(reps), y_edges, [cyc for _, cyc in cells])
+            if not proj or proj[-1] != cls[v]:
+                proj.append(cls[v])
+        if len(proj) > 1 and proj[-1] == proj[0]:
+            proj.pop()
+        if len(proj) != length or len(set(proj)) != length:
+            raise AssertionError("%s does not project to a %d-cycle of %s" % (_X_CELLS[h][0], length, kind))
+        cells.setdefault(frozenset(proj), (name, tuple(proj)))
+    cell_list = sorted_cells(cells)
+    complex_ = TwoComplex.from_graph(len(class_id), edges, [cyc for _, cyc in cell_list])
     info = {
-        "kind": "Y",
-        "n_vertices": len(reps),
-        "n_edges": len(y_edges),
-        "cells": [(name, list(cyc)) for name, cyc in cells],
+        "kind": kind,
+        "n_vertices": len(class_id),
+        "n_edges": len(edges),
+        "cells": [(name, list(cyc)) for name, cyc in cell_list],
         "graph": graph,
-        "class_of_vertex": [cls(v) for v in range(graph.n_vertices)],
+        "class_of_vertex": cls,
     }
     return complex_, info
 

@@ -9,7 +9,7 @@ trivial) but one, g, proves g trivial when the exponent sum of g in it is
 freely reduces to g^(+-1).  A relator such as g g, or g a g^-1 with a dead,
 does not.  Spreading out from the cells that cross a single non-tree edge,
 this sweep alone closes every Z, X and Y complex tested, and every T
-complex with H1 = 0 tested (n <= 7).  The second phase runs only on what
+complex with n <= 7.  The second phase runs only on what
 the first leaves: a relator in which some generator occurs exactly once is
 solved for that generator, which is then substituted away.  The residual
 presentation, on the generators that survive, presents the same group.

@@ -132,6 +132,12 @@ class TestDeterminismAndErrors:
         # plabic fixed points need a color
         assert cli.main(["plabic", "2,1,3"]) == 2
 
+    def test_updown_without_input_is_usage_error(self, capsys):
+        assert cli.main(["updown", "--dir", "up"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: updown needs --necklace or --triangulation\n"
+
     @pytest.mark.parametrize("command", ["plabic", "tcd"])
     def test_non_integer_cyclic_is_usage_error(self, capsys, command):
         assert cli.main([command, "cyclic", "6", "x"]) == 2

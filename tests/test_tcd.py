@@ -1,6 +1,10 @@
-"""Triple crossing diagrams: normalization, 2<->2 moves, the complex T."""
+"""Triple crossing diagrams: validation, the complex T = X / M3, and the
+direct move engine on contracted diagrams that it replaced, kept here as the
+reference route."""
 
 import itertools
+from dataclasses import dataclass
+from functools import cached_property
 
 import pytest
 
@@ -9,13 +13,140 @@ from flipcells import plabic as P
 from flipcells import tcd
 from flipcells import topology as T
 from flipcells.errors import ValidationError
+from flipcells.flipgraph import DEFAULT_VERTEX_CAP, bfs_closure, commuting_squares, sorted_cells
 
 WHITE, BLACK = C.WHITE, C.BLACK
 
 
+# ---------------------------------------------------------------------------
+# reference route: BFS over contracted diagrams with their own 2<->2 moves
+
+
+@dataclass(frozen=True)
+class TCDState:
+    """Normal form of a diagram: labels plus the white triangulation."""
+
+    n: int
+    k: int
+    whites: tuple
+    labels: tuple
+    boundary: tuple
+
+    def key(self):
+        return (self.whites, self.labels)
+
+    def black_cliques(self):
+        """Union mask -> members (labels) in convex (removed-element) order."""
+        return self._cliques
+
+    @cached_property
+    def _cliques(self):
+        return P._black_cliques(self.labels, self.n)
+
+    def polygons(self):
+        """The polygons that tile the region: white triangles and black cliques."""
+        return self.whites + tuple(tuple(m) for m in self.black_cliques().values())
+
+
+def normalize(sigma):
+    """Contract the black side of a trivalent plabic triangulation."""
+    whites = tuple(sorted(t for t in sigma.triangles if P.triangle_color(t) == WHITE))
+    return TCDState(sigma.n, sigma.k, whites, tuple(sorted(sigma.labels())), sigma.boundary)
+
+
+def square_moves(state):
+    """Square sites of the contracted diagram: interior labels whose star is
+    two white triangles alternating with two black regions."""
+    labs = set(state.labels)
+    boundary_set = set(state.boundary)
+    cliques = state.black_cliques()
+    star_w = {}
+    for t in state.whites:
+        for lab in t:
+            star_w.setdefault(lab, []).append(t)
+    out = []
+    for v in state.labels:
+        if v in boundary_set:
+            continue
+        whites = star_w.get(v, [])
+        if len(whites) != 2:
+            continue
+        black_faces = []
+        for u, members in cliques.items():
+            if v in members:
+                idx = members.index(v)
+                black_faces.append((u, (members[idx - 1], members[(idx + 1) % len(members)])))
+        if len(black_faces) != 2:
+            continue
+        faces = [("w", t, tuple(x for x in t if x != v)) for t in whites]
+        faces += [("b", u, nb) for u, nb in black_faces]
+        order = P._chain_pairs([f[2] for f in faces])
+        if order is None:
+            continue
+        kinds = [faces[i][0] for i in order]
+        if kinds not in (["w", "b", "w", "b"], ["b", "w", "b", "w"]):
+            continue
+        v2 = P.square_relabel(v, {x for f in faces for x in f[2]})
+        if v2 is None or v2 in labs:
+            continue
+        added = tuple(sorted(P._norm_tri((nb[0], v2, nb[1])) for u, nb in black_faces))
+        out.append(P.Move("M2", tuple(sorted(whites)), added, center=v, replacement=v2))
+    return out
+
+
+def apply_tcd_move(state, move):
+    whites = set(state.whites).difference(move.removed).union(move.added)
+    labels = state.labels
+    if move.kind == "M2":
+        labels = tuple(sorted(set(labels) - {move.center} | {move.replacement}))
+    return TCDState(state.n, state.k, tuple(sorted(whites)), labels, state.boundary)
+
+
+def tcd_neighbors(state):
+    """All 2<->2 neighbors of a normalized diagram, sorted canonically."""
+    moves = P.trivalent_flips(state.whites, state.boundary) + square_moves(state)
+    moves.sort(key=lambda m: (m.kind, m.removed, m.added, m.center))
+    return [(m, apply_tcd_move(state, m)) for m in moves]
+
+
+def seed_state(p):
+    return normalize(P.seed_triangulation(p))
+
+
+def enumerate_tcd(p, vertex_cap=DEFAULT_VERTEX_CAP):
+    """BFS closure of the 2<->2 moves.  Stored moves are labelled by their
+    plabic Move, edges by the move kind."""
+    graph = bfs_closure(
+        seed_state(p),
+        lambda frontier: map(tcd_neighbors, frontier),
+        vertex_cap,
+        "vertex cap exceeded enumerating diagrams",
+        key=TCDState.key,
+    )
+    graph.edges = [(u, v, move.kind) for u, v, move in graph.edges]
+    return graph
+
+
+T_CELLS = {1: ("pentagon_white", 5), 2: ("decagon", 10), 3: ("pentagon_square", 5)}
+
+
+def disjoint_support(a, b):
+    return not a.support_labels() & b.support_labels()
+
+
+def reference_t_cells(graph):
+    """The direct route's cells of T on `enumerate_tcd`'s graph.  Its quad
+    and area rules miss cells from n = 6 on, where H1 != 0 for 34 of 720."""
+    cells = {}
+    for quad, _, _ in commuting_squares(graph, disjoint_support):
+        cells.setdefault(frozenset(quad), ("quad", quad))
+    cells.update(P.embedded_cells(graph, T_CELLS))
+    return sorted_cells(cells)
+
+
 def representative(state):
-    """Reference route: the trivalent representative of a diagram, its
-    black cliques fanned canonically."""
+    """The trivalent representative of a diagram, its black cliques fanned
+    canonically."""
     tris = list(state.whites)
     for poly in state.black_cliques().values():
         tris.extend(P._fan_triangles(poly))
@@ -47,50 +178,50 @@ class TestAsTcd:
 
 class TestNeighbors:
     def test_square_rep_single_neighbor(self):
-        s = tcd.seed_state(C.cyclic_decorated(4, 2))
-        nbrs = tcd.tcd_neighbors(s)
+        s = seed_state(C.cyclic_decorated(4, 2))
+        nbrs = tcd_neighbors(s)
         assert len(nbrs) == 1
         assert nbrs[0][0].kind == "M2"
 
     def test_fan_rep_two_neighbors(self):
-        s = tcd.seed_state(C.cyclic_decorated(5, 1))
-        nbrs = tcd.tcd_neighbors(s)
+        s = seed_state(C.cyclic_decorated(5, 1))
+        nbrs = tcd_neighbors(s)
         assert len(nbrs) == 2
         assert all(m.kind == "M1" for m, _ in nbrs)
 
     def test_involution(self):
-        s = tcd.seed_state(C.cyclic_decorated(4, 2))
-        move, s2 = tcd.tcd_neighbors(s)[0]
-        back = [ss for _, ss in tcd.tcd_neighbors(s2) if ss.key() == s.key()]
+        s = seed_state(C.cyclic_decorated(4, 2))
+        move, s2 = tcd_neighbors(s)[0]
+        back = [ss for _, ss in tcd_neighbors(s2) if ss.key() == s.key()]
         assert len(back) == 1
 
     def test_degree_agreement(self):
         for p in (C.cyclic_decorated(5, 2), C.cyclic_decorated(6, 3)):
-            for state in tcd.enumerate_tcd(p).payloads:
+            for state in enumerate_tcd(p).payloads:
                 n_m1 = len(P.trivalent_flips(state.whites, state.boundary))
-                n_m2 = len(tcd._square_moves(state))
-                assert len(tcd.tcd_neighbors(state)) == n_m1 + n_m2
+                n_m2 = len(square_moves(state))
+                assert len(tcd_neighbors(state)) == n_m1 + n_m2
 
     def test_white_flips_are_the_m1_moves_of_the_representative(self):
         # reference route: the white flips of the trivalent representative,
         # which fans every black clique
         for n in range(1, 7):
             for image in itertools.permutations(range(1, n + 1)):
-                for state in tcd.enumerate_tcd(tcd.permutation_for_tcd(image)).payloads:
+                for state in enumerate_tcd(tcd.permutation_for_tcd(image)).payloads:
                     want = [m for m in P.available_moves(representative(state)) if m.kind == "M1"]
-                    got = [m for m, _ in tcd.tcd_neighbors(state) if m.kind == "M1"]
+                    got = [m for m, _ in tcd_neighbors(state) if m.kind == "M1"]
                     assert got == want
 
 
 class TestNormalization:
     def test_idempotent(self):
         for p in (C.cyclic_decorated(5, 2), C.cyclic_decorated(6, 3)):
-            for state in tcd.enumerate_tcd(p).payloads:
-                assert tcd.normalize(representative(state)) == state
+            for state in enumerate_tcd(p).payloads:
+                assert normalize(representative(state)) == state
 
     def test_representative_is_reduced_with_right_strands(self):
         p = C.cyclic_decorated(6, 3)
-        for state in tcd.enumerate_tcd(p).payloads[:6]:
+        for state in enumerate_tcd(p).payloads[:6]:
             g = P.dual_graph(representative(state))
             assert P.is_reduced(g).ok
             assert P.strand_permutation(g) == p
@@ -115,12 +246,11 @@ class TestComplex:
         assert [n for n, _ in info["cells"]] == ["pentagon_square"]
         assert T.h1(cx) == (0, [])
 
-    def test_h1_nonzero_certificate_is_nontrivial(self):
-        # a known defect of the T complex at n = 6: no quads are glued
+    def test_cyclic_shift_n6_certifies_trivial(self):
+        # the direct route glued no quads here and left betti1 2
         cx, _ = tcd.build_t_complex((2, 3, 4, 5, 6, 1))
         cert = T.certificate(cx)
-        assert (cert["betti1"], cert["torsion"], cert["pi1"]) == (2, [], "nontrivial")
-        assert T.certify_trivial(T.pi1_presentation(cx), budget=20000) != "trivial"
+        assert (cert["betti1"], cert["torsion"], cert["pi1"]) == (0, [], "trivial")
 
     def test_identity_single_vertex(self):
         cx, info = tcd.build_t_complex((1, 2, 3))
@@ -170,9 +300,9 @@ def lift_t_edge(s1, move, s2):
 
 
 def _path_to_representative(cur, rep):
-    assert tcd.normalize(cur) == tcd.normalize(rep)
+    assert normalize(cur) == normalize(rep)
     out = []
-    state = tcd.normalize(rep)
+    state = normalize(rep)
     for u, members in sorted(state.black_cliques().items()):
         current = {t for t in cur.triangles if P.triangle_color(t) == BLACK and P._tri_or(t) == u}
         target = {t for t in rep.triangles if P.triangle_color(t) == BLACK and P._tri_or(t) == u}
@@ -183,24 +313,66 @@ def _path_to_representative(cur, rep):
     return out
 
 
+def states_of_classes(info):
+    """Class of T -> the contracted diagram of its X vertices, checked to be
+    one diagram per class."""
+    out = {}
+    xg = info["graph"]
+    for x, c in enumerate(info["class_of_vertex"]):
+        assert out.setdefault(c, normalize(xg.payloads[x])) == normalize(xg.payloads[x])
+    return out
+
+
 class TestPhiFunctoriality:
     @pytest.mark.parametrize("image", [(3, 4, 5, 1, 2), (4, 5, 1, 2, 3), (2, 3, 4, 5, 1)])
     def test_cells_lift_to_contractible_loops(self, image):
+        # T's cells run over classes of X vertices; each class is reached on
+        # the reference route as the diagram its X vertices contract to
         p = tcd.permutation_for_tcd(image)
-        tg = tcd.enumerate_tcd(p)
-        t_complex, info = tcd.build_t_complex(p)
-        xg = P.enumerate_plabic(p)
+        tg = enumerate_tcd(p)
+        _, info = tcd.build_t_complex(p)
+        state_of = states_of_classes(info)
+        assert sorted(s.key() for s in state_of.values()) == tg.vertices
+        xg = info["graph"]
         x_index = {key: i for i, key in enumerate(xg.vertices)}
         x_edges = {(min(u, v), max(u, v)) for u, v, _ in xg.edges}
         x_complex, _ = P.build_plabic_complex(p, "X")
         assert T.h1(x_complex) == (0, [])  # every X loop is null-homologous
         for name, cyc in info["cells"]:
             for a, b in zip(cyc, cyc[1:] + [cyc[0]]):
-                sa, sb = tg.payloads[a], tg.payloads[b]
+                sa, sb = state_of[a], state_of[b]
                 move = next(
-                    m for m, nxt in tcd.tcd_neighbors(sa) if nxt.key() == sb.key()
+                    m for m, nxt in tcd_neighbors(sa) if nxt.key() == sb.key()
                 )
                 path = lift_t_edge(sa, move, sb)
                 ids = [x_index[s.key()] for s in path]
                 for u, v in zip(ids, ids[1:]):
                     assert (min(u, v), max(u, v)) in x_edges
+
+
+class TestQuotientAgainstReference:
+    """T = X / M3 against the direct engine on contracted diagrams."""
+
+    def test_n5_edges_and_cells_match_under_the_diagram_bijection(self):
+        for n in range(1, 6):
+            for image in itertools.permutations(range(1, n + 1)):
+                p = tcd.permutation_for_tcd(image)
+                cx, info = tcd.build_t_complex(p)
+                tg = enumerate_tcd(p)
+                key = {c: s.key() for c, s in states_of_classes(info).items()}
+                assert cx.nv == info["n_vertices"] == tg.n_vertices
+                assert {frozenset((key[u], key[v])) for u, v in cx.edges} == {
+                    frozenset((tg.vertices[u], tg.vertices[v])) for u, v, _ in tg.edges
+                }
+                assert {(name, frozenset(key[c] for c in cyc)) for name, cyc in info["cells"]} == {
+                    (name, frozenset(tg.vertices[v] for v in cyc)) for name, cyc in reference_t_cells(tg)
+                }
+
+    def test_n6_diagrams_and_edge_counts_match_and_every_complex_certifies(self):
+        for image in itertools.permutations(range(1, 7)):
+            cx, info = tcd.build_t_complex(image)
+            tg = enumerate_tcd(tcd.permutation_for_tcd(image))
+            assert sorted(s.key() for s in states_of_classes(info).values()) == tg.vertices
+            assert len(cx.edges) == tg.n_edges
+            cert = T.certificate(cx)
+            assert (cert["betti1"], cert["torsion"], cert["pi1"]) == (0, [], "trivial")
