@@ -96,6 +96,8 @@ def _load_necklace(text: str) -> GrassmannNecklace:
             data = json.load(fh)
     except OSError:
         data = json.loads(text)
+    if not isinstance(data, list) or not all(combinat.is_subset_json(s, len(data)) for s in data):
+        raise ValidationError("a necklace is a JSON list of n subsets of [n], each a list")
     return GrassmannNecklace.make(len(data), data)
 
 
@@ -254,8 +256,13 @@ def cmd_export(args, config: RunConfig) -> int:
             raise ArgumentError("flip graphs export to dot")
         with open(args.flip_graph) as fh:
             data = json.load(fh)
+        edges = data.get("edges") if isinstance(data, dict) else None
+        if not isinstance(edges, list) or not all(
+            isinstance(e, dict) and type(e.get("u")) is int and type(e.get("v")) is int for e in edges
+        ):
+            raise ValidationError('a flip graph is {"edges": [{"u": int, "v": int}, ...], ...}')
         lines = ["graph exported {"]
-        for e in data["edges"]:
+        for e in edges:
             lines.append("  %d -- %d;" % (e["u"], e["v"]))
         lines.append("}")
         _emit(config, "\n".join(lines))

@@ -7,12 +7,21 @@ Conventions used throughout the package:
   color in {white, black};
 * the necklace <-> permutation bijection is driven by the exchange rule
   I_{i+1} = (I_i \\ {i}) u {pi(i)}, with a fixed point i colored black
-  exactly when i lies in I_i.
+  exactly when i lies in I_i;
+* a k-subset is a bitmask, and `colex_masks(n, k)` numbers the k-subsets
+  of [n] in colex order.  Weak separation of collections is read off
+  separation rows: `separated_row(n, k, mask)` is the bitset over those
+  numbers of the k-subsets weakly separated from `mask`, built lazily for
+  each label that needs one.  A collection is weakly separated iff every
+  member's bit survives the AND of all members' rows, and the colex-greedy
+  extension keeps a candidate iff its bit survives the AND of the rows
+  kept so far.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -21,6 +30,12 @@ from .errors import ArgumentError, PreconditionError, ValidationError
 
 WHITE = "white"
 BLACK = "black"
+
+# Bound of each site memo.  A site (a label, a triangle, a polygon, two
+# triangles across a diagonal, or a center and its four triangles) fixes
+# what is read from it, so every vertex and every connectivity that holds
+# it shares one answer.
+SITE_CACHE_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -108,10 +123,11 @@ class GrassmannNecklace:
         if len(self.sets) != self.n or self.n == 0:
             raise ValidationError("necklace must have exactly n nonzero entries")
         k = len(self.sets[0])
+        ground = frozenset(range(1, self.n + 1))
         for s in self.sets:
             if len(s) != k:
                 raise ValidationError("all necklace entries must have equal size")
-            if not s <= set(range(1, self.n + 1)):
+            if not s <= ground:
                 raise ValidationError("necklace entries must be subsets of [n]")
         for i in range(1, self.n + 1):
             cur = self.sets[i - 1]
@@ -274,6 +290,11 @@ def is_weakly_separated(a: Iterable[int], b: Iterable[int], n: int) -> bool:
     return changes <= 2
 
 
+def is_subset_json(data, n) -> bool:
+    """True when JSON `data` is a list of elements of [n] (ints)."""
+    return isinstance(data, list) and all(type(i) is int and 1 <= i <= n for i in data)
+
+
 def mask_of(elems: Iterable[int]) -> int:
     m = 0
     for i in elems:
@@ -315,6 +336,112 @@ def colex_masks(n: int, k: int) -> tuple[int, ...]:
     return tuple(sorted(mask_of(c) for c in itertools.combinations(range(1, n + 1), k)))
 
 
+@lru_cache(maxsize=None)
+def colex_index(n: int, k: int) -> dict[int, int]:
+    """Position of each k-subset mask of [n] in `colex_masks(n, k)`."""
+    return {m: j for j, m in enumerate(colex_masks(n, k))}
+
+
+@lru_cache(maxsize=None)
+def _element_rows(n: int, k: int) -> tuple[int, ...]:
+    """For each i in [n], the bitset over `colex_masks(n, k)` positions of
+    the k-subsets that hold i.
+
+    Colex order lists the k-subsets of [n-1] first and then those holding
+    n, so each row is the row for [n-1] with the (k-1)-row shifted above it.
+    """
+    if n == 0 or k > n:
+        return (0,) * n
+    shift = math.comb(n - 1, k)
+    lower = _element_rows(n - 1, k)
+    upper = _element_rows(n - 1, k - 1) if k else (0,) * (n - 1)
+    top = ((1 << math.comb(n - 1, k - 1)) - 1) << shift if k else 0
+    return tuple(lo | up << shift for lo, up in zip(lower, upper)) + (top,)
+
+
+@lru_cache(maxsize=SITE_CACHE_SIZE)
+def separated_row(n: int, k: int, mask: int, start: int = 0) -> int:
+    """The bitset over `colex_masks(n, k)` positions >= `start` of the
+    k-subsets weakly separated from the k-subset `mask`.
+
+    Two k-subsets fail to be weakly separated iff, read along 1..n, their
+    differences alternate A, B, A, B or B, A, B, A (A = mask minus the
+    other, B = the other minus mask).  One pass over the elements tracks,
+    for all positions at once, which prefixes of those two patterns have
+    shown up, so a row costs about 4n bitset operations.
+    """
+    live = ((1 << len(colex_masks(n, k))) - 1) >> start << start
+    a = ab = aba = b = ba = bab = dead = 0
+    for i, holds in enumerate(_element_rows(n, k)):
+        if mask >> i & 1:
+            x = live & ~holds
+            dead |= bab & x
+            aba |= ab & x
+            ba |= b & x
+            a |= x
+        else:
+            dead |= aba & holds
+            bab |= ba & holds
+            ab |= a & holds
+            b |= holds
+    return live & ~dead
+
+
+def separated_from_all(n: int, k: int, labels) -> int:
+    """The bitset of the k-subsets weakly separated from every label mask
+    in `labels`: the AND of their separation rows.
+
+    Raises ValidationError when a label is not a k-subset of [n], or names
+    two labels that are not weakly separated: a member whose bit does not
+    survive the AND, and a member whose row clears it.
+    """
+    index = colex_index(n, k)
+    ok = -1
+    members = 0
+    for m in labels:
+        j = index.get(m)
+        if j is None:
+            raise ValidationError("label %s is not a %d-subset of [%d]" % (elems_of(m), k, n))
+        ok &= separated_row(n, k, m)
+        members |= 1 << j
+    bad = members & ~ok
+    if bad:
+        a = colex_masks(n, k)[(bad & -bad).bit_length() - 1]
+        b = next(m for m in labels if not separated_row(n, k, m) >> index[a] & 1)
+        raise ValidationError(
+            "labels %s and %s are not weakly separated" % (elems_of(min(a, b)), elems_of(max(a, b)))
+        )
+    return ok
+
+
+def colex_greedy(n: int, k: int, base, accept=None) -> list[int]:
+    """Extend the weakly separated label masks `base` by one colex scan.
+
+    Every other k-subset is read once, in colex order, and kept when it is
+    weakly separated from every label kept so far and `accept(mask)` holds
+    (default: always).  The scan reads one bit per candidate: the AND of
+    the kept labels' rows.  A kept candidate's row covers only the
+    positions after it, the only ones the scan still reads.  Returns `base`
+    followed by the kept candidates in colex order.
+    """
+    masks = colex_masks(n, k)
+    index = colex_index(n, k)
+    kept = list(base)
+    free = separated_from_all(n, k, kept)
+    for m in kept:
+        free &= ~(1 << index[m])
+    while free:
+        low = free & -free
+        j = low.bit_length() - 1
+        cand = masks[j]
+        if accept is None or accept(cand):
+            kept.append(cand)
+            free &= separated_row(n, k, cand, j + 1)
+        else:
+            free ^= low
+    return kept
+
+
 def extend_to_maximal_ws(collection: LabelCollection) -> LabelCollection:
     """Extend a weakly separated collection to a maximal one inside C([n], k).
 
@@ -322,16 +449,7 @@ def extend_to_maximal_ws(collection: LabelCollection) -> LabelCollection:
     which makes the output deterministic.
     """
     n, k = collection.n, collection.k
-    members = [mask_of(s) for s in collection.labels]
-    for x, y in itertools.combinations(members, 2):
-        if not is_weakly_separated_mask(x, y):
-            raise ValidationError("input collection is not weakly separated")
-    have = set(members)
-    for cand in colex_masks(n, k):
-        if cand in have:
-            continue
-        if all(is_weakly_separated_mask(cand, m) for m in have):
-            have.add(cand)
+    have = colex_greedy(n, k, [mask_of(s) for s in collection.labels])
     return LabelCollection(n, k, frozenset(frozenset(elems_of(m)) for m in have))
 
 

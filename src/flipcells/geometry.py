@@ -67,18 +67,20 @@ def winding_number(walk: Sequence[Point], z: Point) -> int:
     Counts signed crossings of the horizontal ray from z to -infinity.  It is
     undefined for a point on the walk, so such a z raises ValueError.
     """
+    if not walk:
+        return 0
+    zx, zy = z
     w = 0
-    m = len(walk)
-    for i in range(m):
-        p = walk[i]
-        q = walk[(i + 1) % m]
-        if not min(p[1], q[1]) <= z[1] <= max(p[1], q[1]):
-            continue
-        o = orient(p, q, z)
-        if o == 0 and min(p[0], q[0]) <= z[0] <= max(p[0], q[0]):
-            raise ValueError("point %s lies on the walk" % (z,))
-        if p[1] <= z[1] < q[1] and o < 0:
-            w += 1
-        elif q[1] <= z[1] < p[1] and o > 0:
-            w -= 1
+    px, py = walk[-1]
+    for qx, qy in walk:
+        if py <= zy <= qy or qy <= zy <= py:
+            # orient(p, q, z), inlined
+            o = (qx - px) * (zy - py) - (qy - py) * (zx - px)
+            if o == 0 and (px <= zx <= qx or qx <= zx <= px):
+                raise ValueError("point %s lies on the walk" % (z,))
+            if py <= zy < qy and o < 0:
+                w += 1
+            elif qy <= zy < py and o > 0:
+                w -= 1
+        px, py = qx, qy
     return w

@@ -21,6 +21,7 @@ from functools import cached_property, lru_cache
 from . import combinat
 from .combinat import (
     BLACK,
+    SITE_CACHE_SIZE,
     WHITE,
     DecoratedPermutation,
     GrassmannNecklace,
@@ -45,12 +46,6 @@ from .flipgraph import (
 )
 from .geometry import ccw_order, orient, shoelace2, triangle_area2, winding_number
 from .zonotope import SignedSubset, Tiling, ZonotopeSpec
-
-# Bound of each site memo.  A site (a triangle, a polygon, two triangles
-# across a diagonal, or a center and its four triangles) fixes what is read
-# from it, so every vertex and every connectivity that holds it shares one
-# answer.
-SITE_CACHE_SIZE = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -108,6 +103,22 @@ def _sides(tri) -> tuple[tuple[tuple[int, int], int], ...]:
     opposite it."""
     a, b, c = sorted(tri)
     return (((a, b), c), ((a, c), b), ((b, c), a))
+
+
+def _ccw_sides(tri) -> tuple[tuple[tuple[int, int], int, int], ...]:
+    """The sides of a sorted triangle in counterclockwise order, each as
+    (sorted label pair, opposite label, +1 or -1 as the opposite label lies
+    left or right of the pair read from its smaller label).
+
+    The sides run counterclockwise as their opposite labels do.  A white or
+    black triangle is never flat: its points lie on a translate of the
+    moment curve.
+    """
+    a, b, c = tri
+    s = orient(pos(a), pos(b), pos(c))
+    if s > 0:
+        return (((b, c), a, s), ((a, c), b, -s), ((a, b), c, s))
+    return (((b, c), a, s), ((a, b), c, s), ((a, c), b, -s))
 
 
 def _norm_tri(labels) -> tuple[int, int, int]:
@@ -179,13 +190,7 @@ class PlabicTriangulation:
                 raise ValidationError("label %s is not a k-subset of [n]" % (elems_of(lab),))
         for t in self.triangles:
             triangle_color(t)
-        labs = sorted(self.labels())
-        for a, b in itertools.combinations(labs, 2):
-            if not combinat.is_weakly_separated_mask(a, b):
-                raise ValidationError(
-                    "labels %s and %s are not weakly separated"
-                    % (elems_of(a), elems_of(b))
-                )
+        combinat.separated_from_all(self.n, self.k, self.labels())
         if self.triangles_area2() != self.boundary_area2():
             raise ValidationError("triangles do not tile the boundary region")
 
@@ -206,6 +211,27 @@ class PlabicTriangulation:
 
     @staticmethod
     def from_json(data: dict) -> "PlabicTriangulation":
+        """Read the `to_json` form; colors and positions are recomputed.
+        JSON of another shape raises ValidationError."""
+        n = data.get("n") if isinstance(data, dict) else None
+        if not (
+            type(n) is int
+            and type(data.get("k")) is int
+            and isinstance(data.get("triangles"), list)
+            and isinstance(data.get("boundary"), list)
+            and all(combinat.is_subset_json(b, n) for b in data["boundary"])
+            and all(
+                isinstance(t, dict)
+                and isinstance(t.get("labels"), list)
+                and all(combinat.is_subset_json(l, n) for l in t["labels"])
+                for t in data["triangles"]
+            )
+        ):
+            raise ValidationError(
+                'a plabic triangulation is {"n": int, "k": int, "triangles": '
+                '[{"labels": [subset, ...]}, ...], "boundary": [subset, ...]} '
+                "with subsets of [n] as lists"
+            )
         tris = [tuple(mask_of(l) for l in t["labels"]) for t in data["triangles"]]
         boundary = [mask_of(b) for b in data["boundary"]]
         return PlabicTriangulation.make(data["n"], data["k"], tris, boundary)
@@ -285,33 +311,27 @@ class PlabicGraph:
         }
 
 
-def dual_graph(sigma: PlabicTriangulation) -> PlabicGraph:
-    """Planar dual of a plabic triangulation, with boundary legs b_1..b_n.
+def _dual_links(sigma: PlabicTriangulation):
+    """The links of the dual graph, read off the triangles.
 
-    b_i attaches across the boundary step I_i -> I_{i+1}; a step with no
-    triangle on its inner (left) side pairs up with the reverse traversal of
-    the same segment and yields a direct b_i -- b_j edge; a stalled step
-    (fixed point) yields an isolated vertex colored by the necklace.
+    Returns the triangle colors; the `_ccw_sides` of each triangle; the
+    interior segments as (segment, (t1, third1), (t2, third2)), one per
+    pair of triangles across it; and the boundary links in step order:
+    (i, t, third) for a leg b_i into triangle t across its side opposite
+    `third`, (i, None, j) for a direct b_i -- b_j edge.  Raises
+    ValidationError when the triangles do not tile the region inside the
+    walk.
     """
-    tris = list(sigma.triangles)
-    colors: list[str] = [triangle_color(t) for t in tris]
-    seg_map: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for ti, t in enumerate(tris):
-        for seg, third in _sides(t):
-            seg_map.setdefault(seg, []).append((ti, third))
+    colors = [triangle_color(t) for t in sigma.triangles]
+    sides = [_ccw_sides(t) for t in sigma.triangles]
+    seg_map: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for ti, tri_sides in enumerate(sides):
+        for seg, third, side in tri_sides:
+            seg_map.setdefault(seg, []).append((ti, third, side))
     walked = walked_segments(sigma.boundary)
 
-    edges: list[tuple[tuple, tuple]] = []
-    # arms[v]: (dart, direction from the opposite label across the segment)
-    # of every dart at triangle v, in edge order
-    arms: list[list[tuple[tuple[int, int], tuple[int, int]]]] = [[] for _ in tris]
-
-    def arm(ti, end, a, b, third):
-        pa, pb, pc = pos(a), pos(b), pos(third)
-        arms[ti].append(((len(edges), end), (pa[0] + pb[0] - 2 * pc[0], pa[1] + pb[1] - 2 * pc[1])))
-
-    # interior edges between triangles
-    for seg, lst in sorted(seg_map.items()):
+    interior = []
+    for seg, lst in seg_map.items():
         if seg in walked:
             continue
         if len(lst) == 1:
@@ -320,31 +340,29 @@ def dual_graph(sigma: PlabicTriangulation) -> PlabicGraph:
             )
         if len(lst) != 2:
             raise ValidationError("segment %s borders %d triangles" % (seg, len(lst)))
-        (t1, th1), (t2, th2) = lst
-        p, q = pos(seg[0]), pos(seg[1])
-        if orient(p, q, pos(th1)) * orient(p, q, pos(th2)) >= 0:
+        (t1, th1, side1), (t2, th2, side2) = lst
+        if side1 == side2:
             raise ValidationError("triangles overlap across segment %s" % (seg,))
-        arm(t1, 0, seg[0], seg[1], th1)
-        arm(t2, 1, seg[0], seg[1], th2)
-        edges.append((("v", t1), ("v", t2)))
+        interior.append((seg, (t1, th1), (t2, th2)))
 
-    # boundary legs
     steps = sigma.walk_steps()
     step_by_pair: dict[tuple[int, int], list[int]] = {}
     for i, a, b in steps:
         step_by_pair.setdefault((a, b), []).append(i)
+    boundary = []
+    legs: dict[tuple[int, int], int] = {}
     done_bb = set()
     for i, a, b in steps:
-        candidates = [
-            (ti, third)
-            for (ti, third) in seg_map.get((min(a, b), max(a, b)), [])
-            if orient(pos(a), pos(b), pos(third)) > 0
-        ]
+        up = 1 if a < b else -1
+        seg = (a, b) if a < b else (b, a)
+        candidates = [(ti, third) for ti, third, side in seg_map.get(seg, ()) if side == up]
         if len(candidates) > 1:
             raise ValidationError("boundary step %d has two inner triangles" % i)
         if candidates:
-            arm(candidates[0][0], 0, a, b, candidates[0][1])
-            edges.append((("v", candidates[0][0]), ("b", i)))
+            if candidates[0] in legs:
+                raise ValidationError("boundary steps %d and %d cross one side" % (legs[candidates[0]], i))
+            legs[candidates[0]] = i
+            boundary.append((i,) + candidates[0])
             continue
         partners = step_by_pair.get((b, a), [])
         if len(partners) != 1:
@@ -352,7 +370,41 @@ def dual_graph(sigma: PlabicTriangulation) -> PlabicGraph:
         j = partners[0]
         if (min(i, j), max(i, j)) not in done_bb:
             done_bb.add((min(i, j), max(i, j)))
-            edges.append((("b", i), ("b", j)))
+            boundary.append((i, None, j))
+    return colors, sides, interior, boundary
+
+
+def dual_graph(sigma: PlabicTriangulation) -> PlabicGraph:
+    """Planar dual of a plabic triangulation, with boundary legs b_1..b_n.
+
+    b_i attaches across the boundary step I_i -> I_{i+1}; a step with no
+    triangle on its inner (left) side pairs up with the reverse traversal of
+    the same segment and yields a direct b_i -- b_j edge; a stalled step
+    (fixed point) yields an isolated vertex colored by the necklace.
+    """
+    colors, _, interior, boundary = _dual_links(sigma)
+    edges: list[tuple[tuple, tuple]] = []
+    # arms[v]: (dart, direction from the opposite label across the segment)
+    # of every dart at triangle v, in edge order
+    arms: list[list[tuple[tuple[int, int], tuple[int, int]]]] = [[] for _ in colors]
+
+    def arm(ti, end, a, b, third):
+        pa, pb, pc = pos(a), pos(b), pos(third)
+        arms[ti].append(((len(edges), end), (pa[0] + pb[0] - 2 * pc[0], pa[1] + pb[1] - 2 * pc[1])))
+
+    # interior edges between triangles
+    for seg, (t1, th1), (t2, th2) in sorted(interior):
+        arm(t1, 0, seg[0], seg[1], th1)
+        arm(t2, 1, seg[0], seg[1], th2)
+        edges.append((("v", t1), ("v", t2)))
+
+    # boundary legs
+    for i, ti, x in boundary:
+        if ti is None:
+            edges.append((("b", i), ("b", x)))
+        else:
+            arm(ti, 0, sigma.boundary[i - 1], sigma.boundary[i % sigma.n], x)
+            edges.append((("v", ti), ("b", i)))
 
     # rotation systems for triangle-dual vertices
     rotations: list[tuple[tuple[int, int], ...]] = []
@@ -425,6 +477,73 @@ def _strand_walk(graph: PlabicGraph, i: int) -> tuple[int, list[tuple[int, int]]
         e, end = rot[(pos_in_rot + step) % len(rot)]
         if len(path) > cap:
             raise MalformedGraphError("strand %d exceeded 2|E| steps" % i)
+
+
+def trip_permutation(sigma: PlabicTriangulation) -> DecoratedPermutation:
+    """`strand_permutation(dual_graph(sigma))`, walked on the triangles.
+
+    A strand that enters a triangle across one side leaves it across the
+    next side counterclockwise at a white triangle and the previous one at
+    a black triangle, counting only the sides the dual graph has an edge
+    across.  Raises what `dual_graph` and `strand_permutation` raise on the
+    same triangulation.
+    """
+    return DecoratedPermutation.make(*_trips(sigma))
+
+
+def _trips(sigma: PlabicTriangulation) -> tuple[tuple[int, ...], dict[int, str]]:
+    """The image and the fixed-point colors of `trip_permutation`."""
+    n = sigma.n
+    colors, sides, interior, boundary = _dual_links(sigma)
+    # across[t][third]: where the side of triangle t opposite `third` leads,
+    # a (triangle, third) pair or the index of a boundary leg
+    across: list[dict] = [{} for _ in colors]
+    for _, (t1, th1), (t2, th2) in interior:
+        across[t1][th1] = (t2, th2)
+        across[t2][th2] = (t1, th1)
+    entry: dict[int, object] = {}
+    edges_at = [0] * (n + 1)
+    for i, ti, x in boundary:
+        if ti is None:
+            entry[i], entry[x] = x, i
+            edges_at[x] += 1
+        else:
+            across[ti][x] = i
+            entry[i] = (ti, x)
+        edges_at[i] += 1
+    # succ[(t, third)]: where a strand that enters t across the side
+    # opposite `third` goes next.  succ is one-to-one and no dart entered
+    # from a leg is in its image, so every walk ends at a leg.
+    succ = {}
+    for ti, tri_sides in enumerate(sides):
+        side = across[ti]
+        ring = [x for _, x, _ in tri_sides if x in side]
+        turn = 1 if colors[ti] == WHITE else -1
+        for j, x in enumerate(ring):
+            succ[ti, x] = side[ring[(j + turn) % len(ring)]]
+
+    image = []
+    fixed = {}
+    for i in range(1, n + 1):
+        a = sigma.boundary[i - 1]
+        if a == sigma.boundary[i % n]:
+            edges_at[i] += 1
+        if edges_at[i] != 1:
+            raise MalformedGraphError("boundary vertex b_%d must have exactly one edge" % i)
+        if i not in entry:
+            image.append(i)
+            fixed[i] = BLACK if a >> (i - 1) & 1 else WHITE
+            continue
+        at = entry[i]
+        while type(at) is tuple:
+            at = succ[at]
+        image.append(at)
+        if at == i:
+            # a strand back at its own leg through a triangle with one edge
+            # is a fixed point of that triangle's color, as in the dual graph
+            ti = entry[i][0] if type(entry[i]) is tuple else None
+            fixed[i] = colors[ti] if ti is not None and len(across[ti]) == 1 else WHITE
+    return tuple(image), fixed
 
 
 @dataclass
@@ -650,15 +769,14 @@ def triangulation_from_labels(
     white/black cliques become convex polygons fanned from their
     colex-minimal vertex."""
     labels = sorted(mask_of(s) for s in collection.labels)
+    combinat.separated_from_all(collection.n, collection.k, labels)
     walk = tuple(mask_of(s) for s in boundary.sets)
     return _tile_labels(collection.n, collection.k, labels, walk)
 
 
 def _tile_labels(n: int, k: int, labels: list[int], walk: tuple[int, ...]) -> PlabicTriangulation:
-    """`triangulation_from_labels` on sorted label masks and a walk of masks."""
-    for a, b in itertools.combinations(labels, 2):
-        if not combinat.is_weakly_separated_mask(a, b):
-            raise ValidationError("collection is not weakly separated")
+    """`triangulation_from_labels` on sorted, weakly separated label masks
+    and a walk of masks."""
     if not set(walk) <= set(labels):
         raise ValidationError("boundary label missing from the collection")
     tris = []
@@ -715,11 +833,15 @@ def seed_triangulation(p: DecoratedPermutation) -> PlabicTriangulation:
     necklace walk, tiled by its white and black clique polygons
     (Oh-Postnikov-Speyer).
 
-    The collection starts from the necklace labels and scans the k-subsets
-    once in colex order, keeping each one that is weakly separated from
-    every label kept so far and whose point the walk winds around.  A
-    candidate that passes the separation test but lies on the walk has no
-    winding number, and raises ValidationError.
+    The collection starts from the necklace labels, which must be pairwise
+    weakly separated, and scans the other k-subsets once in colex order
+    (`combinat.colex_greedy`).  It keeps a candidate whose bit survives
+    the AND of the separation rows of the labels kept so far and whose
+    point the walk winds around.  A candidate that passes the separation
+    test but lies on the walk has no winding number, and raises
+    ValidationError.  The clique polygons must tile the walk's region
+    (area check), and the strands walked on the triangles from each leg
+    (`trip_permutation`) must give back p.
     """
     necklace = combinat.necklace_of(p)
     n, k = p.n, necklace.k
@@ -727,20 +849,17 @@ def seed_triangulation(p: DecoratedPermutation) -> PlabicTriangulation:
     if k == 0 or k == n:
         return PlabicTriangulation.make(n, k, [], walk)
     walk_pts = [pos(m) for m in walk]
-    walk_set = set(walk)
-    kept = sorted(walk_set)
-    for cand in combinat.colex_masks(n, k):
-        if cand in walk_set or not all(combinat.is_weakly_separated_mask(cand, m) for m in kept):
-            continue
+
+    def inside(cand: int) -> bool:
         try:
-            inside = winding_number(walk_pts, pos(cand))
+            return winding_number(walk_pts, pos(cand)) != 0
         except ValueError as exc:
             raise ValidationError("label %s lies on the necklace walk" % (elems_of(cand),)) from exc
-        if inside:
-            kept.append(cand)
+
+    kept = combinat.colex_greedy(n, k, sorted(set(walk)), inside)
     sigma = _tile_labels(n, k, sorted(kept), walk)
-    dual = dual_graph(sigma)
-    if strand_permutation(dual) != p:
+    image, fixed = _trips(sigma)
+    if image != p.image or tuple(sorted(fixed.items())) != p.fixed_color:
         raise AssertionError("seed triangulation has wrong strand permutation")
     return sigma
 

@@ -631,6 +631,16 @@ def tiling_to_json(tiling: Tiling) -> dict:
 
 
 def tiling_from_json(data: dict) -> Tiling:
+    """Read `{"n": int, "d": int, "tiles": [sign string, ...]}`; JSON of
+    another shape raises ValidationError."""
+    if not (
+        isinstance(data, dict)
+        and type(data.get("n")) is int
+        and type(data.get("d")) is int
+        and isinstance(data.get("tiles"), list)
+        and all(isinstance(s, str) for s in data["tiles"])
+    ):
+        raise ValidationError('a tiling is {"n": int, "d": int, "tiles": [sign string, ...]}')
     spec = ZonotopeSpec(data["n"], data["d"])
     tiles = [SignedSubset.from_sign_string(s) for s in data["tiles"]]
     return Tiling.from_tiles(spec, tiles)

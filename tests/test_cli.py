@@ -231,6 +231,25 @@ class TestFormats:
         assert cli.main(["export", "--format", "svg"]) == 2
         assert "--flip-graph or --triangulation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cross-section", "--tiling", "EMPTY", "--level", "2"],
+            ["align", "--tiling-a", "EMPTY", "--tiling-b", "EMPTY", "--level", "2"],
+            ["export", "--triangulation", "EMPTY"],
+            ["updown", "--triangulation", "EMPTY", "--dir", "up"],
+            ["export", "--flip-graph", "EMPTY", "--format", "dot"],
+            ["updown", "--dir", "up", "--necklace", "5"],
+        ],
+    )
+    def test_wrong_shaped_json_is_usage_error(self, capsys, tmp_path, argv):
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}")
+        assert cli.main([str(empty) if a == "EMPTY" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a ")
+
 
 class TestHarnessConfig:
     def test_out_dir_env(self, capsys, tmp_path, monkeypatch):

@@ -206,6 +206,38 @@ def all_maximal_ws(n, k):
     return set(out)
 
 
+class TestSeparationRows:
+    def test_rows_equal_the_pairwise_test(self):
+        for n in range(0, 9):
+            for k in range(0, n + 1):
+                masks = C.colex_masks(n, k)
+                for a in masks:
+                    row = sum(1 << j for j, b in enumerate(masks) if C.is_weakly_separated_mask(a, b))
+                    assert C.separated_row(n, k, a) == row
+                    start = C.colex_index(n, k)[a] + 1
+                    assert C.separated_row(n, k, a, start) == row >> start << start
+
+    def test_collection_names_a_pair(self):
+        square = [C.mask_of(s) for s in ([1, 2], [2, 3], [3, 4], [1, 4], [1, 3])]
+        assert C.separated_from_all(4, 2, square) >> C.colex_index(4, 2)[C.mask_of([2, 4])] & 1 == 0
+        with pytest.raises(ValidationError, match=r"\(1, 3\) and \(2, 4\)"):
+            C.separated_from_all(4, 2, square + [C.mask_of([2, 4])])
+
+    def test_labels_must_be_k_subsets(self):
+        with pytest.raises(ValidationError, match="not a 2-subset"):
+            C.separated_from_all(4, 2, [C.mask_of([1, 2]), C.mask_of([1, 2, 3])])
+        with pytest.raises(ValidationError, match="not a 2-subset"):
+            C.separated_from_all(4, 2, [C.mask_of([1, 5])])
+
+    def test_greedy_equals_the_pairwise_scan(self):
+        for n, k in [(5, 2), (6, 3), (7, 3)]:
+            have = []
+            for cand in C.colex_masks(n, k):
+                if all(C.is_weakly_separated_mask(cand, m) for m in have):
+                    have.append(cand)
+            assert C.colex_greedy(n, k, []) == have
+
+
 class TestExtension:
     def test_already_maximal_unchanged(self):
         coll = C.LabelCollection.make(4, 2, [[1, 2], [2, 3], [3, 4], [1, 4], [1, 3]])

@@ -1,6 +1,7 @@
 """Plabic triangulations: cross-sections, duals, strands, moves, layers."""
 
 import itertools
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from flipcells import plabic as P
 from flipcells import topology as T
 from flipcells import zonotope as Z
 from flipcells.errors import ArgumentError, MalformedGraphError, PreconditionError, ValidationError
+from flipcells.geometry import winding_number
 from flipcells.zonotope import elems_of, mask_of
 
 WHITE, BLACK = C.WHITE, C.BLACK
@@ -41,6 +43,30 @@ def revcolex_seed(p):
             have.add(cand)
     forced = {(min(a, b), max(a, b)) for a, b in zip(walk, walk[1:] + walk[:1]) if a != b}
     return P.restrict_to_walk(P._cyclic_triangulation(sorted(have), n, k, forced), walk)
+
+
+def reference_seed(p):
+    """Reference route for `seed_triangulation`: the colex scan tests each
+    candidate pair by pair against every kept label, every label pair is
+    tested again before tiling, and the strands are walked on the dual
+    graph."""
+    necklace = C.necklace_of(p)
+    n, k = p.n, necklace.k
+    walk = tuple(mask_of(s) for s in necklace.sets)
+    if k == 0 or k == n:
+        return P.PlabicTriangulation.make(n, k, [], walk)
+    walk_pts = [P.pos(m) for m in walk]
+    kept = sorted(set(walk))
+    for cand in C.colex_masks(n, k):
+        if cand in walk or not all(C.is_weakly_separated_mask(cand, m) for m in kept):
+            continue
+        if winding_number(walk_pts, P.pos(cand)):
+            kept.append(cand)
+    for a, b in itertools.combinations(kept, 2):
+        assert C.is_weakly_separated_mask(a, b)
+    sigma = P._tile_labels(n, k, sorted(kept), walk)
+    assert P.strand_permutation(P.dual_graph(sigma)) == p
+    return sigma
 
 
 def count_triangulations(m):
@@ -285,7 +311,67 @@ class TestEnumeration:
                 assert nk <= set(sigma.labels())
 
 
+class TestSeedReference:
+    def test_every_seed_up_to_6(self):
+        for n in range(1, 7):
+            for p in C.all_decorated_permutations(n):
+                assert P.seed_triangulation(p).key() == reference_seed(p).key(), p
+
+    def test_sample_of_7(self):
+        for p in random.Random(7).sample(list(C.all_decorated_permutations(7)), 500):
+            assert P.seed_triangulation(p).key() == reference_seed(p).key(), p
+
+
+class TestTripWalk:
+    def test_equals_dual_walk_on_x_vertices(self):
+        for n in range(1, 6):
+            for p in C.all_decorated_permutations(n):
+                for sigma in P.enumerate_plabic(p).payloads:
+                    assert P.trip_permutation(sigma) == P.strand_permutation(P.dual_graph(sigma))
+
+    def test_equals_dual_walk_on_z53_sections(self):
+        for tiling in Z.enumerate_tilings(Z.zonotope_spec(5, 3)).payloads:
+            for k in range(1, 5):
+                sigma = P.cross_section(tiling, k)
+                assert P.trip_permutation(sigma) == P.strand_permutation(P.dual_graph(sigma))
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("removed", "borders a single triangle"),
+            ("overlap", "overlap across segment"),
+            ("hanging", "hanging boundary step 1 has no reverse partner"),
+            ("repeated", "boundary steps 1 and 4 cross one side"),
+        ],
+    )
+    def test_bad_triangulations_raise(self, case, message):
+        if case == "removed":
+            seed = P.seed_triangulation(C.cyclic_decorated(4, 2))
+            sigma = P.PlabicTriangulation.make(4, 2, seed.triangles[1:], seed.boundary)
+        elif case == "overlap":
+            # {1} and {5} lie on one side of the chord {2} -- {4} of the
+            # pentagon, so both triangles over that chord do too
+            tris = [(1, 2, 8), (2, 8, 16)]
+            sigma = P.PlabicTriangulation.make(5, 1, tris, P.cyclic_walk(5, 1))
+        elif case == "hanging":
+            sigma = P.PlabicTriangulation.make(3, 1, [], P.cyclic_walk(3, 1))
+        else:
+            # a walk that is no necklace: it steps {1} -> {2} twice
+            sigma = P.PlabicTriangulation.make(6, 1, [(1, 2, 4)], (1, 2, 4, 1, 2, 4))
+        with pytest.raises(ValidationError, match=message) as walk_exc:
+            P.trip_permutation(sigma)
+        with pytest.raises(ValidationError, match=message) as dual_exc:
+            P.dual_graph(sigma)
+        assert str(walk_exc.value) == str(dual_exc.value)
+
+
 class TestFromLabels:
+    def test_rejects_one_pair_not_weakly_separated(self):
+        # 13 and 24 cross; every other pair is weakly separated
+        coll = C.LabelCollection.make(4, 2, [[1, 2], [2, 3], [3, 4], [1, 4], [1, 3], [2, 4]])
+        with pytest.raises(ValidationError, match=r"\(1, 3\) and \(2, 4\) are not weakly separated"):
+            P.triangulation_from_labels(coll, C.necklace_of(C.cyclic_decorated(4, 2)))
+
     def test_center13(self):
         coll = C.LabelCollection.make(4, 2, [[1, 2], [2, 3], [3, 4], [1, 4], [1, 3]])
         s = P.triangulation_from_labels(coll, C.necklace_of(C.cyclic_decorated(4, 2)))
