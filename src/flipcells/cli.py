@@ -60,7 +60,8 @@ def _one_line(text: str) -> tuple[tuple[int, ...], dict[int, str]]:
         if tok and tok[-1] in "wb":
             suffix = tok[-1]
             tok = tok[:-1]
-        if not tok.isdigit():
+        # ASCII only: str.isdigit also takes digits such as '²' that int() rejects
+        if not (tok.isascii() and tok.isdigit()):
             raise ArgumentError("bad permutation token %r" % tok)
         image.append(int(tok))
         if suffix:
@@ -87,7 +88,11 @@ def _parse_conn(args) -> DecoratedPermutation:
     image, colors = _one_line(text)
     if combinat.BLACK in colors.values():
         raise ArgumentError("triple crossing diagrams have undecorated fixed points")
-    return tcd.permutation_for_tcd(image)
+    p = tcd.permutation_for_tcd(image)
+    stray = sorted(set(colors) - set(dict(p.fixed_color)))
+    if stray:
+        raise ArgumentError("colors given for non-fixed points %s" % (stray,))
+    return p
 
 
 def _load_necklace(text: str) -> GrassmannNecklace:

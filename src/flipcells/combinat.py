@@ -108,8 +108,21 @@ class DecoratedPermutation:
 
     @staticmethod
     def from_json(data: dict) -> "DecoratedPermutation":
-        colors = {int(i): c for i, c in data.get("fixed_color", {}).items()}
-        return DecoratedPermutation.make(data["image"], colors)
+        """Read the `to_json` form (`n` is implied by the image and
+        `fixed_color` may be left out); JSON of another shape raises
+        ValidationError."""
+        colors = data.get("fixed_color", {}) if isinstance(data, dict) else None
+        if not (
+            isinstance(colors, dict)
+            and isinstance(data.get("image"), list)
+            and all(type(j) is int for j in data["image"])
+            and all(i.isascii() and i.isdigit() and isinstance(c, str) for i, c in colors.items())
+        ):
+            raise ValidationError(
+                'a decorated permutation is {"image": [int, ...], '
+                '"fixed_color": {"<fixed point>": "white" | "black", ...}}'
+            )
+        return DecoratedPermutation.make(data["image"], {int(i): c for i, c in colors.items()})
 
 
 @dataclass(frozen=True)

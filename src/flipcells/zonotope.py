@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from . import _kernels
 from .combinat import elems_of, mask_of
 from .errors import ArgumentError, PreconditionError, ValidationError
@@ -89,6 +87,8 @@ class ZonotopeSpec:
 
     @lru_cache(maxsize=None)
     def flip_tables_np(self):
+        import numpy as np  # deferred: only the tiling scan needs numpy
+
         sites = self.flip_sites_table()
         tiles_idx = np.array([rec[1] for rec in sites], dtype=np.int64)
         elem_bits = np.array([rec[2] for rec in sites], dtype=np.uint64)
@@ -519,8 +519,11 @@ def enumerate_tilings(spec: ZonotopeSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) 
 
     A frontier is scanned in one batch by `_kernels.scan_available`; each
     flip is labelled by its (d+1)-subset mask.  Asserts gradedness and the
-    uniqueness of the extremes.
+    uniqueness of the extremes.  numpy is imported on the first call, not
+    with the package, so commands that enumerate no tilings start without it.
     """
+    import numpy as np  # deferred: only the tiling scan needs numpy
+
     tiles_idx, elem_bits, smask_np = spec.flip_tables_np()
     sites = spec.flip_sites_table()
 

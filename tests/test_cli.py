@@ -132,6 +132,16 @@ class TestDeterminismAndErrors:
         # plabic fixed points need a color
         assert cli.main(["plabic", "2,1,3"]) == 2
 
+    @pytest.mark.parametrize("command", ["plabic", "tcd"])
+    def test_non_ascii_digit_is_usage_error(self, capsys, command):
+        assert cli.main([command, "\u00b2,1"]) == 2
+        assert capsys.readouterr().err.startswith("error: bad permutation token")
+
+    @pytest.mark.parametrize("command", ["plabic", "tcd"])
+    def test_color_on_non_fixed_point_is_usage_error(self, capsys, command):
+        assert cli.main([command, "2w,1"]) == 2
+        assert capsys.readouterr().err == "error: colors given for non-fixed points [1]\n"
+
     def test_updown_without_input_is_usage_error(self, capsys):
         assert cli.main(["updown", "--dir", "up"]) == 2
         captured = capsys.readouterr()
@@ -240,6 +250,12 @@ class TestFormats:
             ["updown", "--triangulation", "EMPTY", "--dir", "up"],
             ["export", "--flip-graph", "EMPTY", "--format", "dot"],
             ["updown", "--dir", "up", "--necklace", "5"],
+            ["plabic", "{}"],
+            ["plabic", '{"image": [2, 1], "fixed_color": []}'],
+            ["plabic", '{"image": [2, 1], "fixed_color": null}'],
+            ["plabic", '{"image": [1], "fixed_color": {"x": "white"}}'],
+            ["plabic", '{"image": [true, 1]}'],
+            ["tcd", '{"image": [2, 1], "fixed_color": null}'],
         ],
     )
     def test_wrong_shaped_json_is_usage_error(self, capsys, tmp_path, argv):
