@@ -212,7 +212,8 @@ class PlabicTriangulation:
     @staticmethod
     def from_json(data: dict) -> "PlabicTriangulation":
         """Read the `to_json` form; colors and positions are recomputed.
-        JSON of another shape raises ValidationError."""
+        JSON of another shape, or a triangulation that fails `check`,
+        raises ValidationError."""
         n = data.get("n") if isinstance(data, dict) else None
         if not (
             type(n) is int
@@ -234,7 +235,9 @@ class PlabicTriangulation:
             )
         tris = [tuple(mask_of(l) for l in t["labels"]) for t in data["triangles"]]
         boundary = [mask_of(b) for b in data["boundary"]]
-        return PlabicTriangulation.make(data["n"], data["k"], tris, boundary)
+        sigma = PlabicTriangulation.make(data["n"], data["k"], tris, boundary)
+        sigma.check()
+        return sigma
 
 
 # ---------------------------------------------------------------------------

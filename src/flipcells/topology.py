@@ -2,16 +2,14 @@
 
 A certificate builds one spanning-tree presentation of pi1 (generators:
 the non-tree edges; relators: the cell boundaries) and first simplifies it
-by Tietze transformations, in two phases.  The first is a linear sweep that
-rewrites no relator: a relator whose generators are all dead (proved
-trivial) but one, g, proves g trivial when the exponent sum of g in it is
-+-1, since deleting the dead letters leaves a word in g alone, which then
-freely reduces to g^(+-1).  A relator such as g g, or g a g^-1 with a dead,
-does not.  Spreading out from the cells that cross a single non-tree edge,
-this sweep alone closes every Z, X and Y complex tested, and every T
-complex with n <= 7.  The second phase runs only on what
-the first leaves: a relator in which some generator occurs exactly once is
-solved for that generator, which is then substituted away.  The residual
+by one Tietze sweep that rewrites no relator: a relator whose generators
+are all dead (proved trivial) but one, g, proves g trivial when the
+exponent sum of g in it is +-1, since deleting the dead letters leaves a
+word in g alone, which then freely reduces to g^(+-1).  A relator such as
+g g, or g a g^-1 with a dead, does not.  Spreading out from the cells that
+cross a single non-tree edge, this sweep closes every Z, X, Y and T
+complex tested.  The paper proves these complexes simply connected; that
+the sweep alone always suffices is only observed.  The residual
 presentation, on the generators that survive, presents the same group.
 When no generator survives, pi1 = 1 and so H1 = 0.  Otherwise H1 is
 read from the residual's abelianization by an exact Smith normal form; `h1`
@@ -20,7 +18,7 @@ same nonzero invariant factors, and the tests check the two against each
 other.  The pi1 field of a certificate takes one of three values, each with
 its own proof:
 
-* "trivial": elimination removed every generator, or a Todd-Coxeter style
+* "trivial": the sweep killed every generator, or a Todd-Coxeter style
   coset enumeration of the residual against the trivial subgroup closed on
   a single coset;
 * "nontrivial": H1 != 0, and H1 is the abelianization of pi1, so no coset
@@ -32,7 +30,6 @@ its own proof:
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import math
 import time
@@ -335,11 +332,6 @@ def _abelianized_h1(pres: GroupPresentation) -> tuple[int, list[int]]:
 # ---------------------------------------------------------------------------
 # Tietze elimination
 
-# Only relators of at most this many letters are solved for a generator;
-# longer ones are rewritten by substitution but never solved.
-TIETZE_LENGTH_CAP = 12
-
-
 def _reduce(word: list[int]) -> list[int]:
     """The freely and cyclically reduced form of a relator."""
     out: list[int] = []
@@ -356,55 +348,29 @@ def _reduce(word: list[int]) -> list[int]:
 
 
 def _tietze_eliminate(pres: GroupPresentation) -> tuple[GroupPresentation, list[tuple[int, int]]]:
-    """Eliminate generators by Tietze transformations, in two phases.
+    """Kill trivial generators by Tietze transformations, in one linear sweep.
 
-    Relators are kept freely and cyclically reduced.  The first phase,
-    `_kill_trivial`, rewrites no relator: it marks dead every generator g
-    that is the only live generator of some relator and has exponent sum
-    +-1 there.  That proves g trivial: the dead letters are trivial, and
-    deleting them leaves a word in g alone, which freely reduces to
-    g^(+-1).  Any other exponent sum proves less: g g only says that g has
-    order 2, and g a g^-1 with a dead says nothing.  If nonempty relators
-    remain, the second phase, `_substitute`, runs on the residual
-    relators: the original ones with the dead generators deleted, one at a
-    time in the order they died, reducing after each deletion.
+    The sweep rewrites no relator.  It marks dead every generator g that is
+    the only live generator of some relator and has exponent sum +-1 there.
+    That proves g trivial: the dead letters are trivial, and deleting them
+    leaves a word in g alone, which freely reduces to g^(+-1).  Any other
+    exponent sum proves less: g g only says that g has order 2, and
+    g a g^-1 with a dead says nothing.  Each relator is indexed by its
+    distinct generators, with a count of the ones still live, and is queued
+    when that count is one; each kill lowers the count of every relator
+    holding g.  Indexing and sweep take time linear in the total relator
+    length.
 
-    Returns the residual presentation, on the surviving generators
-    renumbered 1..m in order and the nonempty relators in order, and the
-    log of (relator index, generator) steps of both phases in original
-    numbering.  Each step solves its relator for its generator, which
-    occurs exactly once there, and substitutes the solution everywhere; a
-    first-phase step is the case where the solution is the empty word.
+    Returns the residual presentation and the kill log of (relator index,
+    generator) steps in original numbering.  The residual relators are the
+    nonempty ones, freely and cyclically reduced, with the dead generators
+    deleted one at a time in kill order, reducing after each deletion; they
+    are written over the surviving generators, renumbered 1..m in order.
+    Replayed in order, a step (r, g) finds relator r reduced to g^(+-1)
+    by the kills before it, and solving for g gives the empty word.
     """
     n = pres.n_generators
-    rels, log = _kill_trivial(pres.relators, n)
-    if any(rels):
-        _substitute(rels, n, log)
-    gone = {g for _, g in log}
-    renumber = [0] * (n + 1)
-    m = 0
-    for g in range(1, n + 1):
-        if g not in gone:
-            m += 1
-            renumber[g] = m
-    residual = tuple(tuple(renumber[x] if x > 0 else -renumber[-x] for x in w) for w in rels if w)
-    return GroupPresentation(m, residual), log
-
-
-def _kill_trivial(relators: Sequence[Sequence[int]], n: int) -> tuple[list, list[tuple[int, int]]]:
-    """First Tietze phase: a linear sweep that kills trivial generators.
-
-    Each relator is indexed by its distinct generators, with a count of the
-    ones still live, and is queued when that count is one.  A popped
-    relator kills its live generator g if g has exponent sum +-1 in it (see
-    `_tietze_eliminate` for why that rule is sound); each kill lowers the
-    count of every relator holding g.  Indexing and sweep take time linear
-    in the total relator length.
-
-    Returns the reduced relators with the dead generators deleted in kill
-    order (empty where no live generator is left) and the kill log.
-    """
-    rels = list(relators)
+    rels = list(pres.relators)
     holders: list[list[int]] = [[] for _ in range(n + 1)]
     live = []  # distinct generators of each relator still live
     last = []  # sum of those: the live one, once only one is left
@@ -432,90 +398,23 @@ def _kill_trivial(relators: Sequence[Sequence[int]], n: int) -> tuple[list, list
             last[other] -= g
             if live[other] == 1:
                 queue.append(other)
-    if log:
-        order = {g: i for i, (_, g) in enumerate(log)}
-        for rid, w in enumerate(rels):
-            if not live[rid]:
-                rels[rid] = ()
-                continue
-            for g in sorted({a for a in map(abs, w) if a in order}, key=order.__getitem__):
-                if g in w or -g in w:  # an earlier deletion may cancel it
-                    w = _reduce([x for x in w if x != g and x != -g])
-            rels[rid] = w
-    return rels, log
-
-
-def _substitute(rels: list, n: int, log: list[tuple[int, int]]) -> None:
-    """Second Tietze phase: eliminate by substitution, in place.
-
-    Each step takes the shortest relator of at most `TIETZE_LENGTH_CAP`
-    letters (ties: lowest index) in which some generator occurs exactly
-    once; of those generators it picks the one with the fewest occurrences
-    over all relators (ties: lowest id).  Writing the relator as u g^e v, it
-    substitutes g^e = (v u)^-1 into every relator, which empties the solved
-    one.  Steps are appended to ``log``.
-    """
-    cap = TIETZE_LENGTH_CAP
-    count = [0] * (n + 1)  # letters of each generator over all relators
-    # relators that may hold each generator; stale ids are skipped on use
-    occ: list[set[int] | None] = [set() for _ in range(n + 1)]
-    buckets: list[list[int]] = [[] for _ in range(cap + 1)]  # heaps of ids by length
+    order = {g: i for i, (_, g) in enumerate(log)}
+    renumber = [0] * (n + 1)
+    m = 0
+    for g in range(1, n + 1):
+        if g not in order:
+            m += 1
+            renumber[g] = m
+    residual = []
     for rid, w in enumerate(rels):
-        for x in w:
-            g = x if x > 0 else -x
-            count[g] += 1
-            occ[g].add(rid)
-        if 0 < len(w) <= cap:
-            buckets[len(w)].append(rid)
-    length = 1
-    while length <= cap:
-        bucket = buckets[length]
-        if not bucket:
-            length += 1
+        if not live[rid]:
             continue
-        rid = heapq.heappop(bucket)
-        w = rels[rid]
-        if len(w) != length:
-            continue
-        gens = [x if x > 0 else -x for x in w]
-        g = 0
-        for a in gens:
-            if gens.count(a) == 1 and (not g or (count[a], a) < (count[g], g)):
-                g = a
-        if not g:
-            continue  # queued again if a substitution changes it
-        p = gens.index(g)
-        rest = w[p + 1 :] + w[:p]
-        sub = rest if w[p] < 0 else [-x for x in reversed(rest)]
-        inv = [-x for x in reversed(sub)]
-        for x in w:
-            count[x if x > 0 else -x] -= 1
-        rels[rid] = []
-        for other in occ[g]:
-            old = rels[other]
-            if g not in old and -g not in old:
-                continue
-            expanded: list[int] = []
-            for x in old:
-                if x == g:
-                    expanded += sub
-                elif x == -g:
-                    expanded += inv
-                else:
-                    expanded.append(x)
-            new = _reduce(expanded)
-            for x in old:
-                count[x if x > 0 else -x] -= 1
-            for x in new:
-                a = x if x > 0 else -x
-                count[a] += 1
-                occ[a].add(other)
-            rels[other] = new
-            if 0 < len(new) <= cap:
-                heapq.heappush(buckets[len(new)], other)
-                length = min(length, len(new))
-        occ[g] = None
-        log.append((rid, g))
+        for g in sorted({a for a in map(abs, w) if a in order}, key=order.__getitem__):
+            if g in w or -g in w:  # an earlier deletion may cancel it
+                w = _reduce([x for x in w if x != g and x != -g])
+        if w:
+            residual.append(tuple(renumber[x] if x > 0 else -renumber[-x] for x in w))
+    return GroupPresentation(m, tuple(residual)), log
 
 
 # ---------------------------------------------------------------------------
@@ -656,10 +555,10 @@ def certify_trivial(pres: GroupPresentation, budget: int = DEFAULT_PI1_BUDGET) -
 def certificate(k: TwoComplex, budget: int = DEFAULT_PI1_BUDGET) -> dict:
     """Simple-connectivity certificate of the spanning-tree presentation.
 
-    Tietze elimination runs first; H1 and coset enumeration see only the
+    The Tietze sweep runs first; H1 and coset enumeration see only the
     residual presentation, which presents the same group.  The "pi1" field
     is one of
-      "trivial"       elimination removed every generator (so H1 = 0), or
+      "trivial"       the sweep killed every generator (so H1 = 0), or
                       coset enumeration of the residual closed on one
                       coset: a proof;
       "nontrivial"    H1 != 0, and H1 is the abelianization of pi1: a proof;

@@ -634,16 +634,20 @@ def tiling_to_json(tiling: Tiling) -> dict:
 
 
 def tiling_from_json(data: dict) -> Tiling:
-    """Read `{"n": int, "d": int, "tiles": [sign string, ...]}`; JSON of
-    another shape raises ValidationError."""
+    """Read `{"n": int, "d": int, "tiles": [sign string, ...]}`, each sign
+    string n characters from "+-0"; JSON of another shape raises
+    ValidationError."""
+    n = data.get("n") if isinstance(data, dict) else None
     if not (
-        isinstance(data, dict)
-        and type(data.get("n")) is int
+        type(n) is int
         and type(data.get("d")) is int
         and isinstance(data.get("tiles"), list)
-        and all(isinstance(s, str) for s in data["tiles"])
+        and all(isinstance(s, str) and len(s) == n and not s.strip("+-0") for s in data["tiles"])
     ):
-        raise ValidationError('a tiling is {"n": int, "d": int, "tiles": [sign string, ...]}')
+        raise ValidationError(
+            'a tiling is {"n": int, "d": int, "tiles": [sign string, ...]} '
+            'with n characters from "+-0" in each sign string'
+        )
     spec = ZonotopeSpec(data["n"], data["d"])
     tiles = [SignedSubset.from_sign_string(s) for s in data["tiles"]]
     return Tiling.from_tiles(spec, tiles)

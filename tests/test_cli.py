@@ -266,6 +266,47 @@ class TestFormats:
         assert captured.out == ""
         assert captured.err.startswith("error: a ")
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda s: s + "+", lambda s: s + "0", lambda s: s[:-1], lambda s: s.replace("0", "x", 1)],
+        ids=["extra_plus", "extra_zero", "short", "unknown_char"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cross-section", "--tiling", "TILING", "--level", "2"],
+            ["realize-move", "--tiling", "TILING", "--level", "2", "--move-index", "0"],
+        ],
+    )
+    def test_bad_sign_strings_are_usage_errors(self, capsys, tmp_path, edit, argv):
+        # every sign string of a Z(5, 3) tiling has 5 characters from "+-0"
+        data = Z.tiling_to_json(Z.minimal_tiling(Z.zonotope_spec(5, 3)))
+        data["tiles"] = [edit(s) for s in data["tiles"]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert cli.main(self._argv({"TILING": str(bad)}, argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "edit, argv",
+        [
+            (lambda d: d["triangles"].pop(), ["updown", "--triangulation", "SIGMA", "--dir", "up"]),
+            (lambda d: d["triangles"].pop(), ["--format", "svg", "export", "--triangulation", "SIGMA"]),
+            (lambda d: d.update(k=3), ["--format", "svg", "export", "--triangulation", "SIGMA"]),
+            (lambda d: d.update(k=3), ["updown", "--triangulation", "SIGMA", "--dir", "down"]),
+        ],
+        ids=["missing_triangle_updown", "missing_triangle_svg", "wrong_k_svg", "wrong_k_updown"],
+    )
+    def test_invalid_triangulation_is_usage_error(self, capsys, files, tmp_path, edit, argv):
+        data = json.loads(open(files["SIGMA"]).read())
+        edit(data)
+        bad = tmp_path / "bad_sigma.json"
+        bad.write_text(json.dumps(data))
+        assert cli.main(self._argv({"SIGMA": str(bad)}, argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
 
 class TestHarnessConfig:
     def test_out_dir_env(self, capsys, tmp_path, monkeypatch):
