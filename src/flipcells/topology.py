@@ -332,6 +332,7 @@ def _abelianized_h1(pres: GroupPresentation) -> tuple[int, list[int]]:
 # ---------------------------------------------------------------------------
 # Tietze elimination
 
+
 def _reduce(word: list[int]) -> list[int]:
     """The freely and cyclically reduced form of a relator."""
     out: list[int] = []
