@@ -121,7 +121,9 @@ class TwoComplex:
         }
 
     def canonical_hash(self) -> str:
-        data = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        # the bytes of `to_json()`, serialized from the stored tuples directly
+        record = {"schema_version": 1, "nv": self.nv, "edges": self.edges, "cells": self.cells}
+        data = json.dumps(record, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(data.encode()).hexdigest()
 
 

@@ -13,6 +13,7 @@ unavoidable.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,6 +30,10 @@ from .flipgraph import (
     move_cycle,
     sorted_cells,
 )
+
+# Sign keys per step of the coarse-tile scan in `build_z_complex`: bounds its
+# (rows, coarse tiles, member tiles) array of plus masks, 1.7 MB at Z(8,4).
+COARSE_SCAN_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,21 @@ class ZonotopeSpec:
         smask = np.array([rec[0] for rec in sites], dtype=np.uint64)
         return tiles_idx, elem_bits, smask
 
+    @lru_cache(maxsize=None)
+    def coarse_tables_np(self):
+        """(member tile indices, coarse masks): for every (d+2)-subset T of
+        [n], in combination order, the C(d+2, 2) tiles whose zero set lies
+        in T, and the mask of T.  The masks take the narrowest unsigned
+        dtype that holds n bits, and the scan follows it: with uint64 blocks
+        the Z(7,3) build peaks 2.4 MB higher."""
+        import numpy as np  # deferred: only the tiling scans need numpy
+
+        coarse = [mask_of(c) for c in itertools.combinations(range(1, self.n + 1), self.d + 2)]
+        members = [[self.tile_index(m) for m in self.dsubsets if m & ~t == 0] for t in coarse]
+        shape = (len(coarse), math.comb(self.d + 2, 2))
+        masks = np.array(coarse, dtype=np.min_scalar_type(self.full_mask))
+        return np.array(members, dtype=np.int64).reshape(shape), masks
+
     def det_of(self, mask: int) -> int:
         """det of the moment-curve vectors indexed by a d-subset (Vandermonde)."""
         elems = elems_of(mask)
@@ -135,6 +155,8 @@ class SignedSubset:
 
     @staticmethod
     def from_sign_string(s: str) -> "SignedSubset":
+        if s.strip("+-0"):
+            raise ValidationError('a sign string has characters from "+-0" only: %r' % s)
         plus = sum(1 << i for i, c in enumerate(s) if c == "+")
         minus = sum(1 << i for i, c in enumerate(s) if c == "-")
         return SignedSubset(len(s), plus, minus)
@@ -561,8 +583,6 @@ def enumerate_tilings(spec: ZonotopeSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) 
 
 
 def spec_top_rank(spec: ZonotopeSpec) -> int:
-    import math
-
     return math.comb(spec.n, spec.d + 1)
 
 
@@ -570,46 +590,64 @@ def spec_top_rank(spec: ZonotopeSpec) -> int:
 # the flip 2-complex: commuting squares and coarse-tile (2d+4)-gons
 
 
-@collector_paused()
-def build_z_complex(graph: FlipGraph):
-    """2-cells over the flip graph: operationally commuting flip pairs give
-    quadrilaterals; coarse (d+2)-subset tiles give (2d+4)-gon cycles.
+def coarse_tile_scan(spec: ZonotopeSpec, keys):
+    """Boolean matrix (len(keys), coarse tiles) for a block of sign keys:
+    the (d+2)-subset T is a coarse tile of the tiling when its member tiles'
+    plus masks agree outside T.  Columns follow `coarse_tables_np()`."""
+    import numpy as np  # deferred: only the tiling scans need numpy
 
-    Cells are read from the moves stored by `enumerate_tilings`.  Returns
-    (TwoComplex, cells) where cells is a list of (kind, vertex cycle).
-    """
-    from .topology import TwoComplex
+    members, coarse = spec.coarse_tables_np()
+    prefixes = np.array(keys, dtype=coarse.dtype)[:, members]
+    prefixes &= ~coarse[None, :, None]
+    return (prefixes == prefixes[:, :, :1]).all(axis=2)
 
-    assert graph.payloads and graph.moves, "build_z_complex needs tiling payloads and moves"
-    spec: ZonotopeSpec = graph.payloads[0].spec
 
-    cells: dict[frozenset[int], tuple[str, tuple[int, ...]]] = {}
-    for quad, _, _ in commuting_squares(graph):
-        cells.setdefault(frozenset(quad), ("quad", quad))
+def _coarse_cycles(graph: FlipGraph, spec: ZonotopeSpec):
+    """Yield the (2d+4)-gon of every coarse tile once, walked from its lowest
+    vertex.  The pairs of `coarse_tile_scan` are visited in row-major, that
+    is (vertex, coarse tile), order; the walk set is dropped on exhaustion,
+    before the caller builds the complex."""
+    import numpy as np  # deferred: only the tiling scans need numpy
 
-    coarse = [
-        mask_of(c) for c in itertools.combinations(range(1, spec.n + 1), spec.d + 2)
-    ]
-    member_tiles = {
-        tmask: [spec.tile_index(m) for m in spec.dsubsets if m & ~tmask == 0] for tmask in coarse
-    }
+    coarse = spec.coarse_tables_np()[1].tolist()
     expected_len = 2 * spec.d + 4
     # (vertex, coarse tile) on a traced cycle: a cycle is first traced from its
     # lowest vertex, and tracing it from another would find the same cell
     traced: set[tuple[int, int]] = set()
-    for vid, tiling in enumerate(graph.payloads):
-        for tmask in coarse:
+    for lo in range(0, graph.n_vertices, COARSE_SCAN_ROWS):
+        rows, cols = np.nonzero(coarse_tile_scan(spec, graph.vertices[lo : lo + COARSE_SCAN_ROWS]))
+        for vid, col in zip((rows + lo).tolist(), cols.tolist()):
+            tmask = coarse[col]
             if (vid, tmask) in traced:
-                continue
-            tls = member_tiles[tmask]
-            prefixes = {tiling.plus[ti] & ~tmask for ti in tls}
-            if len(prefixes) != 1:
                 continue
             # the walk leaves vid by its first coarse flip in scan order, not
             # towards the lower vertex id: the pinned canonical hashes record it
             cycle = move_cycle(graph, vid, lambda smask: smask & ~tmask == 0, expected_len)
             traced.update((v, tmask) for v in cycle)
-            cells.setdefault(frozenset(cycle), ("gon%d" % expected_len, tuple(cycle)))
+            yield cycle
+
+
+@collector_paused()
+def build_z_complex(graph: FlipGraph):
+    """2-cells over the flip graph: operationally commuting flip pairs give
+    quadrilaterals; coarse (d+2)-subset tiles give (2d+4)-gon cycles.
+
+    Coarse tiles are detected by `coarse_tile_scan`, `COARSE_SCAN_ROWS`
+    vertices at a time; every cell is read from the moves stored by
+    `enumerate_tilings`.  Returns (TwoComplex, cells) where cells is a list
+    of (kind, vertex cycle).
+    """
+    from .topology import TwoComplex
+
+    if not graph.payloads or not graph.moves:
+        raise PreconditionError("build_z_complex needs tiling payloads and moves")
+    spec: ZonotopeSpec = graph.payloads[0].spec
+
+    cells: dict[frozenset[int], tuple[str, tuple[int, ...]]] = {}
+    for quad, _, _ in commuting_squares(graph):
+        cells.setdefault(frozenset(quad), ("quad", quad))
+    for cycle in _coarse_cycles(graph, spec):
+        cells.setdefault(frozenset(cycle), ("gon%d" % len(cycle), tuple(cycle)))
 
     cell_list = sorted_cells(cells)
     complex_ = TwoComplex.from_graph(
@@ -642,7 +680,7 @@ def tiling_from_json(data: dict) -> Tiling:
         type(n) is int
         and type(data.get("d")) is int
         and isinstance(data.get("tiles"), list)
-        and all(isinstance(s, str) and len(s) == n and not s.strip("+-0") for s in data["tiles"])
+        and all(isinstance(s, str) and len(s) == n for s in data["tiles"])
     ):
         raise ValidationError(
             'a tiling is {"n": int, "d": int, "tiles": [sign string, ...]} '

@@ -12,13 +12,14 @@ from flipcells import plabic as P
 from flipcells import tcd
 from flipcells import topology as T
 from flipcells import zonotope as Z
-from flipcells.errors import ResourceCapExceeded
+from flipcells.errors import PreconditionError, ResourceCapExceeded
 from flipcells.flipgraph import DEFAULT_VERTEX_CAP, FlipGraph, bfs_closure, collector_paused, commuting_squares
 from test_tcd import T_CELLS, disjoint_support, enumerate_tcd, square_moves, tcd_neighbors
 
 # canonical_hash() of complexes whose cells must never change.
 PINNED_HASHES = {
     "Z(6,2)": "0ca41e92e08e1f29dd0a0ed4d17d19beb1d0e8bcf888626623a12c8f6908f40e",
+    "Z(7,3)": "248107008509410045b37dd532e2c9fc58aba35bcc22f6eca3aaa35d6dec9ee4",
     "Z(7,4)": "3f746a97c95d98c4673eaf6e6434689d4ae52b4d95a8ed02720a747a7be0e660",
     "X pi(6,3)": "a22fa2383bdea9630f458e987986b328be0a6b4ad5c90c355dd2c6807c832903",
     "Y pi(6,3)": "ee9df5c76ae63e87aa6ae78573172804d2643b0ebcc17b0dceb56b7978e5754a",
@@ -40,6 +41,18 @@ def _build(name):
 @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
 def test_pinned_canonical_hash(name):
     assert _build(name).canonical_hash() == PINNED_HASHES[name]
+
+
+def test_coarse_scan_blocks_keep_the_hash(monkeypatch):
+    # in blocks of 7 rows, each of Z(6,2)'s 180 coarse cycles spans two or more
+    monkeypatch.setattr(Z, "COARSE_SCAN_ROWS", 7)
+    assert _build("Z(6,2)").canonical_hash() == PINNED_HASHES["Z(6,2)"]
+
+
+def test_canonical_hash_reads_the_bytes_of_to_json():
+    k = _build("Z(6,2)")
+    data = json.dumps(k.to_json(), sort_keys=True, separators=(",", ":"))
+    assert k.canonical_hash() == hashlib.sha256(data.encode()).hexdigest()
 
 
 # sha256 over (kind, connectivity, cell names, canonical_hash()) of X and Y
@@ -463,7 +476,7 @@ def test_builders_restore_the_collector_state(caller_enabled):
         for name, ok, fails in _wrapped_builds():
             ok()
             assert gc.isenabled() is caller_enabled, name
-            with pytest.raises((ResourceCapExceeded, AssertionError)):
+            with pytest.raises((ResourceCapExceeded, PreconditionError)):
                 fails()
             assert gc.isenabled() is caller_enabled, name
     finally:

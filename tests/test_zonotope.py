@@ -52,6 +52,11 @@ class TestTiles:
         with pytest.raises(ValidationError):
             Z.SignedSubset(3, 0b011, 0b001)
 
+    @pytest.mark.parametrize("text", ["+x-", "+ -", "+0-\n", "+O-"])
+    def test_sign_string_of_other_characters_rejected(self, text):
+        with pytest.raises(ValidationError):
+            S(text)
+
 
 class TestMinimalTiling:
     def test_z32_signs(self):
@@ -265,6 +270,12 @@ class TestZComplex:
         _, cells2 = Z.build_z_complex(g)
         assert [c for c in cells] == [c for c in cells2]
 
+    def test_graph_without_moves_is_a_precondition_error(self):
+        g = Z.enumerate_tilings(Z.zonotope_spec(4, 2))
+        g.moves = None
+        with pytest.raises(PreconditionError):
+            Z.build_z_complex(g)
+
 
 class TestKernels:
     def test_backends_agree(self):
@@ -278,6 +289,29 @@ class TestKernels:
             ref = {s.smask for s in Z.available_flips(t)}
             got = {int(smask[i]) for i in np.flatnonzero(out[row])}
             assert ref == got
+
+    @pytest.mark.parametrize("n, d", [(5, 2), (6, 3), (7, 4)])
+    def test_coarse_scan_matches_per_vertex_rule(self, n, d):
+        spec = Z.zonotope_spec(n, d)
+        g = Z.enumerate_tilings(spec)
+        members, coarse = spec.coarse_tables_np()
+        assert members.shape == (math.comb(n, d + 2), math.comb(d + 2, 2))
+        hits = Z.coarse_tile_scan(spec, g.vertices)
+        # the reference rule: T is a coarse tile when the plus masks of the
+        # tiles whose zero set lies in T agree outside T
+        for row, t in enumerate(g.payloads):
+            ref = set()
+            for tmask in map(int, coarse):
+                tls = [spec.tile_index(m) for m in spec.dsubsets if m & ~tmask == 0]
+                if len({t.plus[ti] & ~tmask for ti in tls}) == 1:
+                    ref.add(tmask)
+            assert {int(coarse[i]) for i in np.flatnonzero(hits[row])} == ref
+
+    def test_no_coarse_tiles_when_d_is_n_minus_1(self):
+        spec = Z.zonotope_spec(4, 3)
+        g = Z.enumerate_tilings(spec)
+        assert Z.coarse_tile_scan(spec, g.vertices).shape == (g.n_vertices, 0)
+        assert Z.build_z_complex(g)[1] == []
 
 
 class TestJson:
