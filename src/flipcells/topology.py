@@ -116,14 +116,12 @@ class TwoComplex:
         return {
             "schema_version": 1,
             "nv": self.nv,
-            "edges": [list(e) for e in self.edges],
-            "cells": [list(c) for c in self.cells],
+            "edges": self.edges,
+            "cells": self.cells,
         }
 
     def canonical_hash(self) -> str:
-        # the bytes of `to_json()`, serialized from the stored tuples directly
-        record = {"schema_version": 1, "nv": self.nv, "edges": self.edges, "cells": self.cells}
-        data = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        data = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(data.encode()).hexdigest()
 
 

@@ -49,12 +49,6 @@ def test_coarse_scan_blocks_keep_the_hash(monkeypatch):
     assert _build("Z(6,2)").canonical_hash() == PINNED_HASHES["Z(6,2)"]
 
 
-def test_canonical_hash_reads_the_bytes_of_to_json():
-    k = _build("Z(6,2)")
-    data = json.dumps(k.to_json(), sort_keys=True, separators=(",", ":"))
-    assert k.canonical_hash() == hashlib.sha256(data.encode()).hexdigest()
-
-
 # sha256 over (kind, connectivity, cell names, canonical_hash()) of X and Y
 # for every decorated permutation and of T for every permutation, n <= 5.
 SMALL_COMPLEXES_HASH = "208f9ab335f9d0bf81e572809e64d6f764c9a5177a147db274b8ae3cd65c2187"
