@@ -28,13 +28,17 @@ def _emit(config: RunConfig, text: str) -> None:
         out_dir = os.environ.get("FLIPCELLS_OUT_DIR")
         if out_dir and not os.path.isabs(path):
             path = os.path.join(out_dir, path)
+        data = (text if text.endswith("\n") else text + "\n").encode("utf-8")
         # overwrite in place and cut the tail, rather than truncate on open:
         # truncating a file to zero and rewriting it makes ext4 flush on close
-        with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-            fh.truncate()
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view) :]
+            os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     else:
         print(text)
 

@@ -1,8 +1,9 @@
 """Integer homology and fundamental-group certificates for 2-complexes.
 
 A certificate builds one spanning-tree presentation of pi1 (generators:
-the non-tree edges; relators: the cell boundaries) and first simplifies it
-by one Tietze sweep that rewrites no relator: a relator whose generators
+the non-tree edges; relators: the cell boundaries, each walk rewritten
+through one table indexed by signed step) and first simplifies it by one
+Tietze sweep that rewrites no relator: a relator whose generators
 are all dead (proved trivial) but one, g, proves g trivial when the
 exponent sum of g in it is +-1, since deleting the dead letters leaves a
 word in g alone, which then freely reduces to g^(+-1).  A relator such as
@@ -25,6 +26,10 @@ its own proof:
   enumeration runs;
 * "inconclusive": H1 = 0 but coset enumeration exhausted its budget, which
   bounds only this case.
+
+A certificate runs with the cyclic garbage collector paused
+(`flipgraph.collector_paused`): what it allocates is freed by reference
+counting when it returns, so a collection inside it finds nothing.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError, ValidationError
+from .flipgraph import collector_paused
 
 DEFAULT_PI1_BUDGET = 10_000_000
 
@@ -62,7 +68,7 @@ class TwoComplex:
             start = None
             for step in walk:
                 e = abs(step) - 1
-                if e >= len(self.edges):
+                if not 0 <= e < len(self.edges):
                     raise ValidationError("cell references unknown edge")
                 u, v = self.edges[e]
                 src, dst = (u, v) if step > 0 else (v, u)
@@ -77,17 +83,16 @@ class TwoComplex:
     @staticmethod
     def from_graph(nv: int, edges: Sequence[tuple[int, int]], vertex_cycles: Iterable[Sequence[int]]) -> "TwoComplex":
         """Build from vertex cycles; consecutive vertices must span an edge."""
-        lookup: dict[tuple[int, int], int] = {}
+        lookup: dict[tuple[int, int], int] = {}  # keyed (min, max): one orientation
         for i, (u, v) in enumerate(edges):
-            lookup.setdefault((u, v), i)
-            lookup.setdefault((v, u), i)
+            lookup.setdefault((u, v) if u < v else (v, u), i)
         cells = []
         for cyc in vertex_cycles:
             walk = []
             m = len(cyc)
             for i in range(m):
                 a, b = cyc[i], cyc[(i + 1) % m]
-                e = lookup.get((a, b))
+                e = lookup.get((a, b) if a < b else (b, a))
                 if e is None:
                     raise ValidationError("cycle step (%d,%d) is not an edge" % (a, b))
                 walk.append(e + 1 if edges[e][0] == a else -(e + 1))
@@ -268,37 +273,43 @@ class GroupPresentation:
 
 def pi1_presentation(k: TwoComplex) -> GroupPresentation:
     """Spanning-tree presentation of pi1: generators are non-tree edges,
-    relators are the 2-cell boundary walks rewritten over them."""
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(k.nv)}
+    relators are the 2-cell boundary walks rewritten over them.
+
+    The tree is the breadth-first tree from vertex 0 that scans each
+    vertex's (neighbour, edge) pairs in sorted order; the non-tree edges
+    are generators 1..m in edge order.  Each walk is rewritten through one
+    table indexed by signed step: table[e+1] = g and table[-(e+1)] = -g for
+    the generator g of edge e, and 0 for a tree edge, which is dropped.
+    """
+    nv, ne = k.nv, len(k.edges)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
     for e, (u, v) in enumerate(k.edges):
         adj[u].append((v, e))
         adj[v].append((u, e))
-    for i in adj:
-        adj[i].sort()
-    tree_edges: set[int] = set()
-    seen = {0} if k.nv else set()
-    queue = [0] if k.nv else []
+    for nbrs in adj:
+        nbrs.sort()
+    in_tree = bytearray(ne)
+    seen = bytearray(nv)
+    queue = [0] if nv else []
+    if nv:
+        seen[0] = 1
     for x in queue:  # breadth first: the loop visits what it appends
         for y, e in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                tree_edges.add(e)
+            if not seen[y]:
+                seen[y] = 1
+                in_tree[e] = 1
                 queue.append(y)
-    if not k.nv or len(queue) != k.nv:  # the tree misses a vertex
+    if not nv or len(queue) != nv:  # the tree misses a vertex
         raise PreconditionError("complex is disconnected; components: %s" % (k.components(),))
-    gen_of: dict[int, int] = {}
-    for e in range(len(k.edges)):
-        if e not in tree_edges:
-            gen_of[e] = len(gen_of) + 1
-    relators = []
-    for walk in k.cells:
-        word = []
-        for step in walk:
-            e = abs(step) - 1
-            if e in gen_of:
-                word.append(gen_of[e] if step > 0 else -gen_of[e])
-        relators.append(tuple(word))
-    return GroupPresentation(len(gen_of), tuple(relators))
+    table = [0] * (2 * ne + 1)  # a negative index counts from the end
+    g = 0
+    for e in range(ne):
+        if not in_tree[e]:
+            g += 1
+            table[e + 1] = g
+            table[-(e + 1)] = -g
+    step = table.__getitem__
+    return GroupPresentation(g, tuple([tuple(filter(None, map(step, walk))) for walk in k.cells]))
 
 
 def h1(k: TwoComplex) -> tuple[int, list[int]]:
@@ -375,7 +386,6 @@ def _tietze_eliminate(pres: GroupPresentation) -> tuple[GroupPresentation, list[
     holders: list[list[int]] = [[] for _ in range(n + 1)]
     live = []  # distinct generators of each relator still live
     last = []  # sum of those: the live one, once only one is left
-    queue = []
     for rid, w in enumerate(rels):
         gens = set(map(abs, w))
         if len(gens) < len(w):  # a repeated generator: the word may cancel
@@ -385,8 +395,7 @@ def _tietze_eliminate(pres: GroupPresentation) -> tuple[GroupPresentation, list[
         last.append(sum(gens))
         for g in gens:
             holders[g].append(rid)
-        if len(gens) == 1:
-            queue.append(rid)
+    queue = [rid for rid, count in enumerate(live) if count == 1]
     log: list[tuple[int, int]] = []
     for rid in queue:  # the loop visits what it appends
         g = last[rid]
@@ -399,6 +408,8 @@ def _tietze_eliminate(pres: GroupPresentation) -> tuple[GroupPresentation, list[
             last[other] -= g
             if live[other] == 1:
                 queue.append(other)
+    if len(log) == n:  # each generator dies at most once: every one is dead
+        return GroupPresentation(0, ()), log
     order = {g: i for i, (_, g) in enumerate(log)}
     renumber = [0] * (n + 1)
     m = 0
@@ -553,6 +564,7 @@ def certify_trivial(pres: GroupPresentation, budget: int = DEFAULT_PI1_BUDGET) -
 # certificates
 
 
+@collector_paused()
 def certificate(k: TwoComplex, budget: int = DEFAULT_PI1_BUDGET) -> dict:
     """Simple-connectivity certificate of the spanning-tree presentation.
 

@@ -451,8 +451,8 @@ def test_pinned_pi73_certificate(kind):
 
 
 def _wrapped_builds():
-    """(name, successful call, failing call) of each builder that pauses the
-    collector."""
+    """(name, successful call, failing call) of each builder, and of the
+    certificate, that pauses the collector."""
     pi52 = C.cyclic_decorated(5, 2)
     yield "X", lambda: P.build_plabic_complex(pi52, "X"), lambda: P.build_plabic_complex(pi52, "X", vertex_cap=2)
     yield "T", lambda: tcd.build_t_complex(pi52), lambda: tcd.build_t_complex(pi52, vertex_cap=2)
@@ -460,6 +460,9 @@ def _wrapped_builds():
     yield "tilings", lambda: Z.enumerate_tilings(spec), lambda: Z.enumerate_tilings(spec, vertex_cap=2)
     # a graph without payloads fails build_z_complex's precondition
     yield "Z", lambda: Z.build_z_complex(Z.enumerate_tilings(spec)), lambda: Z.build_z_complex(FlipGraph([], [], [], 0))
+    # a disconnected complex fails pi1_presentation's precondition
+    square = T.TwoComplex.from_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [[0, 1, 2, 3]])
+    yield "certificate", lambda: T.certificate(square), lambda: T.certificate(T.TwoComplex(3, ((0, 1),), ()))
 
 
 @pytest.mark.parametrize("caller_enabled", [True, False], ids=["enabled", "disabled"])

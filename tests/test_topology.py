@@ -16,7 +16,65 @@ from flipcells import plabic as P
 from flipcells import tcd
 from flipcells import topology as T
 from flipcells import zonotope as Z
-from flipcells.errors import PreconditionError
+from flipcells.errors import PreconditionError, ValidationError
+
+
+def reference_pi1_presentation(k):
+    """The spanning-tree presentation built with dicts and sets: the
+    reference route for the table-driven `T.pi1_presentation`."""
+    adj = {i: [] for i in range(k.nv)}
+    for e, (u, v) in enumerate(k.edges):
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    for i in adj:
+        adj[i].sort()
+    tree_edges = set()
+    seen = {0} if k.nv else set()
+    queue = [0] if k.nv else []
+    for x in queue:  # breadth first: the loop visits what it appends
+        for y, e in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                tree_edges.add(e)
+                queue.append(y)
+    if not k.nv or len(queue) != k.nv:  # the tree misses a vertex
+        raise PreconditionError("complex is disconnected; components: %s" % (k.components(),))
+    gen_of = {}
+    for e in range(len(k.edges)):
+        if e not in tree_edges:
+            gen_of[e] = len(gen_of) + 1
+    relators = []
+    for walk in k.cells:
+        word = []
+        for step in walk:
+            e = abs(step) - 1
+            if e in gen_of:
+                word.append(gen_of[e] if step > 0 else -gen_of[e])
+        relators.append(tuple(word))
+    return T.GroupPresentation(len(gen_of), tuple(relators))
+
+
+table_pi1_presentation = T.pi1_presentation
+
+
+@pytest.fixture(scope="module", autouse=True)
+def presentation_checked_against_reference():
+    """Every presentation built in this module, directly or by `h1` and
+    `certificate`, must equal the reference route's, or fail alike."""
+
+    def checked(k):
+        try:
+            pres = table_pi1_presentation(k)
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                reference_pi1_presentation(k)
+            raise
+        assert pres == reference_pi1_presentation(k)
+        return pres
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "pi1_presentation", checked)
+        yield
 
 
 def smith_normal_form(matrix):
@@ -439,7 +497,29 @@ class TestTietze:
             assert_elimination_replays(tcd.build_t_complex(image)[0])
 
 
+class TestTwoComplex:
+    @pytest.mark.parametrize(
+        "nv, edges, cells",
+        [(2, ((0, 1),), ((1, 0),)), (1, (), ((0,),)), (2, ((0, 1),), ((1, -2),))],
+        ids=["step_0", "step_0_no_edges", "step_past_last_edge"],
+    )
+    def test_cell_with_unknown_edge_rejected(self, nv, edges, cells):
+        with pytest.raises(ValidationError, match="unknown edge"):
+            T.TwoComplex(nv, edges, cells)
+
+    def test_from_graph_takes_the_first_edge_of_a_pair(self):
+        # the lookup holds one orientation per vertex pair; either step
+        # direction finds edge 0, and the sign follows its stored direction
+        k = T.TwoComplex.from_graph(2, [(1, 0), (0, 1)], [[0, 1]])
+        assert k.cells == ((-1, 1),)
+
+
 class TestPi1:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(one_vertex_complexes(), connected_complexes()))
+    def test_table_matches_reference_route(self, k):
+        assert table_pi1_presentation(k) == reference_pi1_presentation(k)
+
     def test_tree_presentation_empty(self):
         k = T.TwoComplex(4, ((0, 1), (1, 2), (1, 3)), ())
         pres = T.pi1_presentation(k)
