@@ -7,24 +7,15 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import combinat, flipgraph, plabic, tcd, topology, zonotope
 from .combinat import DecoratedPermutation, GrassmannNecklace
 from .errors import ArgumentError, PreconditionError, ResourceCapExceeded, ValidationError
 
 
-@dataclass
-class RunConfig:
-    vertex_cap: int = flipgraph.DEFAULT_VERTEX_CAP
-    pi1_budget: int = topology.DEFAULT_PI1_BUDGET
-    fmt: str = "json"
-    out: str | None = None
-
-
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out:
-        path = config.out
+def _emit(args, text: str) -> None:
+    if args.out:
+        path = args.out
         out_dir = os.environ.get("FLIPCELLS_OUT_DIR")
         if out_dir and not os.path.isabs(path):
             path = os.path.join(out_dir, path)
@@ -115,22 +106,20 @@ def _load_tiling(path: str) -> zonotope.Tiling:
         return zonotope.tiling_from_json(json.load(fh))
 
 
-def cmd_tilings(args, config: RunConfig) -> int:
-    spec = zonotope.zonotope_spec(args.n, args.d)
-    graph = zonotope.enumerate_tilings(spec, vertex_cap=config.vertex_cap)
-    if config.fmt == "dot":
-        _emit(config, graph.to_dot("tilings_%d_%d" % (args.n, args.d)))
+def cmd_tilings(args) -> int:
+    graph = zonotope.enumerate_tilings(zonotope.zonotope_spec(args.n, args.d), vertex_cap=args.cap)
+    if args.format == "dot":
+        _emit(args, graph.to_dot("tilings_%d_%d" % (args.n, args.d)))
         return 0
-    data = zonotope.flipgraph_to_json(graph, spec)
+    data = zonotope.flipgraph_to_json(graph)
     data["rank_range"] = [0, max(graph.ranks)]
     data["single_cycle"] = graph.is_single_cycle()
-    _emit(config, _dump(data))
+    _emit(args, _dump(data))
     return 0
 
 
-def cmd_zcomplex(args, config: RunConfig) -> int:
-    spec = zonotope.zonotope_spec(args.n, args.d)
-    graph = zonotope.enumerate_tilings(spec, vertex_cap=config.vertex_cap)
+def cmd_zcomplex(args) -> int:
+    graph = zonotope.enumerate_tilings(zonotope.zonotope_spec(args.n, args.d), vertex_cap=args.cap)
     complex_, cells = zonotope.build_z_complex(graph)
     data = {
         "schema_version": 1,
@@ -139,19 +128,19 @@ def cmd_zcomplex(args, config: RunConfig) -> int:
         "cells": sorted(kind for kind, _ in cells),
     }
     if args.certify:
-        data["certificate"] = topology.certificate(complex_, budget=config.pi1_budget)
+        data["certificate"] = topology.certificate(complex_, budget=args.budget)
     else:
         data.update({"V": complex_.nv, "E": len(complex_.edges), "F": len(complex_.cells)})
-    _emit(config, _dump(data))
+    _emit(args, _dump(data))
     return 0
 
 
-def cmd_complex(args, config: RunConfig) -> int:
+def cmd_complex(args) -> int:
     p = _parse_conn(args)
     if args.kind == "T":
-        complex_, info = tcd.build_t_complex(p, vertex_cap=config.vertex_cap)
+        complex_, cells = tcd.build_t_complex(p, vertex_cap=args.cap)
     else:
-        complex_, info = plabic.build_plabic_complex(p, args.kind, vertex_cap=config.vertex_cap)
+        complex_, cells = plabic.build_plabic_complex(p, args.kind, vertex_cap=args.cap)
     data = {
         "schema_version": 1,
         "connectivity": p.to_json(),
@@ -159,40 +148,40 @@ def cmd_complex(args, config: RunConfig) -> int:
         "V": complex_.nv,
         "E": len(complex_.edges),
         "F": len(complex_.cells),
-        "cells": sorted(name for name, _ in info["cells"]),
+        "cells": sorted(name for name, _ in cells),
     }
     if args.certify:
-        data["certificate"] = topology.certificate(complex_, budget=config.pi1_budget)
-    _emit(config, _dump(data))
+        data["certificate"] = topology.certificate(complex_, budget=args.budget)
+    _emit(args, _dump(data))
     return 0
 
 
-def cmd_cross_section(args, config: RunConfig) -> int:
+def cmd_cross_section(args) -> int:
     tiling = _load_tiling(args.tiling)
     sigma = plabic.cross_section(tiling, args.level)
-    if config.fmt == "svg":
-        _emit(config, plabic.triangulation_to_svg(sigma, dual_overlay=args.dual, strands=args.strands))
+    if args.format == "svg":
+        _emit(args, plabic.triangulation_to_svg(sigma, dual_overlay=args.dual, strands=args.strands))
         return 0
-    _emit(config, _dump(sigma.to_json()))
+    _emit(args, _dump(sigma.to_json()))
     return 0
 
 
-def cmd_updown(args, config: RunConfig) -> int:
+def cmd_updown(args) -> int:
     if args.necklace:
         necklace = _load_necklace(args.necklace)
         shifted = combinat.necklace_shift(necklace, args.dir)
-        _emit(config, _dump(shifted.to_json()))
+        _emit(args, _dump(shifted.to_json()))
         return 0
     if not args.triangulation:
         raise ArgumentError("updown needs --necklace or --triangulation")
     with open(args.triangulation) as fh:
         sigma = plabic.PlabicTriangulation.from_json(json.load(fh))
     out = plabic.up_down_graph(sigma, args.dir)
-    _emit(config, _dump(out.to_json()))
+    _emit(args, _dump(out.to_json()))
     return 0
 
 
-def cmd_realize_move(args, config: RunConfig) -> int:
+def cmd_realize_move(args) -> int:
     tiling = _load_tiling(args.tiling)
     sigma = plabic.cross_section(tiling, args.level)
     moves = [m for m in plabic.available_moves(sigma) if m.kind in ("M1", "M3")]
@@ -212,7 +201,7 @@ def cmd_realize_move(args, config: RunConfig) -> int:
         "flips": [list(s.elements()) for s in seq],
         "verified": verified,
     }
-    _emit(config, _dump(data))
+    _emit(args, _dump(data))
     return 0
 
 
@@ -238,7 +227,7 @@ def _verify_realization(tiling, level, move, seq) -> bool:
     return plabic.cross_section(cur, level) == target
 
 
-def cmd_align(args, config: RunConfig) -> int:
+def cmd_align(args) -> int:
     ta = _load_tiling(args.tiling_a)
     tb = _load_tiling(args.tiling_b)
     seq = plabic.align_tilings(ta, tb, args.level)
@@ -255,13 +244,13 @@ def cmd_align(args, config: RunConfig) -> int:
         "flips": [list(s.elements()) for s in seq],
         "verified": ok,
     }
-    _emit(config, _dump(data))
+    _emit(args, _dump(data))
     return 0
 
 
-def cmd_export(args, config: RunConfig) -> int:
+def cmd_export(args) -> int:
     if args.flip_graph:
-        if config.fmt != "dot":
+        if args.format != "dot":
             raise ArgumentError("flip graphs export to dot")
         with open(args.flip_graph) as fh:
             data = json.load(fh)
@@ -274,18 +263,18 @@ def cmd_export(args, config: RunConfig) -> int:
         for e in edges:
             lines.append("  %d -- %d;" % (e["u"], e["v"]))
         lines.append("}")
-        _emit(config, "\n".join(lines))
+        _emit(args, "\n".join(lines))
         return 0
     if not args.triangulation:
         raise ArgumentError("export needs --flip-graph or --triangulation")
-    if config.fmt == "dot":
+    if args.format == "dot":
         raise ArgumentError("triangulations export to json or svg")
     with open(args.triangulation) as fh:
         sigma = plabic.PlabicTriangulation.from_json(json.load(fh))
-    if config.fmt == "svg":
-        _emit(config, plabic.triangulation_to_svg(sigma, dual_overlay=args.dual, strands=args.strands))
+    if args.format == "svg":
+        _emit(args, plabic.triangulation_to_svg(sigma, dual_overlay=args.dual, strands=args.strands))
     else:
-        _emit(config, _dump(sigma.to_json()))
+        _emit(args, _dump(sigma.to_json()))
     return 0
 
 
@@ -383,20 +372,20 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _shared_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(
-        vertex_cap=getattr(args, "cap", RunConfig.vertex_cap),
-        pi1_budget=getattr(args, "budget", RunConfig.pi1_budget),
-        fmt=getattr(args, "format", RunConfig.fmt),
-        out=getattr(args, "out", RunConfig.out),
+    # the common flags default to SUPPRESS, since the top-level parser and
+    # every subparser share their actions: a subparser default would
+    # overwrite a flag given before the subcommand
+    defaults = argparse.Namespace(
+        cap=flipgraph.DEFAULT_VERTEX_CAP, budget=topology.DEFAULT_PI1_BUDGET, format="json", out=None
     )
-    if config.vertex_cap < 1 or config.pi1_budget < 1:
+    args = parser.parse_args(argv, defaults)
+    if args.cap < 1 or args.budget < 1:
         parser.error("cap and budget must be positive")
     try:
         formats = getattr(args, "formats", ("json",))
-        if config.fmt not in formats:
-            raise ArgumentError("%s writes %s, not %s" % (args.command, " or ".join(formats), config.fmt))
-        return args.func(args, config)
+        if args.format not in formats:
+            raise ArgumentError("%s writes %s, not %s" % (args.command, " or ".join(formats), args.format))
+        return args.func(args)
     except (ArgumentError, ValidationError, PreconditionError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

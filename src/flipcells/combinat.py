@@ -79,9 +79,6 @@ class DecoratedPermutation:
             raise ArgumentError("colors given for non-fixed points %s" % (extra,))
         return DecoratedPermutation(n, image, tuple(sorted(colors.items())))
 
-    def __call__(self, i: int) -> int:
-        return self.image[i - 1]
-
     def inverse_image(self) -> tuple[int, ...]:
         inv = [0] * self.n
         for i, j in enumerate(self.image, start=1):
@@ -164,10 +161,6 @@ class GrassmannNecklace:
 
     def to_json(self) -> list[list[int]]:
         return [sorted(s) for s in self.sets]
-
-    @staticmethod
-    def from_json(n: int, data: Iterable[Iterable[int]]) -> "GrassmannNecklace":
-        return GrassmannNecklace.make(n, data)
 
 
 @dataclass(frozen=True)

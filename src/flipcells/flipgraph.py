@@ -13,7 +13,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable
 
 from .errors import ResourceCapExceeded
@@ -44,7 +44,6 @@ class FlipGraph:
     max_vertex: int | None = None
     payloads: list[Any] | None = None
     moves: list[dict[Any, int]] | None = None
-    _adj: dict[int, list[int]] | None = field(default=None, repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -54,38 +53,15 @@ class FlipGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> dict[int, list[int]]:
-        if self._adj is None:
-            adj: dict[int, list[int]] = {i: [] for i in range(len(self.vertices))}
-            for u, v, _ in self.edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            self._adj = adj
-        return self._adj
-
-    def degrees(self) -> list[int]:
-        return [len(v) for v in self.adjacency().values()]
-
     def is_single_cycle(self) -> bool:
+        """A cycle through three or more vertices.  A `bfs_closure` graph is
+        connected, so two distinct move targets at every vertex and as many
+        edges as vertices make it one cycle."""
         return (
             self.n_vertices >= 3
             and self.n_vertices == self.n_edges
-            and all(d == 2 for d in self.degrees())
-            and self._connected()
+            and all(len(set(out.values())) == 2 for out in self.moves)
         )
-
-    def _connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {0}
-        stack = [0]
-        adj = self.adjacency()
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
 
     def to_dot(self, name: str = "flipgraph") -> str:
         """GraphViz text with rank-based layering hints."""

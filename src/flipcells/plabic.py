@@ -184,15 +184,16 @@ class PlabicTriangulation:
         return sum(triangle_area2(pos(a), pos(b), pos(c)) for a, b, c in self.triangles)
 
     def check(self) -> None:
-        """Structural invariants: label sizes, colors, weak separation, area."""
+        """Structural invariants: label sizes, colors, area, weak separation."""
         for lab in self.labels():
             if bin(lab).count("1") != self.k or lab >> self.n:
                 raise ValidationError("label %s is not a k-subset of [n]" % (elems_of(lab),))
         for t in self.triangles:
             triangle_color(t)
-        combinat.separated_from_all(self.n, self.k, self.labels())
+        # before the separation rows, which take C(n, k) bits each
         if self.triangles_area2() != self.boundary_area2():
             raise ValidationError("triangles do not tile the boundary region")
+        combinat.separated_from_all(self.n, self.k, self.labels())
 
     def to_json(self) -> dict:
         return {
@@ -1448,7 +1449,7 @@ def build_plabic_complex(
     """The 2-complex of trivalent plabic graphs (kind "X") or of their
     square-move classes (kind "Y") for a decorated permutation.
 
-    Returns (TwoComplex, info) where info lists the glued cells.
+    Returns (TwoComplex, cells), cells the sorted (name, cycle) list.
     """
     from .topology import TwoComplex
 
@@ -1456,7 +1457,7 @@ def build_plabic_complex(
         raise ArgumentError("kind must be 'X' or 'Y'")
     graph = enumerate_plabic(p, vertex_cap=vertex_cap)
     if kind == "Y":
-        return quotient_complex(graph, "Y")
+        return quotient_complex(graph, "Y")[:2]
     quads = {}
     for quad, _, _ in commuting_squares(graph, _disjoint_removed):
         quads.setdefault(frozenset(quad), ("quad", quad))
@@ -1466,14 +1467,7 @@ def build_plabic_complex(
         [(u, v) for u, v, _ in graph.edges],
         [cyc for _, cyc in cells],
     )
-    info = {
-        "kind": "X",
-        "n_vertices": graph.n_vertices,
-        "n_edges": graph.n_edges,
-        "cells": [(name, list(cyc)) for name, cyc in cells],
-        "graph": graph,
-    }
-    return complex_, info
+    return complex_, cells
 
 
 def quotient_complex(graph: FlipGraph, kind: str):
@@ -1485,7 +1479,8 @@ def quotient_complex(graph: FlipGraph, kind: str):
     is collapsed and its corners lie in four classes.  Each kept embedded
     cell of X must project, with repeated classes merged, onto a simple
     cycle of its table length, or AssertionError is raised.  Returns
-    (TwoComplex, info); info also holds X's `graph` and `class_of_vertex`.
+    (TwoComplex, cells, class of each X vertex), cells the sorted
+    (name, cycle) list.
     """
     from .topology import TwoComplex
 
@@ -1537,15 +1532,7 @@ def quotient_complex(graph: FlipGraph, kind: str):
         cells.setdefault(frozenset(proj), (name, tuple(proj)))
     cell_list = sorted_cells(cells)
     complex_ = TwoComplex.from_graph(len(class_id), edges, [cyc for _, cyc in cell_list])
-    info = {
-        "kind": kind,
-        "n_vertices": len(class_id),
-        "n_edges": len(edges),
-        "cells": [(name, list(cyc)) for name, cyc in cell_list],
-        "graph": graph,
-        "class_of_vertex": cls,
-    }
-    return complex_, info
+    return complex_, cell_list, cls
 
 
 # ---------------------------------------------------------------------------
@@ -1556,9 +1543,9 @@ def triangulation_to_svg(
     sigma: PlabicTriangulation,
     dual_overlay: bool = False,
     strands: bool = False,
-    scale: float = 24.0,
 ) -> str:
     """Render a plabic triangulation (rounding coordinates only here)."""
+    scale = 24.0
     labs = sorted(sigma.labels())
     pts = {l: pos(l) for l in labs}
     if pts:

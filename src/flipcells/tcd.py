@@ -56,10 +56,11 @@ def build_t_complex(p, vertex_cap: int = DEFAULT_VERTEX_CAP):
 
     Accepts a plain one-line permutation or a DecoratedPermutation with
     white fixed points.  `vertex_cap` bounds the trivalent plabic graphs
-    enumerated.  Returns (TwoComplex, info).
+    enumerated.  Returns (TwoComplex, cells), cells the sorted
+    (name, cycle) list.
     """
     if not isinstance(p, DecoratedPermutation):
         p = permutation_for_tcd(p)
     elif any(c != WHITE for _, c in p.fixed_color):
         raise ArgumentError("triple crossing diagrams have undecorated fixed points")
-    return quotient_complex(enumerate_plabic(p, vertex_cap=vertex_cap), "T")
+    return quotient_complex(enumerate_plabic(p, vertex_cap=vertex_cap), "T")[:2]

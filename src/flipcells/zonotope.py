@@ -686,24 +686,37 @@ def tiling_from_json(data: dict) -> Tiling:
             'a tiling is {"n": int, "d": int, "tiles": [sign string, ...]} '
             'with n characters from "+-0" in each sign string'
         )
-    spec = ZonotopeSpec(data["n"], data["d"])
-    tiles = [SignedSubset.from_sign_string(s) for s in data["tiles"]]
-    return Tiling.from_tiles(spec, tiles)
+    n, d, tiles = data["n"], data["d"], data["tiles"]
+    # before the zero-set table of ZonotopeSpec, which has C(n, d) entries
+    if not 1 <= d <= n:
+        raise ValidationError("a tiling of Z(n,d) needs 1 <= d <= n, not n = %d, d = %d" % (n, d))
+    if not _is_binomial(n, d, len(tiles)):
+        raise ValidationError("a fine tiling of Z(%d,%d) has C(%d,%d) tiles, not %d" % (n, d, n, d, len(tiles)))
+    spec = ZonotopeSpec(n, d)
+    return Tiling.from_tiles(spec, [SignedSubset.from_sign_string(s) for s in tiles])
 
 
-def flipgraph_to_json(graph: FlipGraph, spec: ZonotopeSpec | None = None) -> dict:
-    edges = [
-        {"u": u, "v": v, "flip": list(elems_of(label)) if isinstance(label, int) else str(label)}
-        for u, v, label in graph.edges
-    ]
-    out = {
+def _is_binomial(n: int, d: int, count: int) -> bool:
+    """C(n, d) == count, for 0 <= d <= n.  The partial products C(n, i)
+    grow with i up to min(d, n - d), so a short count stops the product
+    early instead of computing a C(n, d) of n bits."""
+    c = 1
+    for i in range(min(d, n - d)):
+        c = c * (n - i) // (i + 1)
+        if c > count:
+            return False
+    return c == count
+
+
+def flipgraph_to_json(graph: FlipGraph) -> dict:
+    """The flip graph of `enumerate_tilings`: each edge with its flip's
+    (d+1)-subset, and each vertex as the sign strings of its tiles."""
+    return {
         "schema_version": 1,
         "n_vertices": graph.n_vertices,
-        "edges": edges,
+        "edges": [{"u": u, "v": v, "flip": list(elems_of(label))} for u, v, label in graph.edges],
         "ranks": list(graph.ranks),
         "min_vertex": graph.min_vertex,
         "max_vertex": graph.max_vertex,
+        "vertices": [t.sign_strings() for t in graph.payloads],
     }
-    if spec is not None and graph.payloads:
-        out["vertices"] = [t.sign_strings() for t in graph.payloads]
-    return out

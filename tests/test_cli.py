@@ -5,7 +5,9 @@ import json
 import pytest
 
 from flipcells import cli
+from flipcells import plabic as P
 from flipcells import zonotope as Z
+from flipcells.combinat import elems_of
 
 
 def run(capsys, *argv):
@@ -169,6 +171,10 @@ class TestDeterminismAndErrors:
     def test_cap_exceeded_exit_code(self, capsys):
         code = cli.main(["--cap", "5", "tilings", "5", "2"])
         assert code == 3
+        # after the subcommand too; and a subcommand flag does not reset
+        # the cap given before it
+        assert cli.main(["tilings", "5", "2", "--cap", "5"]) == 3
+        assert cli.main(["--cap", "5", "tilings", "5", "2", "--budget", "7"]) == 3
 
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "res.json"
@@ -306,6 +312,42 @@ class TestFormats:
         assert cli.main(self._argv({"SIGMA": str(bad)}, argv)) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("n, d", [(8, 4), (60, 30)])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cross-section", "--tiling", "TILING", "--level", "2"],
+            ["realize-move", "--tiling", "TILING", "--level", "2"],
+            ["align", "--tiling-a", "TILING", "--tiling-b", "TILING", "--level", "2"],
+        ],
+    )
+    def test_tiling_without_its_tiles_is_usage_error(self, capsys, tmp_path, n, d, argv):
+        # the tile count is checked before a table of the C(n, d) zero sets
+        # is built: C(60, 30) is about 1.2e17
+        bad = tmp_path / "empty_tiles.json"
+        bad.write_text(json.dumps({"n": n, "d": d, "tiles": []}))
+        assert cli.main(self._argv({"TILING": str(bad)}, argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a fine tiling of Z(%d,%d) has C(%d,%d) tiles, not 0\n" % (n, d, n, d)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["updown", "--triangulation", "SIGMA", "--dir", "up"],
+            ["export", "--triangulation", "SIGMA"],
+        ],
+    )
+    def test_triangulation_without_triangles_is_usage_error(self, capsys, tmp_path, argv):
+        # the area test runs before the weak-separation rows of C(60, 30) bits
+        walk = [list(elems_of(m)) for m in P.cyclic_walk(60, 30)]
+        bad = tmp_path / "no_triangles.json"
+        bad.write_text(json.dumps({"n": 60, "k": 30, "triangles": [], "boundary": walk}))
+        assert cli.main(self._argv({"SIGMA": str(bad)}, argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: triangles do not tile the boundary region\n"
 
 
 class TestHarnessConfig:

@@ -66,8 +66,8 @@ def _small_complexes():
 
 def test_pinned_small_complexes():
     digest = hashlib.sha256()
-    for kind, p, (cx, info) in _small_complexes():
-        row = [kind, p.to_json(), [name for name, _ in info["cells"]], cx.canonical_hash()]
+    for kind, p, (cx, cells) in _small_complexes():
+        row = [kind, p.to_json(), [name for name, _ in cells], cx.canonical_hash()]
         digest.update(json.dumps(row, sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == SMALL_COMPLEXES_HASH
 
@@ -124,6 +124,12 @@ class TestStoredMoves:
         for u, out in enumerate(g.moves):
             assert all(u in g.moves[w].values() for w in out.values())
 
+    def test_distinct_labels_reach_distinct_targets(self, make):
+        # is_single_cycle counts a vertex's neighbours as its move targets
+        g = make()
+        for out in g.moves:
+            assert len(set(out.values())) == len(out)
+
 
 class _Spy:
     """Counts calls of library functions, patched into every module that
@@ -167,18 +173,21 @@ class TestCallCounts:
     def test_plabic_complex(self, monkeypatch, kind):
         spy = _Spy(monkeypatch)
         for n, k in ((5, 2), (6, 3)):
+            p = C.cyclic_decorated(n, k)
+            g = P.enumerate_plabic(p)
             spy.calls["available_moves"] = 0
-            _, info = P.build_plabic_complex(C.cyclic_decorated(n, k), kind)
-            assert spy.calls["available_moves"] <= info["graph"].n_vertices
+            P.build_plabic_complex(p, kind)
+            assert spy.calls["available_moves"] <= g.n_vertices
         assert spy.calls["apply_move"] == 0
 
     def test_t_complex(self, monkeypatch):
         # T is read off X's flip graph, which scans each X vertex once
         spy = _Spy(monkeypatch)
         for image in ((3, 4, 5, 1, 2), (2, 3, 4, 5, 6, 1), (4, 5, 6, 1, 2, 3)):
+            g = P.enumerate_plabic(tcd.permutation_for_tcd(image))
             spy.calls["available_moves"] = 0
-            _, info = tcd.build_t_complex(image)
-            assert spy.calls["available_moves"] <= info["graph"].n_vertices
+            tcd.build_t_complex(image)
+            assert spy.calls["available_moves"] <= g.n_vertices
         assert spy.calls["apply_move"] == 0
 
 

@@ -259,6 +259,10 @@ class TestEnumeration:
         g = P.enumerate_plabic(C.cyclic_decorated(4, 2))
         assert (g.n_vertices, g.n_edges) == (2, 1)
 
+    def test_pi63_is_not_a_cycle(self):
+        g = P.enumerate_plabic(C.cyclic_decorated(6, 3))
+        assert g.n_vertices > 10 and not g.is_single_cycle()
+
     def test_pi52_ten_cycle(self):
         g = P.enumerate_plabic(C.cyclic_decorated(5, 2))
         assert g.is_single_cycle()
@@ -558,31 +562,31 @@ class TestRealizeAndAlign:
 
 class TestComplexes:
     def test_x_pentagon(self):
-        cx, info = P.build_plabic_complex(C.cyclic_decorated(5, 1), "X")
-        assert [name for name, _ in info["cells"]] == ["pentagon_white"]
+        cx, cells = P.build_plabic_complex(C.cyclic_decorated(5, 1), "X")
+        assert [name for name, _ in cells] == ["pentagon_white"]
         assert T.h1(cx) == (0, [])
 
     def test_x_decagon(self):
-        cx, info = P.build_plabic_complex(C.cyclic_decorated(5, 2), "X")
-        assert [name for name, _ in info["cells"]] == ["decagon_white"]
+        cx, cells = P.build_plabic_complex(C.cyclic_decorated(5, 2), "X")
+        assert [name for name, _ in cells] == ["decagon_white"]
         assert T.h1(cx) == (0, [])
 
     def test_x_black_cells_mirror(self):
-        cx, info = P.build_plabic_complex(C.cyclic_decorated(5, 3), "X")
-        assert [name for name, _ in info["cells"]] == ["decagon_black"]
-        cx, info = P.build_plabic_complex(C.cyclic_decorated(5, 4), "X")
-        assert [name for name, _ in info["cells"]] == ["pentagon_black"]
+        cx, cells = P.build_plabic_complex(C.cyclic_decorated(5, 3), "X")
+        assert [name for name, _ in cells] == ["decagon_black"]
+        cx, cells = P.build_plabic_complex(C.cyclic_decorated(5, 4), "X")
+        assert [name for name, _ in cells] == ["pentagon_black"]
 
     def test_associahedron_cells(self):
-        cx, info = P.build_plabic_complex(C.cyclic_decorated(6, 1), "X")
-        names = sorted(name for name, _ in info["cells"])
+        cx, cells = P.build_plabic_complex(C.cyclic_decorated(6, 1), "X")
+        names = sorted(name for name, _ in cells)
         assert names == ["pentagon_white"] * 6 + ["quad"] * 3
         assert T.h1(cx) == (0, [])
 
     def test_y_pentagon_of_square_moves(self):
-        cy, info = P.build_plabic_complex(C.cyclic_decorated(5, 2), "Y")
-        assert info["n_vertices"] == 5
-        assert [name for name, _ in info["cells"]] == ["pentagon"]
+        cy, cells = P.build_plabic_complex(C.cyclic_decorated(5, 2), "Y")
+        assert cy.nv == 5
+        assert [name for name, _ in cells] == ["pentagon"]
         assert T.h1(cy) == (0, [])
 
     def test_bad_kind(self):
@@ -629,10 +633,10 @@ class TestCrossValidation:
                 compat.add_edge(a, b)
         maximal = {frozenset(clique) for clique in nx.find_cliques(compat)}
 
-        cy, info = P.build_plabic_complex(C.cyclic_decorated(n, k), "Y")
-        graph = info["graph"]
+        graph = P.enumerate_plabic(C.cyclic_decorated(n, k))
+        _, _, class_of_vertex = P.quotient_complex(graph, "Y")
         class_labels = {}
-        for vid, cls in enumerate(info["class_of_vertex"]):
+        for vid, cls in enumerate(class_of_vertex):
             labs = frozenset(graph.payloads[vid].labels())
             class_labels.setdefault(cls, set()).add(labs)
         # each class carries one label collection, and together they are
@@ -647,8 +651,8 @@ class TestCrossValidation:
 
         quads, pents = _heptagon_face_split()
         assert (quads, pents) == (28, 28)
-        cx, info = P.build_plabic_complex(C.cyclic_decorated(7, 1), "X")
-        counts = Counter(name for name, _ in info["cells"])
+        cx, cells = P.build_plabic_complex(C.cyclic_decorated(7, 1), "X")
+        counts = Counter(name for name, _ in cells)
         assert (cx.nv, len(cx.edges), len(cx.cells)) == (42, 84, 56)
         assert counts == {"quad": quads, "pentagon_white": pents}
         assert T.h1(cx) == (0, [])

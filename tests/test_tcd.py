@@ -229,21 +229,21 @@ class TestNormalization:
 
 class TestComplex:
     def test_pentagon(self):
-        cx, info = tcd.build_t_complex((2, 3, 4, 5, 1))
-        assert info["n_vertices"] == 5
-        assert [n for n, _ in info["cells"]] == ["pentagon_white"]
+        cx, cells = tcd.build_t_complex((2, 3, 4, 5, 1))
+        assert cx.nv == 5
+        assert [n for n, _ in cells] == ["pentagon_white"]
         assert T.h1(cx) == (0, [])
 
     def test_decagon(self):
-        cx, info = tcd.build_t_complex((3, 4, 5, 1, 2))
-        assert [n for n, _ in info["cells"]] == ["decagon"]
+        cx, cells = tcd.build_t_complex((3, 4, 5, 1, 2))
+        assert [n for n, _ in cells] == ["decagon"]
         assert T.h1(cx) == (0, [])
         assert T.certify_trivial(T.pi1_presentation(cx)) == "trivial"
 
     def test_pi53_square_pentagon(self):
-        cx, info = tcd.build_t_complex((4, 5, 1, 2, 3))
-        assert info["n_vertices"] == 5
-        assert [n for n, _ in info["cells"]] == ["pentagon_square"]
+        cx, cells = tcd.build_t_complex((4, 5, 1, 2, 3))
+        assert cx.nv == 5
+        assert [n for n, _ in cells] == ["pentagon_square"]
         assert T.h1(cx) == (0, [])
 
     def test_cyclic_shift_n6_certifies_trivial(self):
@@ -253,7 +253,7 @@ class TestComplex:
         assert (cert["betti1"], cert["torsion"], cert["pi1"]) == (0, [], "trivial")
 
     def test_identity_single_vertex(self):
-        cx, info = tcd.build_t_complex((1, 2, 3))
+        cx, _ = tcd.build_t_complex((1, 2, 3))
         assert (cx.nv, len(cx.edges), len(cx.cells)) == (1, 0, 0)
 
     def test_black_fixed_points_rejected(self):
@@ -313,12 +313,18 @@ def _path_to_representative(cur, rep):
     return out
 
 
-def states_of_classes(info):
+def t_quotient(p):
+    """X's flip graph and the T complex read off it: (X graph, T complex,
+    T cells, T class of each X vertex)."""
+    xg = P.enumerate_plabic(p)
+    return (xg, *P.quotient_complex(xg, "T"))
+
+
+def states_of_classes(xg, class_of_vertex):
     """Class of T -> the contracted diagram of its X vertices, checked to be
     one diagram per class."""
     out = {}
-    xg = info["graph"]
-    for x, c in enumerate(info["class_of_vertex"]):
+    for x, c in enumerate(class_of_vertex):
         assert out.setdefault(c, normalize(xg.payloads[x])) == normalize(xg.payloads[x])
     return out
 
@@ -330,16 +336,15 @@ class TestPhiFunctoriality:
         # the reference route as the diagram its X vertices contract to
         p = tcd.permutation_for_tcd(image)
         tg = enumerate_tcd(p)
-        _, info = tcd.build_t_complex(p)
-        state_of = states_of_classes(info)
+        xg, _, cells, cls = t_quotient(p)
+        state_of = states_of_classes(xg, cls)
         assert sorted(s.key() for s in state_of.values()) == tg.vertices
-        xg = info["graph"]
         x_index = {key: i for i, key in enumerate(xg.vertices)}
         x_edges = {(min(u, v), max(u, v)) for u, v, _ in xg.edges}
         x_complex, _ = P.build_plabic_complex(p, "X")
         assert T.h1(x_complex) == (0, [])  # every X loop is null-homologous
-        for name, cyc in info["cells"]:
-            for a, b in zip(cyc, cyc[1:] + [cyc[0]]):
+        for name, cyc in cells:
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 sa, sb = state_of[a], state_of[b]
                 move = next(
                     m for m, nxt in tcd_neighbors(sa) if nxt.key() == sb.key()
@@ -357,22 +362,23 @@ class TestQuotientAgainstReference:
         for n in range(1, 6):
             for image in itertools.permutations(range(1, n + 1)):
                 p = tcd.permutation_for_tcd(image)
-                cx, info = tcd.build_t_complex(p)
+                xg, cx, cells, cls = t_quotient(p)
                 tg = enumerate_tcd(p)
-                key = {c: s.key() for c, s in states_of_classes(info).items()}
-                assert cx.nv == info["n_vertices"] == tg.n_vertices
+                key = {c: s.key() for c, s in states_of_classes(xg, cls).items()}
+                assert cx.nv == tg.n_vertices
                 assert {frozenset((key[u], key[v])) for u, v in cx.edges} == {
                     frozenset((tg.vertices[u], tg.vertices[v])) for u, v, _ in tg.edges
                 }
-                assert {(name, frozenset(key[c] for c in cyc)) for name, cyc in info["cells"]} == {
+                assert {(name, frozenset(key[c] for c in cyc)) for name, cyc in cells} == {
                     (name, frozenset(tg.vertices[v] for v in cyc)) for name, cyc in reference_t_cells(tg)
                 }
 
     def test_n6_diagrams_and_edge_counts_match_and_every_complex_certifies(self):
         for image in itertools.permutations(range(1, 7)):
-            cx, info = tcd.build_t_complex(image)
-            tg = enumerate_tcd(tcd.permutation_for_tcd(image))
-            assert sorted(s.key() for s in states_of_classes(info).values()) == tg.vertices
+            p = tcd.permutation_for_tcd(image)
+            xg, cx, _, cls = t_quotient(p)
+            tg = enumerate_tcd(p)
+            assert sorted(s.key() for s in states_of_classes(xg, cls).values()) == tg.vertices
             assert len(cx.edges) == tg.n_edges
             cert = T.certificate(cx)
             assert (cert["betti1"], cert["torsion"], cert["pi1"]) == (0, [], "trivial")

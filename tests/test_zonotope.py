@@ -199,9 +199,8 @@ class TestFlips:
         g = Z.enumerate_tilings(Z.zonotope_spec(4, 2))
         assert max(g.ranks) == math.comb(4, 3)
         cur = g.min_vertex
-        adj = g.adjacency()
         for _ in range(4):
-            cur = next(w for w in adj[cur] if g.ranks[w] == g.ranks[cur] + 1)
+            cur = next(w for w in g.moves[cur].values() if g.ranks[w] == g.ranks[cur] + 1)
         assert cur == g.max_vertex
 
 
@@ -219,6 +218,10 @@ class TestEnumeration:
         g = Z.enumerate_tilings(Z.zonotope_spec(5, 3))
         assert (g.n_vertices, g.n_edges) == (10, 10)
         assert g.is_single_cycle()
+
+    def test_z52_is_not_a_cycle(self):
+        g = Z.enumerate_tilings(Z.zonotope_spec(5, 2))
+        assert g.n_vertices > 10 and not g.is_single_cycle()
 
     def test_z31_weak_order(self):
         g = Z.enumerate_tilings(Z.zonotope_spec(3, 1))
@@ -320,10 +323,22 @@ class TestJson:
         data = json.loads(json.dumps(Z.tiling_to_json(mt)))
         assert Z.tiling_from_json(data).key() == mt.key()
 
+    @pytest.mark.parametrize("n, d, count", [(5, 3, 9), (5, 3, 11), (10**6, 5 * 10**5, 0)])
+    def test_tile_count_checked_first(self, n, d, count):
+        # the count is compared before a zero-set table is built, and without
+        # computing all of a C(n, d) as large as C(10**6, 5 * 10**5)
+        data = {"n": n, "d": d, "tiles": ["0" * n] * count}
+        with pytest.raises(ValidationError, match=r"has C\(%d,%d\) tiles, not %d" % (n, d, count)):
+            Z.tiling_from_json(data)
+
+    @pytest.mark.parametrize("n, d", [(3, 0), (3, 4), (3, -1)])
+    def test_dimension_out_of_range(self, n, d):
+        with pytest.raises(ValidationError, match="1 <= d <= n"):
+            Z.tiling_from_json({"n": n, "d": d, "tiles": []})
+
     def test_flipgraph_json_and_dot(self):
-        spec = Z.zonotope_spec(4, 2)
-        g = Z.enumerate_tilings(spec)
-        data = Z.flipgraph_to_json(g, spec)
+        g = Z.enumerate_tilings(Z.zonotope_spec(4, 2))
+        data = Z.flipgraph_to_json(g)
         assert data["n_vertices"] == 8
         assert len(data["edges"]) == 8
         dot = g.to_dot()
