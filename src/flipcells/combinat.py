@@ -215,6 +215,30 @@ def necklace_of(p: DecoratedPermutation) -> GrassmannNecklace:
     return GrassmannNecklace(n, tuple(frozenset(s) for s in sets))
 
 
+def necklace_masks(p: DecoratedPermutation) -> tuple[int, ...]:
+    """The entries of `necklace_of(p)` as masks, walked by the exchange rule.
+
+    I_1 holds the black fixed points and every j = pi(i) with i > j; then
+    I_{i+1} = (I_i \\ {i}) u {pi(i)} for each non-fixed i.
+    """
+    if p.n == 0:
+        raise ValidationError("necklace must have exactly n nonzero entries")
+    first = 0
+    for i, j in enumerate(p.image, start=1):
+        if j < i:
+            first |= 1 << (j - 1)
+    for i, c in p.fixed_color:
+        if c == BLACK:
+            first |= 1 << (i - 1)
+    out = [first]
+    m = first
+    for i, j in enumerate(p.image[:-1], start=1):
+        if j != i:
+            m = m & ~(1 << (i - 1)) | 1 << (j - 1)
+        out.append(m)
+    return tuple(out)
+
+
 def decorated_of(necklace: GrassmannNecklace) -> DecoratedPermutation:
     """Inverse of `necklace_of`: read pi(i) off the exchange I_{i+1} = (I_i \\ {i}) u {pi(i)}."""
     n = necklace.n

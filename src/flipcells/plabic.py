@@ -83,11 +83,14 @@ def walked_segments(boundary: tuple[int, ...]) -> frozenset[tuple[int, int]]:
     whole build; a sweep over connectivities keeps no stale walks.
     """
     return frozenset(
-        (min(a, b), max(a, b)) for a, b in zip(boundary, boundary[1:] + boundary[:1]) if a != b
+        [(a, b) if a < b else (b, a) for a, b in zip(boundary, boundary[1:] + boundary[:1]) if a != b]
     )
 
 
+@lru_cache(maxsize=SITE_CACHE_SIZE)
 def triangle_color(tri: tuple[int, int, int]) -> str:
+    """WHITE or BLACK; raises ValidationError for a triple that is neither,
+    which the memo does not store, so a repeat raises again."""
     a, b, c = tri
     k = bin(a).count("1")
     if bin(a & b & c).count("1") == k - 1:
@@ -105,6 +108,7 @@ def _sides(tri) -> tuple[tuple[tuple[int, int], int], ...]:
     return (((a, b), c), ((a, c), b), ((b, c), a))
 
 
+@lru_cache(maxsize=SITE_CACHE_SIZE)
 def _ccw_sides(tri) -> tuple[tuple[tuple[int, int], int, int], ...]:
     """The sides of a sorted triangle in counterclockwise order, each as
     (sorted label pair, opposite label, +1 or -1 as the opposite label lies
@@ -119,6 +123,13 @@ def _ccw_sides(tri) -> tuple[tuple[tuple[int, int], int, int], ...]:
     if s > 0:
         return (((b, c), a, s), ((a, c), b, -s), ((a, b), c, s))
     return (((b, c), a, s), ((a, b), c, s), ((a, c), b, -s))
+
+
+@lru_cache(maxsize=SITE_CACHE_SIZE)
+def _area2(tri) -> int:
+    """Twice the area of a triangle."""
+    a, b, c = tri
+    return triangle_area2(pos(a), pos(b), pos(c))
 
 
 def _norm_tri(labels) -> tuple[int, int, int]:
@@ -181,7 +192,7 @@ class PlabicTriangulation:
         return abs(shoelace2([pos(m) for m in self.boundary]))
 
     def triangles_area2(self) -> int:
-        return sum(triangle_area2(pos(a), pos(b), pos(c)) for a, b, c in self.triangles)
+        return sum(map(_area2, self.triangles))
 
     def check(self) -> None:
         """Structural invariants: label sizes, colors, area, weak separation."""
@@ -318,23 +329,27 @@ class PlabicGraph:
 def _dual_links(sigma: PlabicTriangulation):
     """The links of the dual graph, read off the triangles.
 
-    Returns the triangle colors; the `_ccw_sides` of each triangle; the
-    interior segments as (segment, (t1, third1), (t2, third2)), one per
-    pair of triangles across it; and the boundary links in step order:
-    (i, t, third) for a leg b_i into triangle t across its side opposite
-    `third`, (i, None, j) for a direct b_i -- b_j edge.  Raises
-    ValidationError when the triangles do not tile the region inside the
-    walk.
+    Side s of triangle t, counted in `_ccw_sides` order, is slot 3t + s.
+    Returns the triangle colors, the `_ccw_sides` of each triangle, `link`
+    and `entry`.  `link[slot]` is the slot across the side's interior
+    segment, -i when the leg b_i crosses the side, or None when no dual
+    edge does.  `entry[i]`, for each boundary step I_i -> I_{i+1} that
+    moves, is the slot its leg crosses, or -j for a direct b_i -- b_j
+    edge.  Raises ValidationError when the triangles do not tile the
+    region inside the walk.
     """
-    colors = [triangle_color(t) for t in sigma.triangles]
-    sides = [_ccw_sides(t) for t in sigma.triangles]
-    seg_map: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for ti, tri_sides in enumerate(sides):
-        for seg, third, side in tri_sides:
-            seg_map.setdefault(seg, []).append((ti, third, side))
+    colors = list(map(triangle_color, sigma.triangles))
+    sides = list(map(_ccw_sides, sigma.triangles))
+    # seg_map[seg]: (slot, +1 or -1 as the opposite label lies left or
+    # right of seg) of every side along seg
+    seg_map: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    slot = 0
+    for tri_sides in sides:
+        for seg, _, side in tri_sides:
+            seg_map.setdefault(seg, []).append((slot, side))
+            slot += 1
+    link: list[int | None] = [None] * slot
     walked = walked_segments(sigma.boundary)
-
-    interior = []
     for seg, lst in seg_map.items():
         if seg in walked:
             continue
@@ -344,38 +359,36 @@ def _dual_links(sigma: PlabicTriangulation):
             )
         if len(lst) != 2:
             raise ValidationError("segment %s borders %d triangles" % (seg, len(lst)))
-        (t1, th1, side1), (t2, th2, side2) = lst
+        (s1, side1), (s2, side2) = lst
         if side1 == side2:
             raise ValidationError("triangles overlap across segment %s" % (seg,))
-        interior.append((seg, (t1, th1), (t2, th2)))
+        link[s1] = s2
+        link[s2] = s1
 
-    steps = sigma.walk_steps()
-    step_by_pair: dict[tuple[int, int], list[int]] = {}
-    for i, a, b in steps:
-        step_by_pair.setdefault((a, b), []).append(i)
-    boundary = []
-    legs: dict[tuple[int, int], int] = {}
-    done_bb = set()
-    for i, a, b in steps:
-        up = 1 if a < b else -1
-        seg = (a, b) if a < b else (b, a)
-        candidates = [(ti, third) for ti, third, side in seg_map.get(seg, ()) if side == up]
-        if len(candidates) > 1:
-            raise ValidationError("boundary step %d has two inner triangles" % i)
-        if candidates:
-            if candidates[0] in legs:
-                raise ValidationError("boundary steps %d and %d cross one side" % (legs[candidates[0]], i))
-            legs[candidates[0]] = i
-            boundary.append((i,) + candidates[0])
+    walk = sigma.boundary
+    steps = list(zip(walk, walk[1:] + walk[:1]))
+    entry: dict[int, int] = {}
+    for i, (a, b) in enumerate(steps, 1):
+        if a == b:
             continue
-        partners = step_by_pair.get((b, a), [])
+        up, seg = (1, (a, b)) if a < b else (-1, (b, a))
+        inner = None
+        for s, side in seg_map.get(seg, ()):
+            if side == up:
+                if inner is not None:
+                    raise ValidationError("boundary step %d has two inner triangles" % i)
+                inner = s
+        if inner is not None:
+            if link[inner] is not None:
+                raise ValidationError("boundary steps %d and %d cross one side" % (-link[inner], i))
+            link[inner] = -i
+            entry[i] = inner
+            continue
+        partners = [j for j, back in enumerate(steps, 1) if back == (b, a)]
         if len(partners) != 1:
             raise ValidationError("hanging boundary step %d has no reverse partner" % i)
-        j = partners[0]
-        if (min(i, j), max(i, j)) not in done_bb:
-            done_bb.add((min(i, j), max(i, j)))
-            boundary.append((i, None, j))
-    return colors, sides, interior, boundary
+        entry[i] = -partners[0]
+    return colors, sides, link, entry
 
 
 def dual_graph(sigma: PlabicTriangulation) -> PlabicGraph:
@@ -386,7 +399,7 @@ def dual_graph(sigma: PlabicTriangulation) -> PlabicGraph:
     the same segment and yields a direct b_i -- b_j edge; a stalled step
     (fixed point) yields an isolated vertex colored by the necklace.
     """
-    colors, _, interior, boundary = _dual_links(sigma)
+    colors, sides, link, entry = _dual_links(sigma)
     edges: list[tuple[tuple, tuple]] = []
     # arms[v]: (dart, direction from the opposite label across the segment)
     # of every dart at triangle v, in edge order
@@ -396,19 +409,27 @@ def dual_graph(sigma: PlabicTriangulation) -> PlabicGraph:
         pa, pb, pc = pos(a), pos(b), pos(third)
         arms[ti].append(((len(edges), end), (pa[0] + pb[0] - 2 * pc[0], pa[1] + pb[1] - 2 * pc[1])))
 
-    # interior edges between triangles
-    for seg, (t1, th1), (t2, th2) in sorted(interior):
-        arm(t1, 0, seg[0], seg[1], th1)
-        arm(t2, 1, seg[0], seg[1], th2)
+    # interior edges between triangles, by segment
+    interior = sorted(
+        (sides[s1 // 3][s1 % 3][0], s1, s2)
+        for s1, s2 in enumerate(link)
+        if s2 is not None and s2 > s1
+    )
+    for seg, s1, s2 in interior:
+        t1, t2 = s1 // 3, s2 // 3
+        arm(t1, 0, seg[0], seg[1], sides[t1][s1 % 3][1])
+        arm(t2, 1, seg[0], seg[1], sides[t2][s2 % 3][1])
         edges.append((("v", t1), ("v", t2)))
 
-    # boundary legs
-    for i, ti, x in boundary:
-        if ti is None:
-            edges.append((("b", i), ("b", x)))
-        else:
-            arm(ti, 0, sigma.boundary[i - 1], sigma.boundary[i % sigma.n], x)
+    # boundary legs and direct edges, in step order; a direct edge between
+    # two hanging steps is added at the first of them
+    for i, s in entry.items():
+        if s >= 0:
+            ti = s // 3
+            arm(ti, 0, sigma.boundary[i - 1], sigma.boundary[i % sigma.n], sides[ti][s % 3][1])
             edges.append((("v", ti), ("b", i)))
+        elif not (-s < i and entry.get(-s) == -i):
+            edges.append((("b", i), ("b", -s)))
 
     # rotation systems for triangle-dual vertices
     rotations: list[tuple[tuple[int, int], ...]] = []
@@ -497,56 +518,42 @@ def trip_permutation(sigma: PlabicTriangulation) -> DecoratedPermutation:
 
 def _trips(sigma: PlabicTriangulation) -> tuple[tuple[int, ...], dict[int, str]]:
     """The image and the fixed-point colors of `trip_permutation`."""
-    n = sigma.n
-    colors, sides, interior, boundary = _dual_links(sigma)
-    # across[t][third]: where the side of triangle t opposite `third` leads,
-    # a (triangle, third) pair or the index of a boundary leg
-    across: list[dict] = [{} for _ in colors]
-    for _, (t1, th1), (t2, th2) in interior:
-        across[t1][th1] = (t2, th2)
-        across[t2][th2] = (t1, th1)
-    entry: dict[int, object] = {}
-    edges_at = [0] * (n + 1)
-    for i, ti, x in boundary:
-        if ti is None:
-            entry[i], entry[x] = x, i
-            edges_at[x] += 1
-        else:
-            across[ti][x] = i
-            entry[i] = (ti, x)
-        edges_at[i] += 1
-    # succ[(t, third)]: where a strand that enters t across the side
-    # opposite `third` goes next.  succ is one-to-one and no dart entered
-    # from a leg is in its image, so every walk ends at a leg.
-    succ = {}
-    for ti, tri_sides in enumerate(sides):
-        side = across[ti]
-        ring = [x for _, x, _ in tri_sides if x in side]
-        turn = 1 if colors[ti] == WHITE else -1
-        for j, x in enumerate(ring):
-            succ[ti, x] = side[ring[(j + turn) % len(ring)]]
+    n, walk = sigma.n, sigma.boundary
+    colors, _, link, entry = _dual_links(sigma)
+    # a strand that enters a triangle at one slot leaves it at the next
+    # linked slot counterclockwise (white, +1) or clockwise (black, +2) and
+    # crosses to `link` of that slot.  That step is one-to-one and no slot
+    # a leg enters by is in its image, so every walk ends at a leg.
+    turn = [1 if c == WHITE else 2 for c in colors]
+    # each b_i has its leg, its direct edge or, at a step that stays put,
+    # its fixed point; a direct edge to b_j is a second edge at b_j unless
+    # b_j's direct edge is the same one
+    extra = [-s for i, s in entry.items() if s < 0 and entry[-s] != -i]
+    if extra:
+        raise MalformedGraphError("boundary vertex b_%d must have exactly one edge" % min(extra))
 
     image = []
     fixed = {}
     for i in range(1, n + 1):
-        a = sigma.boundary[i - 1]
-        if a == sigma.boundary[i % n]:
-            edges_at[i] += 1
-        if edges_at[i] != 1:
-            raise MalformedGraphError("boundary vertex b_%d must have exactly one edge" % i)
-        if i not in entry:
+        at = entry.get(i)
+        if at is None:
             image.append(i)
-            fixed[i] = BLACK if a >> (i - 1) & 1 else WHITE
+            fixed[i] = BLACK if walk[i - 1] >> (i - 1) & 1 else WHITE
             continue
-        at = entry[i]
-        while type(at) is tuple:
-            at = succ[at]
-        image.append(at)
-        if at == i:
+        while at >= 0:
+            t, s = divmod(at, 3)
+            base, step = 3 * t, turn[t]
+            s = (s + step) % 3
+            while link[base + s] is None:
+                s = (s + step) % 3
+            at = link[base + s]
+        image.append(-at)
+        if -at == i:
             # a strand back at its own leg through a triangle with one edge
             # is a fixed point of that triangle's color, as in the dual graph
-            ti = entry[i][0] if type(entry[i]) is tuple else None
-            fixed[i] = colors[ti] if ti is not None and len(across[ti]) == 1 else WHITE
+            base = entry[i] - entry[i] % 3
+            one_edge = link[base : base + 3].count(None) == 2
+            fixed[i] = colors[base // 3] if one_edge else WHITE
     return tuple(image), fixed
 
 
@@ -784,48 +791,54 @@ def _tile_labels(n: int, k: int, labels: list[int], walk: tuple[int, ...]) -> Pl
     if not set(walk) <= set(labels):
         raise ValidationError("boundary label missing from the collection")
     tris = []
-    for poly in _clique_polygons(labels, n):
+    for poly in _cliques(labels, n).values():
         tris.extend(_fan_triangles(poly))
-    sigma = PlabicTriangulation.make(n, k, tris, walk)
+    tris.sort()
+    sigma = PlabicTriangulation(n, k, tuple(tris), walk)
     if sigma.triangles_area2() != sigma.boundary_area2():
         raise ValidationError("clique polygons do not tile the necklace region")
     return sigma
 
 
-def _clique_polygons(labels: list[int], n: int) -> list[list[int]]:
-    """White and black clique polygons (vertex lists in convex order)."""
-    whites: dict[int, list[tuple[int, int]]] = {}
-    for lab in labels:
-        m = lab
-        while m:
-            low = m & -m
-            whites.setdefault(lab ^ low, []).append((low, lab))
-            m ^= low
-    polys = [[lab for _, lab in sorted(members)] for members in whites.values() if len(members) >= 3]
-    return polys + list(_black_cliques(labels, n).values())
+@lru_cache(maxsize=SITE_CACHE_SIZE)
+def _clique_keys(n: int, lab: int) -> tuple[int, ...]:
+    """The cliques a label can join, one per element i of [n]: the label
+    minus i when it holds i (white), the label plus i when not (black)."""
+    return tuple(lab ^ 1 << i for i in range(n))
 
 
-def _black_cliques(labels, n: int) -> dict[int, list[int]]:
-    """Black cliques: union mask -> members (labels) in convex (removed-element) order."""
-    blacks: dict[int, list[tuple[int, int]]] = {}
-    for lab in labels:
-        m = ((1 << n) - 1) & ~lab
-        while m:
-            low = m & -m
-            blacks.setdefault(lab | low, []).append((low, lab))
-            m ^= low
-    return {u: [lab for _, lab in sorted(members)] for u, members in blacks.items() if len(members) >= 3}
+def _cliques(labels, n: int) -> dict[int, tuple[int, ...]]:
+    """The white and black clique polygons of a label collection: key ->
+    members in convex order (the order of the element each adds to or
+    removes from the key).
+
+    A white key (the members' intersection) is below its members and a
+    black key (their union) above them.
+    """
+    groups: dict[int, list[int]] = {}
+    for lab in sorted(labels):
+        for key in _clique_keys(n, lab):
+            if key in groups:
+                groups[key].append(lab)
+            else:
+                groups[key] = [lab]
+    # ascending members add ascending elements to a white key and remove
+    # descending elements from a black key
+    return {
+        key: tuple(members) if key < members[0] else tuple(members[::-1])
+        for key, members in groups.items()
+        if len(members) >= 3
+    }
 
 
-def _fan_triangles(poly: list[int]) -> list[tuple[int, int, int]]:
-    m = len(poly)
-    apex = poly.index(min(poly))
-    out = []
-    for off in range(1, m - 1):
-        a = poly[(apex + off) % m]
-        b = poly[(apex + off + 1) % m]
-        out.append(_norm_tri((poly[apex], a, b)))
-    return out
+@lru_cache(maxsize=SITE_CACHE_SIZE)
+def _fan_triangles(poly: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """The triangles, each sorted, that fan a polygon of distinct labels from
+    its least label."""
+    low = min(poly)
+    apex = poly.index(low)
+    ring = poly[apex + 1 :] + poly[:apex]
+    return tuple([(low, a, b) if a < b else (low, b, a) for a, b in zip(ring, ring[1:])])
 
 
 # ---------------------------------------------------------------------------
@@ -847,11 +860,10 @@ def seed_triangulation(p: DecoratedPermutation) -> PlabicTriangulation:
     (area check), and the strands walked on the triangles from each leg
     (`trip_permutation`) must give back p.
     """
-    necklace = combinat.necklace_of(p)
-    n, k = p.n, necklace.k
-    walk = tuple(mask_of(s) for s in necklace.sets)
+    walk = combinat.necklace_masks(p)
+    n, k = p.n, walk[0].bit_count()
     if k == 0 or k == n:
-        return PlabicTriangulation.make(n, k, [], walk)
+        return PlabicTriangulation(n, k, (), walk)
     walk_pts = [pos(m) for m in walk]
 
     def inside(cand: int) -> bool:
@@ -873,7 +885,7 @@ def _cyclic_triangulation(
 ) -> PlabicTriangulation:
     """Full cyclic triangulation of a maximal collection with forced chords."""
     tris = []
-    for poly in _clique_polygons(ext_masks, n):
+    for poly in _cliques(ext_masks, n).values():
         poly_set = set(poly)
         chords = {
             seg
@@ -989,7 +1001,7 @@ def layer_step(sigma: PlabicTriangulation, direction: str) -> PlabicTriangulatio
     for t in fixed:
         labels.update(t)
     tris = list(fixed)
-    for poly in _clique_polygons(sorted(labels), n):
+    for poly in _cliques(labels, n).values():
         color = triangle_color(_norm_tri(poly[:3])) if len(poly) == 3 else _poly_color(poly)
         if color == free_color:
             tris.extend(_fan_triangles(poly))
@@ -1068,7 +1080,7 @@ def _poly_adjacent(poly: list[int], seg: tuple[int, int]) -> bool:
     return False
 
 
-def _triangulate_with_chords(poly: list[int], chords: set[tuple[int, int]]):
+def _triangulate_with_chords(poly: tuple[int, ...], chords: set[tuple[int, int]]):
     """Triangulate a convex polygon respecting non-crossing forced chords."""
     if len(poly) < 3:
         return []
@@ -1087,7 +1099,7 @@ def _triangulate_with_chords(poly: list[int], chords: set[tuple[int, int]]):
         lch = {c for c in rest if c[0] in lset and c[1] in lset and not (c[0] in rset and c[1] in rset)}
         rch = rest - lch
         return _triangulate_with_chords(left, lch) + _triangulate_with_chords(right, rch)
-    return _fan_triangles(poly)
+    return list(_fan_triangles(poly))
 
 
 def up_down_graph(sigma: PlabicTriangulation, direction: str) -> PlabicTriangulation:

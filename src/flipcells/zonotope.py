@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import _kernels
 from .combinat import elems_of, mask_of
-from .errors import ArgumentError, PreconditionError, ValidationError
+from .errors import ArgumentError, PreconditionError, ResourceCapExceeded, ValidationError
 from .flipgraph import (
     DEFAULT_VERTEX_CAP,
     FlipGraph,
@@ -162,9 +162,15 @@ class SignedSubset:
         return SignedSubset(len(s), plus, minus)
 
 
+# Largest n whose sign masks fit the uint64 tables of the tiling scans.
+MAX_N = 64
+
+
 def zonotope_spec(n: int, d: int) -> ZonotopeSpec:
     if d < 1 or d >= n:
         raise ArgumentError("need 1 <= d < n")
+    if n > MAX_N:
+        raise ArgumentError("need n <= %d: the tiling scans hold sign masks as uint64" % MAX_N)
     return ZonotopeSpec(n, d)
 
 
@@ -543,7 +549,12 @@ def enumerate_tilings(spec: ZonotopeSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) 
     flip is labelled by its (d+1)-subset mask.  Asserts gradedness and the
     uniqueness of the extremes.  numpy is imported on the first call, not
     with the package, so commands that enumerate no tilings start without it.
+    A cap below C(n, d+1) + 1, the length of a maximal chain of the graded
+    flip poset, raises before the flip tables are built.
     """
+    overflow = "vertex cap %d exceeded enumerating Z(%d,%d)" % (vertex_cap, spec.n, spec.d)
+    if spec_top_rank(spec) + 1 > vertex_cap:
+        raise ResourceCapExceeded(overflow, partial_count=0)
     import numpy as np  # deferred: only the tiling scan needs numpy
 
     tiles_idx, elem_bits, smask_np = spec.flip_tables_np()
@@ -566,7 +577,7 @@ def enumerate_tilings(spec: ZonotopeSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) 
         minimal_tiling(spec).plus,
         expand,
         vertex_cap,
-        "vertex cap %d exceeded enumerating Z(%d,%d)" % (vertex_cap, spec.n, spec.d),
+        overflow,
     )
     ranks = graph.ranks
     for u, w, _ in graph.edges:

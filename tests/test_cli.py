@@ -176,6 +176,21 @@ class TestDeterminismAndErrors:
         assert cli.main(["tilings", "5", "2", "--cap", "5"]) == 3
         assert cli.main(["--cap", "5", "tilings", "5", "2", "--budget", "7"]) == 3
 
+    def test_cap_bounds_the_tiling_setup(self, capsys, monkeypatch):
+        # C(20, 11) + 1 tilings lie on one maximal chain, far above the cap,
+        # so neither the flip tables nor the minimal tiling are built
+        built = []
+        monkeypatch.setattr(Z.ZonotopeSpec, "flip_sites_table", lambda self: built.append("sites"))
+        monkeypatch.setattr(Z, "minimal_tiling", lambda spec: built.append("minimal"))
+        assert cli.main(["--cap", "5", "tilings", "20", "10"]) == 3
+        assert "vertex cap 5 exceeded enumerating Z(20,10)" in capsys.readouterr().err
+        assert built == []
+
+    @pytest.mark.parametrize("argv", [["zcomplex", "66", "1"], ["tilings", "70", "2"]])
+    def test_more_than_64_elements_is_usage_error(self, capsys, argv):
+        assert cli.main(argv) == 2
+        assert "n <= 64" in capsys.readouterr().err
+
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "res.json"
         code = cli.main(["tilings", "3", "2", "--out", str(out)])

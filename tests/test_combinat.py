@@ -96,6 +96,17 @@ class TestNecklaceBijection:
         with pytest.raises(ValidationError):
             C.GrassmannNecklace.make(3, [[1], [3], [2]])
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_necklace_masks_match_necklace_of(self, n):
+        for p in C.all_decorated_permutations(n):
+            assert C.necklace_masks(p) == tuple(C.mask_of(s) for s in C.necklace_of(p).sets), p
+
+    def test_necklace_masks_of_the_empty_permutation(self):
+        (p,) = C.all_decorated_permutations(0)
+        for f in (C.necklace_of, C.necklace_masks):
+            with pytest.raises(ValidationError, match="n nonzero entries"):
+                f(p)
+
 
 class TestShifts:
     def test_down_pi52(self):

@@ -319,11 +319,11 @@ class TestSeedReference:
     def test_every_seed_up_to_6(self):
         for n in range(1, 7):
             for p in C.all_decorated_permutations(n):
-                assert P.seed_triangulation(p).key() == reference_seed(p).key(), p
+                assert P.seed_triangulation(p) == reference_seed(p), p
 
     def test_sample_of_7(self):
         for p in random.Random(7).sample(list(C.all_decorated_permutations(7)), 500):
-            assert P.seed_triangulation(p).key() == reference_seed(p).key(), p
+            assert P.seed_triangulation(p) == reference_seed(p), p
 
 
 class TestTripWalk:
@@ -367,6 +367,23 @@ class TestTripWalk:
         with pytest.raises(ValidationError, match=message) as dual_exc:
             P.dual_graph(sigma)
         assert str(walk_exc.value) == str(dual_exc.value)
+
+    def test_direct_edge_onto_a_leg_raises(self):
+        # the walk runs back along two sides of its one triangle: steps 3
+        # and 4 hang, and their reverse partners 2 and 1 already have legs
+        sigma = P.PlabicTriangulation.make(6, 1, [(1, 2, 4)], (1, 2, 4, 2, 1, 4))
+        with pytest.raises(MalformedGraphError, match="b_1 must have exactly one edge"):
+            P.trip_permutation(sigma)
+        with pytest.raises(MalformedGraphError, match="b_1 must have exactly one edge"):
+            P.strand_permutation(P.dual_graph(sigma))
+
+    def test_memoized_color_raises_again(self):
+        # {1,2}, {3,4}, {5,6} share no element and span six: neither color
+        bad = (3, 12, 48)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="neither white nor black"):
+                P.triangle_color(bad)
+        assert P.triangle_color((3, 5, 9)) == WHITE
 
 
 class TestFromLabels:

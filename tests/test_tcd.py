@@ -41,7 +41,7 @@ class TCDState:
 
     @cached_property
     def _cliques(self):
-        return P._black_cliques(self.labels, self.n)
+        return {u: m for u, m in P._cliques(self.labels, self.n).items() if u > m[0]}
 
     def polygons(self):
         """The polygons that tile the region: white triangles and black cliques."""
@@ -280,7 +280,7 @@ def lift_t_edge(s1, move, s2):
         prev_m = members[idx - 1]
         next_m = members[(idx + 1) % len(members)]
         ear = P._norm_tri((prev_m, v, next_m))
-        rest = [m for m in members if m != v]
+        rest = tuple(m for m in members if m != v)
         target = {ear}
         target.update(P._fan_triangles(rest) if len(rest) >= 3 else [])
         current = {t for t in cur.triangles if P.triangle_color(t) == BLACK and P._tri_or(t) == u}

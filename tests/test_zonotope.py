@@ -32,6 +32,12 @@ class TestSpec:
         with pytest.raises(ArgumentError):
             Z.zonotope_spec(3, 0)
 
+    def test_sign_masks_fit_uint64(self):
+        assert Z.zonotope_spec(64, 63).n == 64
+        for n in (65, 66, 70):
+            with pytest.raises(ArgumentError, match="n <= 64"):
+                Z.zonotope_spec(n, 1)
+
 
 class TestTiles:
     def test_quadrilateral_tile(self):
@@ -233,6 +239,26 @@ class TestEnumeration:
 
         with pytest.raises(ResourceCapExceeded):
             Z.enumerate_tilings(Z.zonotope_spec(5, 2), vertex_cap=10)
+
+    def test_cap_below_a_maximal_chain_skips_the_tables(self, monkeypatch):
+        from flipcells.errors import ResourceCapExceeded
+
+        # Z(4,2) has 8 tilings on a graded poset of top rank C(4,3) = 4
+        spec = Z.zonotope_spec(4, 2)
+        calls = []
+        table = Z.ZonotopeSpec.flip_sites_table
+        monkeypatch.setattr(
+            Z.ZonotopeSpec, "flip_sites_table", lambda self: calls.append(self) or table(self)
+        )
+        message = r"vertex cap 4 exceeded enumerating Z\(4,2\)"
+        with pytest.raises(ResourceCapExceeded, match=message) as exc:
+            Z.enumerate_tilings(spec, vertex_cap=4)
+        assert (exc.value.partial_count, calls) == (0, [])
+        # a cap that a maximal chain fits is left to the enumeration
+        with pytest.raises(ResourceCapExceeded) as exc:
+            Z.enumerate_tilings(spec, vertex_cap=5)
+        assert exc.value.partial_count == 5 and calls
+        assert Z.enumerate_tilings(spec, vertex_cap=8).n_vertices == 8
 
     @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (5, 3)])
     def test_volume_and_bijection_invariants(self, n, d):
