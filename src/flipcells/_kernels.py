@@ -15,8 +15,9 @@ BACKEND = "numpy"
 def scan_available(plus, tiles_idx, elem_bits, smask):
     """Availability matrix (n_tilings, n_subsets) for a frontier of tilings.
 
-    `plus` is a uint64 matrix of per-tile plus-masks; the remaining tables
-    come from `ZonotopeSpec.flip_tables_np()`.
+    `plus` is an unsigned matrix of per-tile plus-masks, as read by
+    `ZonotopeSpec.key_rows`; the remaining tables come from
+    `ZonotopeSpec.flip_tables_np()`.
     """
     gathered = plus[:, tiles_idx]  # (n_tilings, n_subsets, d+1)
     prefix = gathered & ~smask[None, :, None]

@@ -14,7 +14,7 @@ import contextlib
 import gc
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .errors import ResourceCapExceeded
 
@@ -26,10 +26,12 @@ class FlipGraph:
     """A connected graph of configurations related by single flips/moves.
 
     `vertices[i]` is the canonical encoding of vertex i (vertex ids are
-    assigned in sorted encoding order, so the structure is deterministic).
+    assigned in sorted encoding order, so the structure is deterministic);
+    a zonotopal tiling is encoded as its packed key, big-endian `bytes`.
     `ranks[i]` is the BFS distance from the canonical seed; for zonotopal
-    tilings this equals the poset rank.  `payloads[i]` holds the decoded
-    object when the producer keeps it around.
+    tilings this equals the poset rank.  `payloads[i]` is the decoded
+    object when the producer provides one: plabic graphs keep theirs in a
+    list, while tilings are decoded from their keys on access.
 
     `moves[i]` maps the label of every move available at vertex i to the
     vertex it leads to, in the order the producer scanned them.  Edges are
@@ -42,7 +44,7 @@ class FlipGraph:
     ranks: list[int]
     min_vertex: int
     max_vertex: int | None = None
-    payloads: list[Any] | None = None
+    payloads: Sequence[Any] | None = None
     moves: list[dict[Any, int]] | None = None
 
     @property

@@ -3,7 +3,9 @@
 A tiling is stored as one plus-mask per d-subset of [n]: the tile whose
 zero set is the d-subset Z has X+ = plus-mask, X- = complement of both.
 Subsets are bitmasks over [n] (bit i-1 represents element i) and are kept
-in colexicographic order, which coincides with ascending mask order.
+in colexicographic order, which coincides with ascending mask order.  The
+flip graph keys each tiling by its plus masks packed into one `bytes`
+object (`ZonotopeSpec.pack`), and decodes a `Tiling` only when asked.
 
 All geometry (determinants, slab tests, tile intersections) is exact:
 integer arithmetic where possible, `fractions.Fraction` where division is
@@ -14,6 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,7 +35,7 @@ from .flipgraph import (
     sorted_cells,
 )
 
-# Sign keys per step of the coarse-tile scan in `build_z_complex`: bounds its
+# Packed keys per step of the coarse-tile scan in `build_z_complex`: bounds its
 # (rows, coarse tiles, member tiles) array of plus masks, 1.7 MB at Z(8,4).
 COARSE_SCAN_ROWS = 4096
 
@@ -76,6 +80,47 @@ class ZonotopeSpec:
     def tile_index(self, zero_mask: int) -> int:
         return self._dsubsets()[1][zero_mask]
 
+    @property
+    def key_width(self) -> int:
+        """Bytes per plus mask in a packed key: the narrowest of 1, 2, 4 and
+        8 that holds n bits."""
+        return next(w for w in (1, 2, 4, 8) if self.n <= 8 * w)
+
+    @lru_cache(maxsize=None)
+    def _key_struct(self) -> struct.Struct:
+        code = "BHIQ"[self.key_width.bit_length() - 1]
+        return struct.Struct(">%d%s" % (len(self.dsubsets), code))
+
+    def pack(self, plus) -> bytes:
+        """The packed key of a tiling: its plus masks in colex order, each
+        big-endian in `key_width` bytes.  All keys of a spec have one length
+        and every mask one width, so keys compare as bytes exactly as the
+        plus tuples compare: vertex ids follow the same order."""
+        return self._key_struct().pack(*plus)
+
+    def unpack(self, key: bytes) -> tuple[int, ...]:
+        """The plus masks of a packed key, in colex order."""
+        return self._key_struct().unpack(key)
+
+    def key_rows(self, keys):
+        """The plus masks of a list of packed keys as one native unsigned
+        matrix (len(keys), C(n, d)), read by one `np.frombuffer`."""
+        import numpy as np  # deferred: only the tiling scans need numpy
+
+        width = self.key_width
+        rows = np.frombuffer(b"".join(keys), dtype=">u%d" % width)
+        return rows.reshape(len(keys), len(self.dsubsets)).astype("u%d" % width, copy=False)
+
+    def row_keys(self, rows) -> list[bytes]:
+        """The packed keys of a matrix of plus masks, inverse to `key_rows`.
+        numpy computes in native byte order, so the rows are put back into
+        big-endian order before each is cut into one `bytes` object."""
+        import numpy as np  # deferred: only the tiling scans need numpy
+
+        width = self.key_width
+        rows = np.ascontiguousarray(rows, dtype=">u%d" % width)
+        return rows.view(np.dtype((np.void, width * len(self.dsubsets)))).ravel().tolist()
+
     @lru_cache(maxsize=None)
     def flip_sites_table(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
         """For every (d+1)-subset S (ascending mask order): (smask, tile
@@ -92,27 +137,30 @@ class ZonotopeSpec:
 
     @lru_cache(maxsize=None)
     def flip_tables_np(self):
+        """`flip_sites_table` as arrays (tile indices, element bits, smask),
+        the masks in the native dtype of `key_rows`."""
         import numpy as np  # deferred: only the tiling scan needs numpy
 
         sites = self.flip_sites_table()
+        dtype = "u%d" % self.key_width
         tiles_idx = np.array([rec[1] for rec in sites], dtype=np.int64)
-        elem_bits = np.array([rec[2] for rec in sites], dtype=np.uint64)
-        smask = np.array([rec[0] for rec in sites], dtype=np.uint64)
+        elem_bits = np.array([rec[2] for rec in sites], dtype=dtype)
+        smask = np.array([rec[0] for rec in sites], dtype=dtype)
         return tiles_idx, elem_bits, smask
 
     @lru_cache(maxsize=None)
     def coarse_tables_np(self):
         """(member tile indices, coarse masks): for every (d+2)-subset T of
         [n], in combination order, the C(d+2, 2) tiles whose zero set lies
-        in T, and the mask of T.  The masks take the narrowest unsigned
-        dtype that holds n bits, and the scan follows it: with uint64 blocks
-        the Z(7,3) build peaks 2.4 MB higher."""
+        in T, and the mask of T.  The masks take the native dtype of
+        `key_rows`, the narrowest unsigned one that holds n bits: with
+        uint64 blocks the Z(7,3) build peaks 2.4 MB higher."""
         import numpy as np  # deferred: only the tiling scans need numpy
 
         coarse = [mask_of(c) for c in itertools.combinations(range(1, self.n + 1), self.d + 2)]
         members = [[self.tile_index(m) for m in self.dsubsets if m & ~t == 0] for t in coarse]
         shape = (len(coarse), math.comb(self.d + 2, 2))
-        masks = np.array(coarse, dtype=np.min_scalar_type(self.full_mask))
+        masks = np.array(coarse, dtype="u%d" % self.key_width)
         return np.array(members, dtype=np.int64).reshape(shape), masks
 
     def det_of(self, mask: int) -> int:
@@ -202,9 +250,12 @@ class Tiling:
     def __post_init__(self):
         if len(self.plus) != len(self.spec.dsubsets):
             raise ValidationError("tiling must carry one tile per d-subset of [n]")
+        outside = ~self.spec.full_mask
         for zero, plus in zip(self.spec.dsubsets, self.plus):
             if plus & zero:
                 raise ValidationError("plus mask overlaps the zero set")
+            if plus & outside:
+                raise ValidationError("plus mask exceeds the ground set")
 
     def tile(self, zero_mask: int) -> SignedSubset:
         p = self.plus[self.spec.tile_index(zero_mask)]
@@ -213,8 +264,10 @@ class Tiling:
     def tiles(self) -> tuple[SignedSubset, ...]:
         return tuple(self.tile(z) for z in self.spec.dsubsets)
 
-    def key(self) -> tuple[int, ...]:
-        return self.plus
+    def key(self) -> bytes:
+        """The packed key of `ZonotopeSpec.pack`: the vertex encoding of the
+        flip graph of `enumerate_tilings`."""
+        return self.spec.pack(self.plus)
 
     def sign_strings(self) -> list[str]:
         return [x.sign_string() for x in self.tiles()]
@@ -545,12 +598,21 @@ def validate_tiling(spec: ZonotopeSpec, tiles) -> ValidationReport:
 def enumerate_tilings(spec: ZonotopeSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) -> FlipGraph:
     """BFS closure of the flip relation from the minimal tiling.
 
-    A frontier is scanned in one batch by `_kernels.scan_available`; each
-    flip is labelled by its (d+1)-subset mask.  Asserts gradedness and the
-    uniqueness of the extremes.  numpy is imported on the first call, not
-    with the package, so commands that enumerate no tilings start without it.
-    A cap below C(n, d+1) + 1, the length of a maximal chain of the graded
-    flip poset, raises before the flip tables are built.
+    Vertices are packed keys (`ZonotopeSpec.pack`), so vertex ids follow
+    the order of the plus tuples.  A frontier is read by one
+    `np.frombuffer`, every tiling in it is checked against its zero sets
+    (each vertex sits in exactly one frontier), and it is scanned in one
+    batch by `_kernels.scan_available`.  Every successor key is then built
+    at once: the available (tiling, site) pairs in row-major order, their
+    rows gathered and the site's element bits XORed into its d+1 tiles.
+    Each flip is labelled by its (d+1)-subset mask.  `payloads` is a
+    `TilingView`, which decodes a `Tiling` on access.
+
+    Asserts gradedness and the uniqueness of the extremes.  numpy is
+    imported on the first call, not with the package, so commands that
+    enumerate no tilings start without it.  A cap below C(n, d+1) + 1, the
+    length of a maximal chain of the graded flip poset, raises before the
+    flip tables are built.
     """
     overflow = "vertex cap %d exceeded enumerating Z(%d,%d)" % (vertex_cap, spec.n, spec.d)
     if spec_top_rank(spec) + 1 > vertex_cap:
@@ -558,27 +620,23 @@ def enumerate_tilings(spec: ZonotopeSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) 
     import numpy as np  # deferred: only the tiling scan needs numpy
 
     tiles_idx, elem_bits, smask_np = spec.flip_tables_np()
-    sites = spec.flip_sites_table()
+    zeros = np.array(spec.dsubsets, dtype=smask_np.dtype)
 
     def expand(frontier):
-        mat = np.array(frontier, dtype=np.uint64)
-        avail = _kernels.scan_available(mat, tiles_idx, elem_bits, smask_np)
-        for key, row in zip(frontier, avail):
-            out = []
-            for s in np.flatnonzero(row):
-                smask, tls, bits = sites[s]
-                new = list(key)
-                for ti, bit in zip(tls, bits):
-                    new[ti] ^= bit
-                out.append((smask, tuple(new)))
-            yield out
+        plus = spec.key_rows(frontier)
+        if (plus & zeros).any():
+            raise ValidationError("plus mask overlaps the zero set")
+        rows, sites = np.nonzero(_kernels.scan_available(plus, tiles_idx, elem_bits, smask_np))
+        succ = plus[rows]
+        succ[np.arange(len(rows))[:, None], tiles_idx[sites]] ^= elem_bits[sites]
+        keys = spec.row_keys(succ)
+        labels = smask_np[sites].tolist()
+        start = 0
+        for end in np.bincount(rows, minlength=len(frontier)).cumsum().tolist():
+            yield zip(labels[start:end], keys[start:end])
+            start = end
 
-    graph = bfs_closure(
-        minimal_tiling(spec).plus,
-        expand,
-        vertex_cap,
-        overflow,
-    )
+    graph = bfs_closure(spec.pack(minimal_tiling(spec).plus), expand, vertex_cap, overflow)
     ranks = graph.ranks
     for u, w, _ in graph.edges:
         if abs(ranks[u] - ranks[w]) != 1:
@@ -589,8 +647,32 @@ def enumerate_tilings(spec: ZonotopeSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) 
     if len(minima) != 1 or len(maxima) != 1 or max(ranks) != top:
         raise AssertionError("flip poset extremes are not unique at ranks 0 and C(n,d+1)")
     graph.max_vertex = maxima[0]
-    graph.payloads = [Tiling(spec, key) for key in graph.vertices]
+    graph.payloads = TilingView(spec, graph.vertices)
     return graph
+
+
+class TilingView(Sequence):
+    """The tilings behind a list of packed keys, as a read-only sequence:
+    each `Tiling` is unpacked, and checked by its constructor, when it is
+    read (by index, slice or iteration); none is kept."""
+
+    def __init__(self, spec: ZonotopeSpec, keys: list[bytes]):
+        self.spec = spec
+        self._keys = keys
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._decode(key) for key in self._keys[i]]
+        return self._decode(self._keys[i])
+
+    def __iter__(self):
+        return map(self._decode, self._keys)
+
+    def _decode(self, key: bytes) -> Tiling:
+        return Tiling(self.spec, self.spec.unpack(key))
 
 
 def spec_top_rank(spec: ZonotopeSpec) -> int:
@@ -602,13 +684,12 @@ def spec_top_rank(spec: ZonotopeSpec) -> int:
 
 
 def coarse_tile_scan(spec: ZonotopeSpec, keys):
-    """Boolean matrix (len(keys), coarse tiles) for a block of sign keys:
-    the (d+2)-subset T is a coarse tile of the tiling when its member tiles'
-    plus masks agree outside T.  Columns follow `coarse_tables_np()`."""
-    import numpy as np  # deferred: only the tiling scans need numpy
-
+    """Boolean matrix (len(keys), coarse tiles) for a block of packed keys
+    (`ZonotopeSpec.pack`), read by `key_rows`: the (d+2)-subset T is a
+    coarse tile of the tiling when its member tiles' plus masks agree
+    outside T.  Columns follow `coarse_tables_np()`."""
     members, coarse = spec.coarse_tables_np()
-    prefixes = np.array(keys, dtype=coarse.dtype)[:, members]
+    prefixes = spec.key_rows(keys)[:, members]
     prefixes &= ~coarse[None, :, None]
     return (prefixes == prefixes[:, :, :1]).all(axis=2)
 

@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, determinism, error handling."""
 
+import hashlib
 import json
 
 import pytest
@@ -30,6 +31,18 @@ class TestCommands:
         code, out = run(capsys, "--format", "dot", "tilings", "4", "2")
         assert code == 0
         assert out.startswith("graph") and "rank=same" in out
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["tilings", "5", "3"], "91282977fdda5d044454871389869370e3b54357f2fc376483d0ae741bb8944d"),
+            (["--format", "dot", "tilings", "4", "2"], "ee4e73e3526a40f5a7136d6a4b0a6b8e3ba450b34a783abc860b6622501bb57b"),
+        ],
+    )
+    def test_tilings_output_is_pinned(self, capsys, argv, digest):
+        # sha256 of the output computed when tilings were eager tuple payloads
+        code, out = run(capsys, *argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_zcomplex_certify(self, capsys):
         code, out = run(capsys, "zcomplex", "5", "3", "--certify")

@@ -21,6 +21,7 @@ PINNED_HASHES = {
     "Z(6,2)": "0ca41e92e08e1f29dd0a0ed4d17d19beb1d0e8bcf888626623a12c8f6908f40e",
     "Z(7,3)": "248107008509410045b37dd532e2c9fc58aba35bcc22f6eca3aaa35d6dec9ee4",
     "Z(7,4)": "3f746a97c95d98c4673eaf6e6434689d4ae52b4d95a8ed02720a747a7be0e660",
+    "Z(9,6)": "96512733ea251ecacc75c74da38120053e04465d69d1ae59979d8be3269c13c1",
     "X pi(6,3)": "a22fa2383bdea9630f458e987986b328be0a6b4ad5c90c355dd2c6807c832903",
     "Y pi(6,3)": "ee9df5c76ae63e87aa6ae78573172804d2643b0ebcc17b0dceb56b7978e5754a",
     "T 3,4,5,1,2": "08c5d5d384fa8b14197bccb5f412ac0e4f99eff40e1691c42af96193bea674c1",

@@ -3,15 +3,20 @@
 import json
 import math
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flipcells import topology as T
 from flipcells import zonotope as Z
 from flipcells import _kernels
 from flipcells.errors import ArgumentError, PreconditionError, ValidationError
+from flipcells.flipgraph import bfs_closure
+from test_flipgraph import PINNED_HASHES
 
 S = Z.SignedSubset.from_sign_string
 
@@ -246,9 +251,10 @@ class TestEnumeration:
         # Z(4,2) has 8 tilings on a graded poset of top rank C(4,3) = 4
         spec = Z.zonotope_spec(4, 2)
         calls = []
-        table = Z.ZonotopeSpec.flip_sites_table
+        # the expander reads the flip tables as arrays, memoized per spec
+        table = Z.ZonotopeSpec.flip_tables_np
         monkeypatch.setattr(
-            Z.ZonotopeSpec, "flip_sites_table", lambda self: calls.append(self) or table(self)
+            Z.ZonotopeSpec, "flip_tables_np", lambda self: calls.append(self) or table(self)
         )
         message = r"vertex cap 4 exceeded enumerating Z\(4,2\)"
         with pytest.raises(ResourceCapExceeded, match=message) as exc:
@@ -405,3 +411,145 @@ class TestQuadSymmetry:
             labels.append(smask)
         assert cur == g.max_vertex
         assert len(set(labels)) == 4
+
+
+# ---------------------------------------------------------------------------
+# packed keys: one bytes object per tiling, decoded on demand
+
+
+def reference_tilings(spec):
+    """The tuple-key BFS that `enumerate_tilings` replaced: vertices are plus
+    tuples, and each successor is copied from its vertex and flipped by a
+    Python XOR loop, one available site of the scan at a time."""
+    tiles_idx, elem_bits, smask_np = spec.flip_tables_np()
+    sites = spec.flip_sites_table()
+
+    def expand(frontier):
+        mat = np.array(frontier, dtype=np.uint64)
+        avail = _kernels.scan_available(mat, tiles_idx, elem_bits, smask_np)
+        for key, row in zip(frontier, avail):
+            out = []
+            for s in np.flatnonzero(row):
+                smask, tls, bits = sites[s]
+                new = list(key)
+                for ti, bit in zip(tls, bits):
+                    new[ti] ^= bit
+                out.append((smask, tuple(new)))
+            yield out
+
+    return bfs_closure(Z.minimal_tiling(spec).plus, expand, 10**6, "cap")
+
+
+# one Z(n,d) per key width; the hashes were computed with tuple keys
+KEY_WIDTH_CASES = [
+    (6, 2, 1, PINNED_HASHES["Z(6,2)"]),
+    (9, 6, 2, PINNED_HASHES["Z(9,6)"]),
+    (17, 15, 4, "ac457623e3cfef5b819417bd78d6c3f74bb8a88642c89fda6a408aab5a6bbb19"),
+    (33, 31, 8, "8e4c2f7d80a3d10434291bd95db320145f185ddc62416e377b66a8868c60685a"),
+]
+
+KEY_NS = (8, 9, 16, 17, 32, 33, 64)
+
+
+@st.composite
+def mask_tuple_pairs(draw):
+    """(n, a, b): two tuples of n masks of n bits; b shares a prefix of a."""
+    n = draw(st.sampled_from(KEY_NS))
+    mask = st.integers(0, (1 << n) - 1)
+    a = draw(st.lists(mask, min_size=n, max_size=n))
+    i = draw(st.integers(0, n))
+    b = a[:i] + draw(st.lists(mask, min_size=n - i, max_size=n - i))
+    return n, tuple(a), tuple(b)
+
+
+TOP = 1 << 63
+
+
+class TestPackedKeys:
+    @pytest.mark.parametrize("n, width", [(1, 1), (8, 1), (9, 2), (16, 2), (17, 4), (32, 4), (33, 8), (64, 8)])
+    def test_key_width(self, n, width):
+        spec = Z.ZonotopeSpec(n, 1)
+        assert spec.key_width == width
+        assert len(spec.pack(range(n))) == n * width
+
+    @settings(max_examples=400, deadline=None)
+    @given(mask_tuple_pairs())
+    @example((64, (TOP,) * 64, (TOP - 1,) + (TOP,) * 63))
+    @example((64, (TOP - 1,) * 64, (TOP,) * 64))
+    @example((64, ((1 << 64) - 1,) * 64, ((1 << 64) - 1,) * 63 + (TOP,)))
+    def test_round_trip_and_order(self, case):
+        n, a, b = case
+        spec = Z.ZonotopeSpec(n, 1)
+        ka, kb = spec.pack(a), spec.pack(b)
+        assert spec.unpack(ka) == a and spec.unpack(kb) == b
+        assert (ka < kb) == (a < b) and (ka == kb) == (a == b)
+
+    @pytest.mark.parametrize(
+        "n, d, width, digest", KEY_WIDTH_CASES, ids=["Z(%d,%d)" % case[:2] for case in KEY_WIDTH_CASES]
+    )
+    def test_every_key_width_matches_the_tuple_reference(self, n, d, width, digest):
+        spec = Z.zonotope_spec(n, d)
+        assert spec.key_width == width
+        g = Z.enumerate_tilings(spec)
+        ref = reference_tilings(spec)
+        assert all(type(key) is bytes and len(key) == width * len(spec.dsubsets) for key in g.vertices)
+        assert [spec.unpack(key) for key in g.vertices] == ref.vertices
+        assert (g.edges, g.ranks, g.moves, g.min_vertex) == (ref.edges, ref.ranks, ref.moves, ref.min_vertex)
+        assert Z.build_z_complex(g)[0].canonical_hash() == digest
+
+    def test_payload_view_matches_the_tiling_list(self):
+        spec = Z.zonotope_spec(5, 2)
+        view = Z.enumerate_tilings(spec).payloads
+        tilings = [Z.Tiling(spec, plus) for plus in reference_tilings(spec).vertices]
+        assert isinstance(view, Z.TilingView) and len(view) == len(tilings) == 62
+        for i in (0, 1, 30, 61, -1, -62):
+            assert view[i] == tilings[i]
+        for cut in (slice(3, 9), slice(None, None, -5), slice(60, 100), slice(5, 2)):
+            assert view[cut] == tilings[cut]
+        assert list(view) == tilings
+        for i in (62, -63):
+            with pytest.raises(IndexError):
+                view[i]
+
+    def test_payloads_are_decoded_and_checked_on_access(self, monkeypatch):
+        spec = Z.zonotope_spec(5, 2)
+        g = Z.enumerate_tilings(spec)
+        checked = []
+        post_init = Z.Tiling.__post_init__
+        monkeypatch.setattr(Z.Tiling, "__post_init__", lambda self: checked.append(self.plus) or post_init(self))
+        assert g.payloads[7].key() == g.vertices[7]
+        assert checked == [spec.unpack(g.vertices[7])]
+        # a key whose first plus mask overlaps its zero set fails on access
+        bad = spec.pack((spec.dsubsets[0],) + spec.unpack(g.vertices[0])[1:])
+        view = Z.TilingView(spec, [g.vertices[0], bad])
+        assert view[0] == g.payloads[0]
+        with pytest.raises(ValidationError, match="overlaps the zero set"):
+            view[1]
+
+    @pytest.mark.parametrize("mask", [16, 256, -4])
+    def test_plus_masks_stay_inside_the_ground_set(self, mask):
+        # a key packs each mask into one byte for n = 4
+        with pytest.raises(ValidationError, match="exceeds the ground set"):
+            Z.Tiling(Z.zonotope_spec(4, 2), (mask, 0, 0, 0, 0, 0))
+
+    def test_frontier_check_rejects_an_overlapping_seed(self, monkeypatch):
+        # the seed is packed without a Tiling, so only the frontier check runs
+        spec = Z.zonotope_spec(5, 2)
+        plus = Z.minimal_tiling(spec).plus
+        bad = types.SimpleNamespace(plus=(plus[0] | spec.dsubsets[0],) + plus[1:])
+        monkeypatch.setattr(Z, "minimal_tiling", lambda spec: bad)
+        with pytest.raises(ValidationError, match="overlaps the zero set"):
+            Z.enumerate_tilings(spec)
+
+    def test_frontier_check_rejects_an_overlapping_successor(self, monkeypatch):
+        spec = Z.zonotope_spec(5, 2)
+        row_keys = Z.ZonotopeSpec.row_keys
+
+        def corrupt(self, rows):
+            rows = rows.copy()
+            rows[:, 0] |= self.dsubsets[0]
+            return row_keys(self, rows)
+
+        monkeypatch.setattr(Z.ZonotopeSpec, "row_keys", corrupt)
+        with pytest.raises(ValidationError, match="overlaps the zero set"):
+            Z.enumerate_tilings(spec)
