@@ -80,14 +80,7 @@ def _parse_conn(args) -> DecoratedPermutation:
     text = args.perm[0]
     if args.kind != "T" or text.strip().startswith("{"):
         return parse_permutation(text)
-    image, colors = _one_line(text)
-    if combinat.BLACK in colors.values():
-        raise ArgumentError("triple crossing diagrams have undecorated fixed points")
-    p = tcd.permutation_for_tcd(image)
-    stray = sorted(set(colors) - set(dict(p.fixed_color)))
-    if stray:
-        raise ArgumentError("colors given for non-fixed points %s" % (stray,))
-    return p
+    return tcd.permutation_for_tcd(*_one_line(text))
 
 
 def _load_necklace(text: str) -> GrassmannNecklace:

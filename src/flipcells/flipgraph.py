@@ -1,11 +1,14 @@
 """Flip graphs: vertices are canonical encodings, edges are labeled moves.
 
 `bfs_closure` is the one enumerator behind tilings, plabic graphs and triple
-crossing diagrams.  It scans every vertex's moves exactly once and stores
-them, and the cell finders (`commuting_squares`, `move_cycle`) read cells
-from those stored moves with dictionary lookups alone.  `sorted_cells` is
-the canonical order of the cells found.  `collector_paused` keeps the
-cyclic garbage collector off while a build runs.
+crossing diagrams.  It holds each vertex once, as its canonical encoding,
+and `PayloadView` decodes a vertex's object from it on access.  It scans
+every vertex's moves exactly once and stores them, and the cell finders
+(`commuting_squares`, `move_cycle`) read cells from those stored moves with
+dictionary lookups alone.  `sorted_cells` is the canonical order of the
+cells found, and `union_classes` the connected classes of a pair list.
+`collector_paused` keeps the cyclic garbage collector off while a build
+runs.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from __future__ import annotations
 import contextlib
 import gc
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from .errors import ResourceCapExceeded
 
@@ -27,11 +31,12 @@ class FlipGraph:
 
     `vertices[i]` is the canonical encoding of vertex i (vertex ids are
     assigned in sorted encoding order, so the structure is deterministic);
-    a zonotopal tiling is encoded as its packed key, big-endian `bytes`.
-    `ranks[i]` is the BFS distance from the canonical seed; for zonotopal
-    tilings this equals the poset rank.  `payloads[i]` is the decoded
-    object when the producer provides one: plabic graphs keep theirs in a
-    list, while tilings are decoded from their keys on access.
+    a zonotopal tiling is encoded as its packed key, big-endian `bytes`,
+    and a plabic triangulation as its sorted triangles.  `ranks[i]` is the
+    BFS distance from the canonical seed; for zonotopal tilings this equals
+    the poset rank.  `payloads` is a `PayloadView` of the vertices: the
+    decoded object of vertex i is built from `vertices[i]` each time it is
+    read, and none is kept.
 
     `moves[i]` maps the label of every move available at vertex i to the
     vertex it leads to, in the order the producer scanned them.  Edges are
@@ -44,7 +49,7 @@ class FlipGraph:
     ranks: list[int]
     min_vertex: int
     max_vertex: int | None = None
-    payloads: Sequence[Any] | None = None
+    payloads: PayloadView | None = None
     moves: list[dict[Any, int]] | None = None
 
     @property
@@ -80,50 +85,69 @@ class FlipGraph:
         return "\n".join(lines)
 
 
+class PayloadView(Sequence):
+    """The decoded objects behind a list of encodings, as a read-only
+    sequence: `decode(key)` builds, and so checks, each one when it is read
+    (by index, slice or iteration); none is kept."""
+
+    def __init__(self, decode: Callable[[Any], Any], keys: list[Any]):
+        self.decode = decode
+        self._keys = keys
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self.decode(key) for key in self._keys[i]]
+        return self.decode(self._keys[i])
+
+    def __iter__(self):
+        return map(self.decode, self._keys)
+
+
 def bfs_closure(
     seed: Any,
     expand: Callable[[list[Any]], Iterable[Iterable[tuple[Any, Any]]]],
+    decode: Callable[[Any], Any],
     vertex_cap: int,
     overflow: str,
-    key: Callable[[Any], Hashable] = lambda payload: payload,
 ) -> FlipGraph:
-    """BFS closure of a move relation from `seed`.
+    """BFS closure of a move relation from the encoding `seed`.
 
-    `expand(frontier)` yields, for each payload of a BFS level, its labelled
-    moves `(label, next payload)` in scan order; it is called once per level,
-    so each vertex is scanned exactly once.  `key(payload)` is the canonical
-    encoding; vertex ids follow sorted key order and ranks are BFS depths.
-    More than `vertex_cap` vertices raise ResourceCapExceeded(`overflow`).
-    Labels must be unique among the moves of one vertex.
+    The BFS holds encodings only: hashable, ordered, canonical keys.
+    `expand(frontier)` yields, for the keys of a BFS level, each one's
+    labelled moves `(label, next key)` in scan order; it is called once per
+    level, so each vertex is scanned exactly once.  Vertex ids follow sorted
+    key order and ranks are BFS depths; `payloads` decodes a key by
+    `decode` on access.  More than `vertex_cap` vertices raise
+    ResourceCapExceeded(`overflow`).  Labels must be unique among the moves
+    of one vertex.
     """
-    keys = [key(seed)]
-    visited = {keys[0]: 0}
-    payloads = [seed]
+    visited = {seed: 0}  # key -> discovery id, in discovery order
     depth = [0]
     found: list[list[tuple[Any, int]]] = []  # by discovery id = expansion order
-    frontier = [0]
+    frontier = [seed]
     level = 0
     while frontier:
         next_frontier = []
-        for out in expand([payloads[u] for u in frontier]):
+        for out in expand(frontier):
             row = []
-            for label, target in out:
-                k = key(target)
-                w = visited.get(k)
+            for label, key in out:
+                w = visited.get(key)
                 if w is None:
-                    if len(visited) >= vertex_cap:
-                        raise ResourceCapExceeded(overflow, partial_count=len(visited))
-                    w = len(keys)
-                    visited[k] = w
-                    keys.append(k)
-                    payloads.append(target)
+                    w = len(visited)
+                    if w >= vertex_cap:
+                        raise ResourceCapExceeded(overflow, partial_count=w)
+                    visited[key] = w
                     depth.append(level + 1)
-                    next_frontier.append(w)
+                    next_frontier.append(key)
                 row.append((label, w))
             found.append(row)
         frontier = next_frontier
         level += 1
 
+    keys = list(visited)
     order = sorted(range(len(keys)), key=keys.__getitem__)
     remap = [0] * len(order)
     for new, old in enumerate(order):
@@ -136,12 +160,13 @@ def bfs_closure(
             if w > u:
                 firsts.setdefault(w, label)
         edges.extend((u, w, label) for w, label in sorted(firsts.items()))
+    vertices = [keys[i] for i in order]
     return FlipGraph(
-        [keys[i] for i in order],
+        vertices,
         edges,
         [depth[i] for i in order],
         remap[0],
-        payloads=[payloads[i] for i in order],
+        payloads=PayloadView(decode, vertices),
         moves=moves,
     )
 
@@ -229,3 +254,23 @@ def sorted_cells(cells: dict[frozenset[int], tuple]) -> list[tuple]:
     """The values of `cells`, keyed by vertex set, in the canonical cell
     order: by sorted vertex set."""
     return [cells[key] for key in sorted(cells, key=sorted)]
+
+
+def union_classes(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The class of each of 0..n-1 under the equivalence that `pairs`
+    generates, classes numbered in order of their lowest member."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in pairs:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    # every root is its class's lowest member, so it is met first as itself
+    number: dict[int, int] = {}
+    return [number.setdefault(find(x), len(number)) for x in range(n)]

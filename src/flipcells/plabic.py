@@ -43,6 +43,7 @@ from .flipgraph import (
     commuting_squares,
     move_cycle,
     sorted_cells,
+    union_classes,
 )
 from .geometry import ccw_order, orient, shoelace2, triangle_area2, winding_number
 from .zonotope import SignedSubset, Tiling, ZonotopeSpec
@@ -924,33 +925,33 @@ def enumerate_plabic(
     """BFS closure of the moves M1/M2/M3 from the canonical seed.
 
     The BFS runs over triangle keys: a vertex is decoded into its
-    `PlabicTriangulation` once, when it is expanded, and a successor is just
-    its sorted triangles.  Each edge is labelled by the move from its lower
-    vertex id to the other.
+    `PlabicTriangulation` when it is expanded, and again each time
+    `payloads` reads it, and a successor is just its sorted triangles.
+    Each edge is labelled by the move from its lower vertex id to the other.
     """
     seed = seed_triangulation(p)
     n, k, boundary = seed.n, seed.k, seed.boundary
-    decoded: dict[tuple, PlabicTriangulation] = {}
+
+    def decode(key):
+        return PlabicTriangulation(n, k, key, boundary)
 
     def moves_of(key):
-        sigma = decoded[key] = PlabicTriangulation(n, k, key, boundary)
         base = set(key)
         out = []
-        for move in available_moves(sigma):
+        for move in available_moves(decode(key)):
             # keys and move.added are already normalised
             tris = base.difference(move.removed)
             tris.update(move.added)
             out.append((move, tuple(sorted(tris))))
         return out
 
-    graph = bfs_closure(
+    return bfs_closure(
         seed.key(),
         lambda frontier: map(moves_of, frontier),
+        decode,
         vertex_cap,
         "vertex cap %d exceeded enumerating plabic graphs" % vertex_cap,
     )
-    graph.payloads = [decoded[key] for key in graph.vertices]
-    return graph
 
 
 def _invert_move(m: Move) -> Move:
@@ -1191,16 +1192,12 @@ def _realize_move(tiling: Tiling, k: int, move: Move) -> tuple[list, Tiling]:
         raise PreconditionError("move is not available in the level-%d section" % k)
     black = move.kind == "M3"
     t1, t2 = move.removed
-    if black:
-        zero1 = _tri_or(t1) & ~_tri_and(t1)
-        zero2 = _tri_or(t2) & ~_tri_and(t2)
-        if _tri_or(t1) != _tri_or(t2):
-            raise AssertionError("black move triangles must share their union")
-    else:
-        zero1 = _tri_or(t1) & ~_tri_and(t1)
-        zero2 = _tri_or(t2) & ~_tri_and(t2)
-        if _tri_and(t1) != _tri_and(t2):
-            raise AssertionError("white move triangles must share their intersection")
+    zero1 = _tri_or(t1) & ~_tri_and(t1)
+    zero2 = _tri_or(t2) & ~_tri_and(t2)
+    if black and _tri_or(t1) != _tri_or(t2):
+        raise AssertionError("black move triangles must share their union")
+    if not black and _tri_and(t1) != _tri_and(t2):
+        raise AssertionError("white move triangles must share their intersection")
     s4 = zero1 | zero2
     shared = zero1 & zero2
     if black:
@@ -1497,22 +1494,7 @@ def quotient_complex(graph: FlipGraph, kind: str):
     from .topology import TwoComplex
 
     collapsed, table = _QUOTIENTS[kind]
-    parent = list(range(graph.n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, m in graph.edges:
-        if m.kind in collapsed:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-    roots = [find(x) for x in range(graph.n_vertices)]
-    class_id = {r: i for i, r in enumerate(sorted(set(roots)))}
-    cls = [class_id[r] for r in roots]
+    cls = union_classes(graph.n_vertices, ((u, v) for u, v, m in graph.edges if m.kind in collapsed))
 
     edges = sorted(
         {
@@ -1543,7 +1525,7 @@ def quotient_complex(graph: FlipGraph, kind: str):
             raise AssertionError("%s does not project to a %d-cycle of %s" % (_X_CELLS[h][0], length, kind))
         cells.setdefault(frozenset(proj), (name, tuple(proj)))
     cell_list = sorted_cells(cells)
-    complex_ = TwoComplex.from_graph(len(class_id), edges, [cyc for _, cyc in cell_list])
+    complex_ = TwoComplex.from_graph(max(cls) + 1, edges, [cyc for _, cyc in cell_list])
     return complex_, cell_list, cls
 
 

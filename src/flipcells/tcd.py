@@ -43,11 +43,17 @@ def as_tcd(graph: PlabicGraph) -> TripleCrossingDiagram:
     return TripleCrossingDiagram(graph, strand_permutation(graph))
 
 
-def permutation_for_tcd(image) -> DecoratedPermutation:
-    """Plain permutations get white (undecorated) fixed points."""
+def permutation_for_tcd(image, colors: dict[int, str] | None = None) -> DecoratedPermutation:
+    """The connectivity of triple crossing diagrams from a one-line image:
+    every fixed point is white (undecorated), whether `colors` marks it so
+    or leaves it bare.  A black fixed point, or a color on a point that is
+    not fixed, raises ArgumentError."""
+    colors = dict(colors or {})
+    if BLACK in colors.values():
+        raise ArgumentError("triple crossing diagrams have undecorated fixed points")
     image = tuple(image)
     fixed = [i for i in range(1, len(image) + 1) if image[i - 1] == i]
-    return DecoratedPermutation.make(image, {i: WHITE for i in fixed})
+    return DecoratedPermutation.make(image, dict.fromkeys(fixed, WHITE) | colors)
 
 
 @collector_paused()
@@ -59,8 +65,8 @@ def build_t_complex(p, vertex_cap: int = DEFAULT_VERTEX_CAP):
     enumerated.  Returns (TwoComplex, cells), cells the sorted
     (name, cycle) list.
     """
-    if not isinstance(p, DecoratedPermutation):
+    if isinstance(p, DecoratedPermutation):
+        p = permutation_for_tcd(p.image, dict(p.fixed_color))
+    else:
         p = permutation_for_tcd(p)
-    elif any(c != WHITE for _, c in p.fixed_color):
-        raise ArgumentError("triple crossing diagrams have undecorated fixed points")
     return quotient_complex(enumerate_plabic(p, vertex_cap=vertex_cap), "T")[:2]

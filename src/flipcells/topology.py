@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError, ValidationError
-from .flipgraph import collector_paused
+from .flipgraph import collector_paused, union_classes
 
 DEFAULT_PI1_BUDGET = 10_000_000
 
@@ -100,22 +100,11 @@ class TwoComplex:
         return TwoComplex(nv, tuple(tuple(e) for e in edges), tuple(cells))
 
     def components(self) -> list[list[int]]:
-        parent = list(range(self.nv))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
+        """The vertex sets of the connected components, by lowest vertex."""
         groups: dict[int, list[int]] = {}
-        for x in range(self.nv):
-            groups.setdefault(find(x), []).append(x)
-        return sorted(groups.values())
+        for x, c in enumerate(union_classes(self.nv, self.edges)):
+            groups.setdefault(c, []).append(x)
+        return list(groups.values())
 
     def to_json(self) -> dict:
         return {

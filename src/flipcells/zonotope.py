@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -605,8 +604,8 @@ def enumerate_tilings(spec: ZonotopeSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) 
     batch by `_kernels.scan_available`.  Every successor key is then built
     at once: the available (tiling, site) pairs in row-major order, their
     rows gathered and the site's element bits XORed into its d+1 tiles.
-    Each flip is labelled by its (d+1)-subset mask.  `payloads` is a
-    `TilingView`, which decodes a `Tiling` on access.
+    Each flip is labelled by its (d+1)-subset mask.  `payloads` decodes
+    and checks a `Tiling` from its key on access.
 
     Asserts gradedness and the uniqueness of the extremes.  numpy is
     imported on the first call, not with the package, so commands that
@@ -636,7 +635,10 @@ def enumerate_tilings(spec: ZonotopeSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) 
             yield zip(labels[start:end], keys[start:end])
             start = end
 
-    graph = bfs_closure(spec.pack(minimal_tiling(spec).plus), expand, vertex_cap, overflow)
+    def decode(key):
+        return Tiling(spec, spec.unpack(key))
+
+    graph = bfs_closure(spec.pack(minimal_tiling(spec).plus), expand, decode, vertex_cap, overflow)
     ranks = graph.ranks
     for u, w, _ in graph.edges:
         if abs(ranks[u] - ranks[w]) != 1:
@@ -647,32 +649,7 @@ def enumerate_tilings(spec: ZonotopeSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) 
     if len(minima) != 1 or len(maxima) != 1 or max(ranks) != top:
         raise AssertionError("flip poset extremes are not unique at ranks 0 and C(n,d+1)")
     graph.max_vertex = maxima[0]
-    graph.payloads = TilingView(spec, graph.vertices)
     return graph
-
-
-class TilingView(Sequence):
-    """The tilings behind a list of packed keys, as a read-only sequence:
-    each `Tiling` is unpacked, and checked by its constructor, when it is
-    read (by index, slice or iteration); none is kept."""
-
-    def __init__(self, spec: ZonotopeSpec, keys: list[bytes]):
-        self.spec = spec
-        self._keys = keys
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._decode(key) for key in self._keys[i]]
-        return self._decode(self._keys[i])
-
-    def __iter__(self):
-        return map(self._decode, self._keys)
-
-    def _decode(self, key: bytes) -> Tiling:
-        return Tiling(self.spec, self.spec.unpack(key))
 
 
 def spec_top_rank(spec: ZonotopeSpec) -> int:

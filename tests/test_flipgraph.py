@@ -2,8 +2,10 @@
 
 import gc
 import hashlib
+import inspect
 import itertools
 import json
+import weakref
 
 import pytest
 
@@ -12,8 +14,15 @@ from flipcells import plabic as P
 from flipcells import tcd
 from flipcells import topology as T
 from flipcells import zonotope as Z
-from flipcells.errors import PreconditionError, ResourceCapExceeded
-from flipcells.flipgraph import DEFAULT_VERTEX_CAP, FlipGraph, bfs_closure, collector_paused, commuting_squares
+from flipcells.errors import PreconditionError, ResourceCapExceeded, ValidationError
+from flipcells.flipgraph import (
+    DEFAULT_VERTEX_CAP,
+    FlipGraph,
+    PayloadView,
+    bfs_closure,
+    collector_paused,
+    commuting_squares,
+)
 from test_tcd import T_CELLS, disjoint_support, enumerate_tcd, square_moves, tcd_neighbors
 
 # canonical_hash() of complexes whose cells must never change.
@@ -390,22 +399,51 @@ def lowest_corner_squares(graph, independent=None):
 
 
 def reference_enumerate_plabic(p):
-    """The BFS over decoded payloads: a triangulation built per successor."""
+    """The BFS over built payloads: a triangulation built per successor and
+    kept under its key, from which the BFS decodes it."""
+    seed = P.seed_triangulation(p)
+    built = {seed.key(): seed}
 
-    def moves_of(sigma):
+    def moves_of(key):
+        sigma = built[key]
         out = []
         for move in P.available_moves(sigma):
             tris = set(sigma.triangles).difference(move.removed).union(move.added)
-            out.append((move, P.PlabicTriangulation(sigma.n, sigma.k, tuple(sorted(tris)), sigma.boundary)))
+            nxt = P.PlabicTriangulation(sigma.n, sigma.k, tuple(sorted(tris)), sigma.boundary)
+            built.setdefault(nxt.key(), nxt)
+            out.append((move, nxt.key()))
         return out
 
     return bfs_closure(
-        P.seed_triangulation(p),
-        lambda frontier: map(moves_of, frontier),
-        DEFAULT_VERTEX_CAP,
-        "cap",
-        key=P.PlabicTriangulation.key,
+        seed.key(), lambda frontier: map(moves_of, frontier), built.__getitem__, DEFAULT_VERTEX_CAP, "cap"
     )
+
+
+def test_bfs_closure_holds_encodings_only():
+    # no key function: the producer's expand yields keys, and decode reads them
+    assert list(inspect.signature(bfs_closure).parameters) == ["seed", "expand", "decode", "vertex_cap", "overflow"]
+
+
+def test_plabic_payloads_are_decoded_and_checked_on_access(monkeypatch):
+    g = P.enumerate_plabic(C.cyclic_decorated(6, 3))
+    checked = []
+    post_init = P.PlabicTriangulation.__post_init__
+    monkeypatch.setattr(
+        P.PlabicTriangulation, "__post_init__", lambda self: checked.append(self.triangles) or post_init(self)
+    )
+    first = g.payloads[7]
+    assert first == g.payloads[7] and first is not g.payloads[7]
+    assert checked == [g.vertices[7]] * 3
+    assert [sigma.key() for sigma in g.payloads[-3:]] == g.vertices[-3:] == checked[3:]
+    # none is kept: a payload read and dropped is freed at once
+    dropped = weakref.ref(g.payloads[0])
+    assert dropped() is None
+    # a key whose triangles are not stored sorted fails on access
+    bad = tuple(reversed(g.vertices[0]))
+    view = PayloadView(g.payloads.decode, [g.vertices[0], bad])
+    assert view[0] == g.payloads[0]
+    with pytest.raises(ValidationError, match="stored sorted"):
+        view[1]
 
 
 def _disjoint_removed(a, b):
@@ -419,7 +457,7 @@ def test_plabic_payloads_and_squares_match_the_reference():
     squares = 0
     for p in perms + [C.cyclic_decorated(6, 3)]:
         graph, want = P.enumerate_plabic(p), reference_enumerate_plabic(p)
-        assert graph.vertices == want.vertices and graph.payloads == want.payloads
+        assert graph.vertices == want.vertices and list(graph.payloads) == list(want.payloads)
         assert graph.moves == want.moves and graph.edges == want.edges
         assert (graph.ranks, graph.min_vertex) == (want.ranks, want.min_vertex)
         ref = reference_squares(graph, _disjoint_removed)

@@ -114,14 +114,23 @@ def seed_state(p):
 
 
 def enumerate_tcd(p, vertex_cap=DEFAULT_VERTEX_CAP):
-    """BFS closure of the 2<->2 moves.  Stored moves are labelled by their
+    """BFS closure of the 2<->2 moves over `TCDState.key` encodings, each
+    decoded back into its state.  Stored moves are labelled by their
     plabic Move, edges by the move kind."""
+    seed = seed_state(p)
+
+    def decode(key):
+        return TCDState(seed.n, seed.k, *key, seed.boundary)
+
+    def moves_of(key):
+        return [(m, nxt.key()) for m, nxt in tcd_neighbors(decode(key))]
+
     graph = bfs_closure(
-        seed_state(p),
-        lambda frontier: map(tcd_neighbors, frontier),
+        seed.key(),
+        lambda frontier: map(moves_of, frontier),
+        decode,
         vertex_cap,
         "vertex cap exceeded enumerating diagrams",
-        key=TCDState.key,
     )
     graph.edges = [(u, v, move.kind) for u, v, move in graph.edges]
     return graph

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flipcells import combinat as C
+from flipcells import plabic as P
 from flipcells import topology as T
 from flipcells import zonotope as Z
 from flipcells import _kernels
 from flipcells.errors import ArgumentError, PreconditionError, ValidationError
-from flipcells.flipgraph import bfs_closure
-from test_flipgraph import PINNED_HASHES
+from flipcells.flipgraph import PayloadView, bfs_closure
+from test_flipgraph import PINNED_HASHES, reference_enumerate_plabic
 
 S = Z.SignedSubset.from_sign_string
 
@@ -437,7 +439,7 @@ def reference_tilings(spec):
                 out.append((smask, tuple(new)))
             yield out
 
-    return bfs_closure(Z.minimal_tiling(spec).plus, expand, 10**6, "cap")
+    return bfs_closure(Z.minimal_tiling(spec).plus, expand, lambda plus: Z.Tiling(spec, plus), 10**6, "cap")
 
 
 # one Z(n,d) per key width; the hashes were computed with tuple keys
@@ -498,18 +500,24 @@ class TestPackedKeys:
         assert Z.build_z_complex(g)[0].canonical_hash() == digest
 
     def test_payload_view_matches_the_tiling_list(self):
-        spec = Z.zonotope_spec(5, 2)
-        view = Z.enumerate_tilings(spec).payloads
-        tilings = [Z.Tiling(spec, plus) for plus in reference_tilings(spec).vertices]
-        assert isinstance(view, Z.TilingView) and len(view) == len(tilings) == 62
-        for i in (0, 1, 30, 61, -1, -62):
-            assert view[i] == tilings[i]
-        for cut in (slice(3, 9), slice(None, None, -5), slice(60, 100), slice(5, 2)):
-            assert view[cut] == tilings[cut]
-        assert list(view) == tilings
-        for i in (62, -63):
-            with pytest.raises(IndexError):
-                view[i]
+        # the view of a tiling graph and of X of pi(6,3) against eager lists
+        spec, p = Z.zonotope_spec(5, 2), C.cyclic_decorated(6, 3)
+        cases = [
+            (Z.enumerate_tilings(spec).payloads, [Z.Tiling(spec, plus) for plus in reference_tilings(spec).vertices]),
+            (P.enumerate_plabic(p).payloads, list(reference_enumerate_plabic(p).payloads)),
+        ]
+        assert [len(eager) for _, eager in cases] == [62, 148]
+        for view, eager in cases:
+            n = len(eager)
+            assert isinstance(view, PayloadView) and len(view) == n
+            for i in (0, 1, n // 2, n - 1, -1, -n):
+                assert view[i] == eager[i]
+            for cut in (slice(3, 9), slice(None, None, -5), slice(n - 2, n + 38), slice(5, 2)):
+                assert view[cut] == eager[cut]
+            assert list(view) == eager
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    view[i]
 
     def test_payloads_are_decoded_and_checked_on_access(self, monkeypatch):
         spec = Z.zonotope_spec(5, 2)
@@ -521,7 +529,7 @@ class TestPackedKeys:
         assert checked == [spec.unpack(g.vertices[7])]
         # a key whose first plus mask overlaps its zero set fails on access
         bad = spec.pack((spec.dsubsets[0],) + spec.unpack(g.vertices[0])[1:])
-        view = Z.TilingView(spec, [g.vertices[0], bad])
+        view = PayloadView(g.payloads.decode, [g.vertices[0], bad])
         assert view[0] == g.payloads[0]
         with pytest.raises(ValidationError, match="overlaps the zero set"):
             view[1]
