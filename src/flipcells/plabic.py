@@ -102,14 +102,6 @@ def triangle_color(tri: tuple[int, int, int]) -> str:
 
 
 @lru_cache(maxsize=SITE_CACHE_SIZE)
-def _sides(tri) -> tuple[tuple[tuple[int, int], int], ...]:
-    """The sides of a triangle as sorted label pairs, each with the label
-    opposite it."""
-    a, b, c = sorted(tri)
-    return (((a, b), c), ((a, c), b), ((b, c), a))
-
-
-@lru_cache(maxsize=SITE_CACHE_SIZE)
 def _ccw_sides(tri) -> tuple[tuple[tuple[int, int], int, int], ...]:
     """The sides of a sorted triangle in counterclockwise order, each as
     (sorted label pair, opposite label, +1 or -1 as the opposite label lies
@@ -171,10 +163,6 @@ class PlabicTriangulation:
 
     def interior_labels(self) -> frozenset[int]:
         return self.labels() - set(self.boundary)
-
-    def polygons(self) -> tuple[tuple[int, ...], ...]:
-        """The polygons that tile the region: its triangles."""
-        return self.triangles
 
     def necklace(self) -> GrassmannNecklace:
         return GrassmannNecklace.make(self.n, [elems_of(m) for m in self.boundary])
@@ -685,7 +673,7 @@ def trivalent_flips(triangles, boundary) -> list[Move]:
     `triangles` is sorted, as triangulations store it."""
     seg_map: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for t in triangles:
-        for seg, _ in _sides(t):
+        for seg, _, _ in _ccw_sides(t):
             seg_map.setdefault(seg, []).append(t)
     walked = walked_segments(boundary)
     moves = []
@@ -1003,8 +991,7 @@ def layer_step(sigma: PlabicTriangulation, direction: str) -> PlabicTriangulatio
         labels.update(t)
     tris = list(fixed)
     for poly in _cliques(labels, n).values():
-        color = triangle_color(_norm_tri(poly[:3])) if len(poly) == 3 else _poly_color(poly)
-        if color == free_color:
+        if _poly_color(poly) == free_color:
             tris.extend(_fan_triangles(poly))
     out = PlabicTriangulation.make(n, k2, tris, cyclic_walk(n, k2))
     if out.triangles_area2() != out.boundary_area2():
@@ -1379,45 +1366,39 @@ def _embedded_candidates(n: int, k: int) -> tuple[tuple[int, frozenset, tuple[in
     return tuple(cands)
 
 
-@lru_cache(maxsize=SITE_CACHE_SIZE)
-def _tile(poly: tuple[int, ...]) -> tuple[frozenset[int], int]:
-    """The label set of a polygon and twice its unsigned area."""
-    return frozenset(poly), abs(shoelace2([pos(x) for x in poly]))
+def embedded_cells(graph: FlipGraph, hs) -> dict:
+    """Cells of the embedded pi(5, h) sub-necklaces of a plabic flip graph,
+    for each h in `hs`: frozenset(cycle) -> (h, cycle).
 
-
-def embedded_cells(graph: FlipGraph, table: dict[int, tuple[str, int]]) -> dict:
-    """Cells of the embedded pi(5, h) sub-necklaces, for each h in `table`
-    (h -> (cell name, cycle length)): frozenset(cycle) -> (name, cycle).
-
-    A vertex carries the cell of a family when the family's sub-walk is in
-    its labels and the polygons of its `polygons()` whose labels all lie in
-    the family tile the region of the sub-walk.  The cell is the cycle of
-    the moves supported in the family, walked once, from the first vertex
-    in id order that carries it.  The restricted moves are 2-regular on
-    the cycle, so a walk from any later vertex on it would give the same
-    vertex set: those (family, vertex) pairs are skipped.
+    A vertex carries the cell of a family when the family's sub-walk is
+    among the labels of its triangle key and the triangles whose labels all
+    lie in the family tile the region of the sub-walk.  The cell is the
+    cycle, of its `_X_CELLS` length, of the moves supported in the family,
+    walked once, from the first vertex in id order that carries it.  The
+    restricted moves are 2-regular on the cycle, so a walk from any later
+    vertex on it would give the same vertex set: those (family, vertex)
+    pairs are skipped.  Vertex 0 alone is decoded, for n, k and the
+    boundary walk that every vertex shares.
     """
     first = graph.payloads[0]
     cands = [
         (ci, h, family, walk5, area)
         for ci, (h, family, walk5, area) in enumerate(_embedded_candidates(first.n, first.k))
-        if h in table and area
+        if h in hs and area
     ]
+    boundary = set(first.boundary)
     cells = {}
     walked: dict[int, set[int]] = {}  # vertex id -> candidates walked through it
-    for vid, payload in enumerate(graph.payloads):
-        polys = payload.polygons()
-        labs = set(payload.boundary).union(*polys)
-        tiles = [_tile(poly) for poly in polys]
+    for vid, tris in enumerate(graph.vertices):
+        labs = boundary.union(*tris)
         done = walked.pop(vid, ())
         for ci, h, family, walk5, area in cands:
             if ci in done or not labs.issuperset(walk5):
                 continue
-            if sum(a for verts, a in tiles if verts <= family) != area:
+            if sum(_area2(t) for t in tris if family.issuperset(t)) != area:
                 continue
-            name, length = table[h]
-            cycle = move_cycle(graph, vid, lambda m: m.support_labels() <= family, length, by_id=True)
-            cells.setdefault(frozenset(cycle), (name, tuple(cycle)))
+            cycle = move_cycle(graph, vid, lambda m: m.support_labels() <= family, _X_CELLS[h][1], by_id=True)
+            cells.setdefault(frozenset(cycle), (h, tuple(cycle)))
             for v in cycle:
                 if v > vid:
                     walked.setdefault(v, set()).add(ci)
@@ -1470,7 +1451,8 @@ def build_plabic_complex(
     quads = {}
     for quad, _, _ in commuting_squares(graph, _disjoint_removed):
         quads.setdefault(frozenset(quad), ("quad", quad))
-    cells = sorted_cells(quads) + sorted_cells(embedded_cells(graph, _X_CELLS))
+    embedded = {key: (_X_CELLS[h][0], cyc) for key, (h, cyc) in embedded_cells(graph, _X_CELLS).items()}
+    cells = sorted_cells(quads) + sorted_cells(embedded)
     complex_ = TwoComplex.from_graph(
         graph.n_vertices,
         [(u, v) for u, v, _ in graph.edges],
@@ -1512,8 +1494,8 @@ def quotient_complex(graph: FlipGraph, kind: str):
         cyc = tuple(cls[v] for v in quad)
         if len(set(cyc)) == 4:
             cells.setdefault(frozenset(cyc), ("quad", cyc))
-    # X's cells of the kept sub-necklaces, each named by its h
-    for h, cyc in embedded_cells(graph, {h: (h, _X_CELLS[h][1]) for h in table}).values():
+    # X's cells of the kept sub-necklaces
+    for h, cyc in embedded_cells(graph, table).values():
         name, length = table[h]
         proj = []
         for v in cyc:

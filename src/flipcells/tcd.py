@@ -49,24 +49,28 @@ def permutation_for_tcd(image, colors: dict[int, str] | None = None) -> Decorate
     or leaves it bare.  A black fixed point, or a color on a point that is
     not fixed, raises ArgumentError."""
     colors = dict(colors or {})
-    if BLACK in colors.values():
-        raise ArgumentError("triple crossing diagrams have undecorated fixed points")
+    _reject_black(colors.values())
     image = tuple(image)
     fixed = [i for i in range(1, len(image) + 1) if image[i - 1] == i]
     return DecoratedPermutation.make(image, dict.fromkeys(fixed, WHITE) | colors)
+
+
+def _reject_black(colors) -> None:
+    if BLACK in colors:
+        raise ArgumentError("triple crossing diagrams have undecorated fixed points")
 
 
 @collector_paused()
 def build_t_complex(p, vertex_cap: int = DEFAULT_VERTEX_CAP):
     """The 2-complex of triple crossing diagrams for a permutation.
 
-    Accepts a plain one-line permutation or a DecoratedPermutation with
-    white fixed points.  `vertex_cap` bounds the trivalent plabic graphs
-    enumerated.  Returns (TwoComplex, cells), cells the sorted
-    (name, cycle) list.
+    Accepts a plain one-line permutation, read by `permutation_for_tcd`, or
+    a DecoratedPermutation with white fixed points, used as it is.
+    `vertex_cap` bounds the trivalent plabic graphs enumerated.  Returns
+    (TwoComplex, cells), cells the sorted (name, cycle) list.
     """
     if isinstance(p, DecoratedPermutation):
-        p = permutation_for_tcd(p.image, dict(p.fixed_color))
+        _reject_black(dict(p.fixed_color).values())
     else:
         p = permutation_for_tcd(p)
     return quotient_complex(enumerate_plabic(p, vertex_cap=vertex_cap), "T")[:2]

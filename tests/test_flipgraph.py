@@ -23,7 +23,7 @@ from flipcells.flipgraph import (
     collector_paused,
     commuting_squares,
 )
-from test_tcd import T_CELLS, disjoint_support, enumerate_tcd, square_moves, tcd_neighbors
+from test_tcd import disjoint_support, enumerate_tcd, reference_embedded_cells, square_moves, tcd_neighbors
 
 # canonical_hash() of complexes whose cells must never change.
 PINNED_HASHES = {
@@ -210,7 +210,8 @@ def reference_flips(triangles, boundary):
     """The per-vertex flip scan: every site's rule re-derived at every vertex."""
     seg_map = {}
     for t in triangles:
-        for seg, third in P._sides(t):
+        a, b, c = t
+        for seg, third in (((a, b), c), ((a, c), b), ((b, c), a)):
             seg_map.setdefault(seg, []).append((t, third))
     walked = P.walked_segments(boundary)
     moves = []
@@ -320,50 +321,37 @@ class TestSiteMemos:
         assert m.support_labels() == frozenset(x for t in m.removed + m.added for x in t)
 
 
-def reference_embedded_cells(graph, table):
-    """The scan that walks a cell's cycle from every vertex that carries it."""
-    first = graph.payloads[0]
-    cands = [c for c in P._embedded_candidates(first.n, first.k) if c[0] in table and c[3]]
-    cells = {}
-    for vid, payload in enumerate(graph.payloads):
-        polys = payload.polygons()
-        labs = set(payload.boundary).union(*polys)
-        tiles = [(frozenset(poly), abs(P.shoelace2([P.pos(x) for x in poly]))) for poly in polys]
-        for h, family, walk5, area in cands:
-            if not labs.issuperset(walk5):
-                continue
-            if sum(a for verts, a in tiles if verts <= family) != area:
-                continue
-            name, length = table[h]
-            cycle = P.move_cycle(graph, vid, lambda m: m.support_labels() <= family, length, by_id=True)
-            cells.setdefault(frozenset(cycle), (name, tuple(cycle)))
-    return cells
-
-
-# n = 6 permutations for T: the two that miss their |S| = 1 cells, and a
-# fixed sample of the rest
-T_WALK_SAMPLE = [(5, 6, 1, 2, 3, 4), (4, 5, 6, 1, 2, 3), (2, 3, 4, 5, 6, 1), (3, 4, 5, 6, 1, 2),
-                 (2, 4, 6, 1, 3, 5), (3, 6, 4, 1, 5, 2), (4, 6, 5, 2, 1, 3), (6, 5, 4, 3, 2, 1)]
-
-
 def _walk_cases():
-    decagons = {h: P._X_CELLS[h] for h in (2, 3)}
-    for p, tables in ((C.cyclic_decorated(6, 3), (P._X_CELLS, decagons)),
-                      (C.cyclic_decorated(7, 2), (P._X_CELLS,))):
+    """(X graph, the h of the families scanned)."""
+    for p, hss in ((C.cyclic_decorated(6, 3), (P._X_CELLS, (2, 3))), (C.cyclic_decorated(7, 2), (P._X_CELLS,))):
         graph = P.enumerate_plabic(p)
-        for table in tables:
-            yield graph, table
-    for image in T_WALK_SAMPLE:
-        yield enumerate_tcd(tcd.permutation_for_tcd(image)), T_CELLS
+        for hs in hss:
+            yield graph, hs
 
 
 def test_embedded_cells_walk_once_parity():
     walked = 0
-    for graph, table in _walk_cases():
-        want = reference_embedded_cells(graph, table)
-        assert list(P.embedded_cells(graph, table).items()) == list(want.items())
+    for graph, hs in _walk_cases():
+        table = {h: (h, P._X_CELLS[h][1]) for h in hs}
+        want = reference_embedded_cells(graph, table, lambda sigma: sigma.triangles)
+        assert list(P.embedded_cells(graph, hs).items()) == list(want.items())
         walked += len(want)
     assert walked
+
+
+@pytest.mark.parametrize("kind", ["X", "Y", "T"])
+def test_builds_decode_each_vertex_once(monkeypatch, kind):
+    # pi(7,3) has 3,332 vertices: the seed is built, each vertex is decoded
+    # once when it is expanded, and the cell scan decodes vertex 0 alone
+    p = C.cyclic_decorated(7, 3)
+    built = []
+    post_init = P.PlabicTriangulation.__post_init__
+    monkeypatch.setattr(P.PlabicTriangulation, "__post_init__", lambda self: built.append(1) or post_init(self))
+    if kind == "T":
+        tcd.build_t_complex(p)
+    else:
+        P.build_plabic_complex(p, kind)
+    assert len(built) == 3_334
 
 
 # ---------------------------------------------------------------------------

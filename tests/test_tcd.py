@@ -143,13 +143,36 @@ def disjoint_support(a, b):
     return not a.support_labels() & b.support_labels()
 
 
+def reference_embedded_cells(graph, table, polygons):
+    """The embedded-cell scan that walks a cell's cycle from every vertex
+    that carries it, for each h -> (name, length) of `table`:
+    frozenset(cycle) -> (name, cycle).  `polygons(payload)` are the
+    polygons that tile a vertex's region."""
+    first = graph.payloads[0]
+    cands = [c for c in P._embedded_candidates(first.n, first.k) if c[0] in table and c[3]]
+    cells = {}
+    for vid, payload in enumerate(graph.payloads):
+        polys = polygons(payload)
+        labs = set(payload.boundary).union(*polys)
+        tiles = [(frozenset(poly), abs(P.shoelace2([P.pos(x) for x in poly]))) for poly in polys]
+        for h, family, walk5, area in cands:
+            if not labs.issuperset(walk5):
+                continue
+            if sum(a for verts, a in tiles if verts <= family) != area:
+                continue
+            name, length = table[h]
+            cycle = P.move_cycle(graph, vid, lambda m: m.support_labels() <= family, length, by_id=True)
+            cells.setdefault(frozenset(cycle), (name, tuple(cycle)))
+    return cells
+
+
 def reference_t_cells(graph):
     """The direct route's cells of T on `enumerate_tcd`'s graph.  Its quad
     and area rules miss cells from n = 6 on, where H1 != 0 for 34 of 720."""
     cells = {}
     for quad, _, _ in commuting_squares(graph, disjoint_support):
         cells.setdefault(frozenset(quad), ("quad", quad))
-    cells.update(P.embedded_cells(graph, T_CELLS))
+    cells.update(reference_embedded_cells(graph, T_CELLS, TCDState.polygons))
     return sorted_cells(cells)
 
 
@@ -269,8 +292,21 @@ class TestComplex:
         from flipcells.errors import ArgumentError
 
         p = C.DecoratedPermutation.make((1, 3, 2), {1: BLACK})
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ArgumentError, match="undecorated fixed points"):
             tcd.build_t_complex(p)
+
+    def test_decorated_permutation_used_as_given(self, monkeypatch):
+        # a DecoratedPermutation was validated when it was made, so the
+        # build makes none; a one-line image is read as before
+        p = C.DecoratedPermutation.make((1, 3, 4, 5, 6, 2), {1: WHITE})
+        want = tcd.build_t_complex((1, 3, 4, 5, 6, 2))
+        made = []
+        make = C.DecoratedPermutation.make
+        monkeypatch.setattr(C.DecoratedPermutation, "make", lambda *a: made.append(a) or make(*a))
+        cx, cells = tcd.build_t_complex(p)
+        assert made == []
+        assert [name for name, _ in cells] == ["pentagon_white"]
+        assert (cx.canonical_hash(), cells) == (want[0].canonical_hash(), want[1])
 
 
 def lift_t_edge(s1, move, s2):
