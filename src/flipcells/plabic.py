@@ -1332,7 +1332,7 @@ def _fan_path(verts, tris: set, kind: str):
 
 
 # ---------------------------------------------------------------------------
-# the complexes X (all moves) and Y (square moves modulo trivalent moves)
+# the complex X (all moves) and its quotients Y and T
 
 
 @lru_cache(maxsize=None)
@@ -1405,24 +1405,24 @@ def embedded_cells(graph: FlipGraph, hs) -> dict:
     return cells
 
 
-_X_CELLS = {
-    1: ("pentagon_white", 5),
-    2: ("decagon_white", 10),
-    3: ("decagon_black", 10),
-    4: ("pentagon_black", 5),
-}
-# The quotients of X: the move kinds each collapses, and the embedded
-# sub-necklaces it keeps (h -> name and length of the projected cell).  Y
-# collapses the trivalent moves, so its decagons project to pentagons of
-# square moves.  T collapses the black flips: black decagons project to
-# pentagons, and black pentagons to a point.
+# The complexes read off X's flip graph: the move kinds each collapses, and
+# the embedded sub-necklaces it keeps (h -> name and length of the projected
+# cell).  X collapses nothing and keeps every family.  Y collapses the
+# trivalent moves, so its decagons project to pentagons of square moves.  T
+# collapses the black flips: black decagons project to pentagons, and black
+# pentagons to a point.
 _QUOTIENTS = {
+    "X": (
+        frozenset(),
+        {1: ("pentagon_white", 5), 2: ("decagon_white", 10), 3: ("decagon_black", 10), 4: ("pentagon_black", 5)},
+    ),
     "Y": (frozenset({"M1", "M3"}), {2: ("pentagon", 5), 3: ("pentagon", 5)}),
     "T": (
         frozenset({"M3"}),
         {1: ("pentagon_white", 5), 2: ("decagon", 10), 3: ("pentagon_square", 5)},
     ),
 }
+_X_CELLS = _QUOTIENTS["X"][1]
 
 
 def _disjoint_removed(a: Move, b: Move) -> bool:
@@ -1437,41 +1437,30 @@ def build_plabic_complex(
     vertex_cap: int = DEFAULT_VERTEX_CAP,
 ):
     """The 2-complex of trivalent plabic graphs (kind "X") or of their
-    square-move classes (kind "Y") for a decorated permutation.
+    square-move classes (kind "Y") for a decorated permutation: its flip
+    graph, enumerated once, read by `quotient_complex`.
 
-    Returns (TwoComplex, cells), cells the sorted (name, cycle) list.
+    Returns (TwoComplex, cells), cells the (name, cycle) list.
     """
-    from .topology import TwoComplex
-
     if kind not in ("X", "Y"):
         raise ArgumentError("kind must be 'X' or 'Y'")
-    graph = enumerate_plabic(p, vertex_cap=vertex_cap)
-    if kind == "Y":
-        return quotient_complex(graph, "Y")[:2]
-    quads = {}
-    for quad, _, _ in commuting_squares(graph, _disjoint_removed):
-        quads.setdefault(frozenset(quad), ("quad", quad))
-    embedded = {key: (_X_CELLS[h][0], cyc) for key, (h, cyc) in embedded_cells(graph, _X_CELLS).items()}
-    cells = sorted_cells(quads) + sorted_cells(embedded)
-    complex_ = TwoComplex.from_graph(
-        graph.n_vertices,
-        [(u, v) for u, v, _ in graph.edges],
-        [cyc for _, cyc in cells],
-    )
-    return complex_, cells
+    return quotient_complex(enumerate_plabic(p, vertex_cap=vertex_cap), kind)[:2]
 
 
 def quotient_complex(graph: FlipGraph, kind: str):
-    """The complex `kind` ("Y" or "T") of `_QUOTIENTS`, read off X's flip graph.
+    """The complex `kind` ("X", "Y" or "T") of `_QUOTIENTS`, read off X's
+    flip graph.
 
     Its vertices are the classes of X vertices joined by collapsed moves,
     numbered in order of their lowest X id, and its edges the other moves
-    between distinct classes.  A quad of X is kept when neither of its moves
-    is collapsed and its corners lie in four classes.  Each kept embedded
-    cell of X must project, with repeated classes merged, onto a simple
-    cycle of its table length, or AssertionError is raised.  Returns
-    (TwoComplex, cells, class of each X vertex), cells the sorted
-    (name, cycle) list.
+    between distinct classes.  X collapses nothing, so each of its vertices
+    is its own class and its edges are the graph's.  A quad of X is kept
+    when neither of its moves is collapsed and its corners lie in four
+    classes.  Each kept embedded cell of X must project, with repeated
+    classes merged, onto a simple cycle of its table length, or
+    AssertionError is raised.  Returns (TwoComplex, cells, class of each X
+    vertex), cells the (name, cycle) list: for X its sorted quads, then its
+    sorted embedded cells; for Y and T all its cells sorted together.
     """
     from .topology import TwoComplex
 
@@ -1489,12 +1478,13 @@ def quotient_complex(graph: FlipGraph, kind: str):
     def kept(a, b):
         return a.kind not in collapsed and b.kind not in collapsed and _disjoint_removed(a, b)
 
-    cells = {}
+    quads = {}
     for quad, _, _ in commuting_squares(graph, kept):
         cyc = tuple(cls[v] for v in quad)
         if len(set(cyc)) == 4:
-            cells.setdefault(frozenset(cyc), ("quad", cyc))
-    # X's cells of the kept sub-necklaces
+            quads.setdefault(frozenset(cyc), ("quad", cyc))
+    # X's cells of the kept sub-necklaces: 5 or 10 classes, never a quad's 4
+    embedded = {}
     for h, cyc in embedded_cells(graph, table).values():
         name, length = table[h]
         proj = []
@@ -1505,8 +1495,10 @@ def quotient_complex(graph: FlipGraph, kind: str):
             proj.pop()
         if len(proj) != length or len(set(proj)) != length:
             raise AssertionError("%s does not project to a %d-cycle of %s" % (_X_CELLS[h][0], length, kind))
-        cells.setdefault(frozenset(proj), (name, tuple(proj)))
-    cell_list = sorted_cells(cells)
+        embedded.setdefault(frozenset(proj), (name, tuple(proj)))
+    # the pinned X hashes (PINNED_HASHES, PINNED_INPUT_HASHES) list X's quads
+    # before its embedded cells; the pinned Y and T hashes sort all cells together
+    cell_list = sorted_cells(quads) + sorted_cells(embedded) if not collapsed else sorted_cells(quads | embedded)
     complex_ = TwoComplex.from_graph(max(cls) + 1, edges, [cyc for _, cyc in cell_list])
     return complex_, cell_list, cls
 

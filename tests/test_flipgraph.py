@@ -469,16 +469,19 @@ def test_t_and_z_squares_match_the_reference():
     assert squares
 
 
-# certificate input_hash of the X and Y complexes of pi(7,3)
+# certificate input_hash of the X, Y and T complexes of pi(7,3)
 PINNED_INPUT_HASHES = {
     "X": "71f7ce3745abe9035182cd96797ff77ec6e1f34395482b91916091e6cd574764",
     "Y": "2bc7231c53794ef9c187e367c7994bbf148a62ff5019d65b67ef30285f219e86",
+    "T": "a65c814e612a1e15df7d871a9122b334d6cd73de1e2bf0c1ca52919f1d56765a",
 }
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_INPUT_HASHES))
 def test_pinned_pi73_certificate(kind):
-    cert = T.certificate(P.build_plabic_complex(C.cyclic_decorated(7, 3), kind)[0])
+    p = C.cyclic_decorated(7, 3)
+    complex_ = tcd.build_t_complex(p)[0] if kind == "T" else P.build_plabic_complex(p, kind)[0]
+    cert = T.certificate(complex_)
     assert (cert["input_hash"], cert["pi1"]) == (PINNED_INPUT_HASHES[kind], "trivial")
 
 

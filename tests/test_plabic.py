@@ -660,6 +660,8 @@ class TestCrossValidation:
         # exactly the maximal weakly separated collections
         assert all(len(v) == 1 for v in class_labels.values())
         assert {next(iter(v)) for v in class_labels.values()} == maximal
+        # X collapses no move: each vertex is its own class
+        assert P.quotient_complex(graph, "X")[2] == list(range(graph.n_vertices))
 
     def test_u7_is_the_associahedron_two_skeleton(self):
         # 42 triangulations of the heptagon, f-vector (42, 84, 56); the

@@ -588,6 +588,28 @@ class TestCertificates:
         cert = T.certificate(k)
         assert (cert["betti1"], cert["torsion"], cert["pi1"]) == (0, [2], "nontrivial")
 
+    @pytest.mark.parametrize(
+        "kind, n, k, betti1_without",
+        [
+            ("X", 6, 3, {"quad": 105, "decagon_white": 5, "decagon_black": 5}),
+            ("Y", 6, 3, {"quad": 15, "pentagon": 11}),
+            ("T", 6, 3, {"quad": 36, "decagon": 5, "pentagon_square": 5}),
+            ("X", 6, 2, {"quad": 36, "pentagon_white": 5, "decagon_white": 5}),
+        ],
+        ids=["X-pi63", "Y-pi63", "T-pi63", "X-pi62"],
+    )
+    def test_every_cell_family_is_needed(self, kind, n, k, betti1_without):
+        # the paper's 4-, 5- and 10-cycles: dropping any one family of a
+        # real complex leaves H1 free of rank betti1, so pi1 is nontrivial
+        p = C.cyclic_decorated(n, k)
+        cx, cells = tcd.build_t_complex(p) if kind == "T" else P.build_plabic_complex(p, kind)
+        assert {name for name, _ in cells} == set(betti1_without)
+        for family, betti1 in betti1_without.items():
+            ablated = T.TwoComplex.from_graph(cx.nv, cx.edges, [cyc for name, cyc in cells if name != family])
+            cert = T.certificate(ablated)
+            assert (cert["betti1"], cert["torsion"], cert["pi1"]) == (betti1, [], "nontrivial"), family
+            assert T.h1(ablated) == (betti1, []), family
+
     def test_nontrivial_skips_coset_enumeration(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("coset enumeration ran although H1 != 0")
