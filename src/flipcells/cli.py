@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import argparse
-import functools
+import getopt
 import json
 import os
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from . import combinat, flipgraph, plabic, tcd, topology, zonotope
 from .combinat import DecoratedPermutation, GrassmannNecklace
@@ -34,8 +35,7 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _dump(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+_dump = topology.CANONICAL_JSON.encode
 
 
 def parse_permutation(text: str) -> DecoratedPermutation:
@@ -271,114 +271,114 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--cap", type=int, default=argparse.SUPPRESS, help="enumeration vertex cap"
-    )
-    common.add_argument(
-        "--budget",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="coset-enumeration budget; bounds only an inconclusive pi1",
-    )
-    common.add_argument(
-        "--format", default=argparse.SUPPRESS, choices=["json", "dot", "svg"]
-    )
-    common.add_argument("--out", default=argparse.SUPPRESS, help="output path (default: stdout)")
-    return common
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
-    parser = argparse.ArgumentParser(
-        prog="flipcells",
-        parents=[common],
-        description="Zonotopal tilings, plabic graphs, triple crossing diagrams, "
-        "and certified simply connected flip complexes.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("tilings", parents=[common], help="enumerate fine zonotopal tilings of Z(n,d)")
-    s.add_argument("n", type=int)
-    s.add_argument("d", type=int)
-    s.set_defaults(func=cmd_tilings, formats=("json", "dot"))
-
-    s = sub.add_parser("zcomplex", parents=[common], help="build and certify the zonotopal flip complex")
-    s.add_argument("n", type=int)
-    s.add_argument("d", type=int)
-    s.add_argument("--certify", action="store_true")
-    s.set_defaults(func=cmd_zcomplex)
-
-    s = sub.add_parser("plabic", parents=[common], help="build and certify a plabic flip complex")
-    s.add_argument("perm", nargs="+", help="'3,4,5,1,2' / '2,1,3w' / cyclic n k")
-    s.add_argument("--kind", default="X", choices=["X", "Y"])
-    s.add_argument("--certify", action="store_true")
-    s.set_defaults(func=cmd_complex)
-
-    s = sub.add_parser("tcd", parents=[common], help="build and certify a triple crossing diagram complex")
-    s.add_argument("perm", nargs="+", help="'3,4,5,1,2' / '2,1,3' (fixed points are white) / cyclic n k")
-    s.add_argument("--certify", action="store_true")
-    s.set_defaults(func=cmd_complex, kind="T")
-
-    s = sub.add_parser("cross-section", parents=[common], help="cross-section of a tiling of Z(n,3)")
-    s.add_argument("--tiling", required=True)
-    s.add_argument("--level", type=int, required=True)
-    s.add_argument("--dual", action="store_true", help="overlay the dual graph in svg output")
-    s.add_argument("--strands", action="store_true", help="overlay the strand paths in svg output")
-    s.set_defaults(func=cmd_cross_section, formats=("json", "svg"))
-
-    s = sub.add_parser("updown", parents=[common], help="UP/DOWN of a necklace or plabic triangulation")
-    s.add_argument("--necklace", help="JSON list of sets, inline or a file path")
-    s.add_argument("--triangulation", help="plabic triangulation JSON file")
-    s.add_argument("--dir", required=True, choices=["up", "down"])
-    s.set_defaults(func=cmd_updown)
-
-    s = sub.add_parser("realize-move", parents=[common], help="realize a trivalent move by zonotopal flips")
-    s.add_argument("--tiling", required=True)
-    s.add_argument("--level", type=int, required=True)
-    s.add_argument("--move-index", type=int, default=0)
-    s.add_argument("--kind", choices=["M1", "M3"], default=None)
-    s.set_defaults(func=cmd_realize_move)
-
-    s = sub.add_parser("align", parents=[common], help="flip one tiling into another fixing a cross-section")
-    s.add_argument("--tiling-a", required=True)
-    s.add_argument("--tiling-b", required=True)
-    s.add_argument("--level", type=int, required=True)
-    s.set_defaults(func=cmd_align)
-
-    s = sub.add_parser("export", parents=[common], help="convert stored JSON to dot/svg")
-    s.add_argument("--flip-graph")
-    s.add_argument("--triangulation")
-    s.add_argument("--dual", action="store_true")
-    s.add_argument("--strands", action="store_true")
+# One row per command.  `pos` is ("n", "d"), two ints, or ("perm",), one or more words.  A flag's kind
+# is int, str, a tuple of choices, or bool (a switch); unless in `defaults`, a switch is False, others None.
+Command = namedtuple("Command", "func help pos flags defaults required formats", defaults=({}, (), ("json",)))
+COMMANDS = {
+    "tilings": Command(cmd_tilings, "enumerate fine zonotopal tilings of Z(n,d)", ("n", "d"), {},
+                       formats=("json", "dot")),
+    "zcomplex": Command(cmd_zcomplex, "build and certify the zonotopal flip complex", ("n", "d"),
+                        {"--certify": bool}),
+    "plabic": Command(cmd_complex, "build and certify a plabic flip complex", ("perm",),
+                      {"--kind": ("X", "Y"), "--certify": bool}, {"kind": "X"}),
+    "tcd": Command(cmd_complex, "build and certify a triple crossing diagram complex", ("perm",),
+                   {"--certify": bool}, {"kind": "T"}),
+    "cross-section": Command(cmd_cross_section, "cross-section of a tiling of Z(n,3)", (),
+                             {"--tiling": str, "--level": int, "--dual": bool, "--strands": bool},
+                             required=("--tiling", "--level"), formats=("json", "svg")),
+    "updown": Command(cmd_updown, "UP/DOWN of a necklace or plabic triangulation", (),
+                      {"--necklace": str, "--triangulation": str, "--dir": ("up", "down")}, required=("--dir",)),
+    "realize-move": Command(cmd_realize_move, "realize a trivalent move by zonotopal flips", (),
+                            {"--tiling": str, "--level": int, "--move-index": int, "--kind": ("M1", "M3")},
+                            {"move_index": 0}, ("--tiling", "--level")),
+    "align": Command(cmd_align, "flip one tiling into another fixing a cross-section", (),
+                     {"--tiling-a": str, "--tiling-b": str, "--level": int},
+                     required=("--tiling-a", "--tiling-b", "--level")),
     # cmd_export checks the format against --flip-graph or --triangulation
-    s.set_defaults(func=cmd_export, formats=("json", "dot", "svg"))
-    return parser
+    "export": Command(cmd_export, "convert stored JSON to dot/svg", (),
+                      {"--flip-graph": str, "--triangulation": str, "--dual": bool, "--strands": bool},
+                      formats=("json", "dot", "svg")),
+}
+_COMMON = {"--cap": int, "--budget": int, "--format": ("json", "dot", "svg"), "--out": str}
+_COMMON_HELP = """common flags, before or after the command:
+  --cap INT               enumeration vertex cap
+  --budget INT            coset-enumeration budget; bounds only an inconclusive pi1
+  --format json|dot|svg
+  --out STR               output path (default: stdout)"""
+_NOTES = {
+    "perm": "perm is '3,4,5,1,2', '2,1,3w' or cyclic n k; for tcd, '2,1,3' (fixed points are white)",
+    "--necklace": "--necklace: JSON list of sets, inline or a file path; --triangulation: plabic triangulation file",
+    "--dual": "--dual and --strands overlay the dual graph and the strand paths in svg output",
+}
 
 
-@functools.lru_cache(maxsize=None)
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser `main` reuses, built on its first call."""
-    return build_parser()
+def _help(command: str | None) -> str:
+    """The help of `command`, or of flipcells if None; its first line is the usage."""
+    if command is None:
+        listing = "\n".join("  %-14s %s" % (name, cmd.help) for name, cmd in COMMANDS.items())
+        return "usage: flipcells [-h] [common flags] COMMAND ...\n\ncommands:\n%s\n\n%s" % (listing, _COMMON_HELP)
+    cmd = COMMANDS[command]
+    words = ["usage: flipcells", command, "[-h] [common flags]", *cmd.pos]
+    for flag, kind in cmd.flags.items():
+        if kind is not bool:
+            flag += " " + ("|".join(kind) if isinstance(kind, tuple) else kind.__name__.upper())
+        words.append(flag if flag.split()[0] in cmd.required else "[%s]" % flag)
+    notes = "".join("\n  " + note for key, note in _NOTES.items() if key in cmd.pos or key in cmd.flags)
+    return "%s\n\n%s%s\n\n%s" % (" ".join(words), cmd.help, notes, _COMMON_HELP)
+
+
+def _read(opts, flags: dict, values: dict, command: str | None) -> None:
+    for flag, value in opts:
+        if flag in ("-h", "--help"):
+            print(_help(command))
+            raise SystemExit(0)
+        kind = flags[flag]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise getopt.GetoptError("%s: invalid int value: %r" % (flag, value)) from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise getopt.GetoptError("%s: invalid choice: %r (choose from %s)" % (flag, value, ", ".join(kind)))
+        values[flag.lstrip("-").replace("-", "_")] = True if kind is bool else value
 
 
 def main(argv=None) -> int:
-    parser = _shared_parser()
-    # the common flags default to SUPPRESS, since the top-level parser and
-    # every subparser share their actions: a subparser default would
-    # overwrite a flag given before the subcommand
-    defaults = argparse.Namespace(
-        cap=flipgraph.DEFAULT_VERTEX_CAP, budget=topology.DEFAULT_PI1_BUDGET, format="json", out=None
-    )
-    args = parser.parse_args(argv, defaults)
-    if args.cap < 1 or args.budget < 1:
-        parser.error("cap and budget must be positive")
+    """Run one command line, read in one pass: common flags, the command word, then its positionals
+    and flags in any order.  A unique prefix stands for a flag; a usage error exits 2, -h exits 0."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    values = dict(cap=flipgraph.DEFAULT_VERTEX_CAP, budget=topology.DEFAULT_PI1_BUDGET, format="json", out=None)
+    command = None
     try:
-        formats = getattr(args, "formats", ("json",))
-        if args.format not in formats:
-            raise ArgumentError("%s writes %s, not %s" % (args.command, " or ".join(formats), args.format))
-        return args.func(args)
+        opts, rest = getopt.getopt(argv, "h", [flag[2:] + "=" for flag in _COMMON] + ["help"])
+        _read(opts, _COMMON, values, command)
+        if not rest or rest[0] not in COMMANDS:
+            raise getopt.GetoptError("expected a command (%s), got %r" % (", ".join(COMMANDS), (rest or [None])[0]))
+        command, cmd, rest, words = rest[0], COMMANDS[rest[0]], rest[1:], []
+        flags = {**_COMMON, **cmd.flags}
+        longopts = [flag[2:] + "=" * (kind is not bool) for flag, kind in flags.items()] + ["help"]
+        unset = {flag[2:].replace("-", "_"): False if kind is bool else None for flag, kind in cmd.flags.items()}
+        values.update(unset, **cmd.defaults)
+        while rest:  # getopt stops at the first word that is not a flag
+            opts, rest = getopt.getopt(rest, "h", longopts)
+            _read(opts, flags, values, command)
+            words, rest = words + rest[:1], rest[1:]
+        words = [words] if cmd.pos == ("perm",) and words else words
+        if len(words) != len(cmd.pos):
+            raise getopt.GetoptError("%s takes %s" % (command, " ".join(cmd.pos) or "no positionals"))
+        _read(zip(cmd.pos, words), {"n": int, "d": int, "perm": list}, values, command)
+        if any(values[flag[2:].replace("-", "_")] is None for flag in cmd.required):
+            raise getopt.GetoptError("%s needs %s" % (command, " and ".join(cmd.required)))
+        if values["cap"] < 1 or values["budget"] < 1:
+            raise getopt.GetoptError("cap and budget must be positive")
+    except getopt.GetoptError as exc:
+        print("%s\nflipcells: error: %s" % (_help(command).partition("\n")[0], exc), file=sys.stderr)
+        raise SystemExit(2) from None
+    args = SimpleNamespace(command=command, **values)
+    try:
+        if args.format not in cmd.formats:
+            raise ArgumentError("%s writes %s, not %s" % (args.command, " or ".join(cmd.formats), args.format))
+        return cmd.func(args)
     except (ArgumentError, ValidationError, PreconditionError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -45,6 +45,9 @@ from .errors import PreconditionError, ValidationError
 from .flipgraph import collector_paused, union_classes
 
 DEFAULT_PI1_BUDGET = 10_000_000
+# the one encoder of canonical JSON text: json.dumps with non-default
+# arguments builds a new encoder on every call
+CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,7 @@ class TwoComplex:
         }
 
     def canonical_hash(self) -> str:
-        data = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        data = CANONICAL_JSON.encode(self.to_json())
         return hashlib.sha256(data.encode()).hexdigest()
 
 

@@ -220,6 +220,54 @@ class TestDeterminismAndErrors:
         assert text == capsys.readouterr().out
 
 
+class TestParser:
+    """One row per argv: how `main` ends ("return" or "exit" by SystemExit,
+    and the code), and a text that stdout and stderr must hold (None: empty).
+    OUT stands for a file in the test's directory."""
+
+    @pytest.mark.parametrize(
+        "argv, ended, out, err",
+        [
+            pytest.param(["--cap", "100", "tilings", "3", "2"], "return 0", '"n_vertices":2', None, id="common-first"),
+            pytest.param(["tilings", "3", "2", "--cap", "100"], "return 0", '"n_vertices":2', None, id="common-last"),
+            pytest.param(["tilings", "3", "2", "--out=OUT"], "return 0", None, None, id="out-equals"),
+            pytest.param(["plabic", "3,1,2", "--cert"], "return 0", '"certificate"', None, id="prefix-certify"),
+            pytest.param(
+                ["updown", "--necklace", "[[1],[2],[3]]", "--d", "up"], "return 0", "[[1,2],", None, id="prefix-dir"
+            ),
+            pytest.param(
+                ["tilings", "3", "2", "--cap", "1", "--cap", "9"], "return 0", '"n_vertices"', None, id="last-wins"
+            ),
+            pytest.param(
+                ["tilings", "3", "2", "--cap", "9", "--cap", "1"], "return 3", None, "cap 1 ", id="last-wins-cap"
+            ),
+            pytest.param(["-h"], "exit 0", "usage:", None, id="help"),
+            pytest.param(["--help"], "exit 0", "usage:", None, id="help-long"),
+            pytest.param(["plabic", "-h"], "exit 0", "usage:", None, id="command-help"),
+            pytest.param(["plabic", "--help"], "exit 0", "usage:", None, id="command-help-long"),
+            pytest.param(["align", "--tiling", "x", "--level", "2"], "exit 2", None, "usage:", id="ambiguous-prefix"),
+            pytest.param(["plabic", "3,1,2", "--kind"], "exit 2", None, "usage:", id="missing-value"),
+            pytest.param(["tilings", "x", "2"], "exit 2", None, "usage:", id="bad-int"),
+            pytest.param(["--format", "png", "tilings", "3", "2"], "exit 2", None, "usage:", id="bad-choice"),
+            pytest.param(["cross-section", "--level", "2"], "exit 2", None, "usage:", id="missing-required"),
+            pytest.param(["frobnicate"], "exit 2", None, "usage:", id="unknown-command"),
+            pytest.param([], "exit 2", None, "usage:", id="no-command"),
+        ],
+    )
+    def test_parse(self, capsys, tmp_path, argv, ended, out, err):
+        path = tmp_path / "out.json"
+        try:
+            got = "return %s" % cli.main([a.replace("OUT", str(path)) for a in argv])
+        except SystemExit as exc:
+            got = "exit %s" % exc.code
+        captured = capsys.readouterr()
+        assert got == ended
+        for text, want in ((captured.out, out), (captured.err, err)):
+            assert want in text if want else text == ""
+        if "--out=OUT" in argv:
+            assert json.loads(path.read_text())["n_vertices"] == 2
+
+
 class TestFormats:
     """Each command writes only the formats it can; the others are usage errors."""
 

@@ -1,4 +1,5 @@
-"""Start-up cost: numpy loads only where the zonotopal flip scan runs.
+"""Start-up cost: numpy loads only where the zonotopal flip scan runs, and a
+CLI call loads no argparse.
 
 Each case runs in a fresh interpreter, because this test session has
 already imported numpy.  The snippet's last stdout line says whether numpy
@@ -56,6 +57,11 @@ def test_numpy_not_loaded(code):
 def test_kernels_module_is_imported_with_the_package():
     out, loaded = _run("import sys, flipcells\nprint('flipcells._kernels' in sys.modules)\n")
     assert out == ["True"] and not loaded
+
+
+def test_cli_call_does_not_load_argparse():
+    out, _ = _run(_main("plabic", "cyclic", "5", "2", "--certify") + "import sys\nprint('argparse' in sys.modules)\n")
+    assert out[-1] == "False"
 
 
 def test_zcomplex_loads_numpy_on_first_enumeration():
