@@ -1,6 +1,8 @@
 """Plabic triangulations: cross-sections, duals, strands, moves, layers."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -480,6 +482,50 @@ class TestUpDownGraph:
         back = P.up_down_graph(down, "up")
         # UP(DOWN(I)) entries are entries of I: the shifted curve is nested
         assert set(back.necklace().sets) <= set(nk.sets)
+
+
+def outcome_line(f, *args) -> bytes:
+    """One JSON line: f(*args) (a triangulation as its `to_json`, bytes as
+    hex), or the class and message of the error it raises."""
+    try:
+        out = f(*args)
+    except Exception as exc:
+        out = "%s: %s" % (type(exc).__name__, exc)
+    if isinstance(out, P.PlabicTriangulation):
+        out = out.to_json()
+    elif isinstance(out, bytes):
+        out = out.hex()
+    return json.dumps(out, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
+class TestLayerPins:
+    def test_layer_outcomes_hash(self):
+        # one sha256 over the outcomes of: UP and DOWN of every X vertex of
+        # every decorated permutation with 3 <= n <= 5 and 0 < k < n, and the
+        # cyclic embedding of each vertex; then both layer steps and the
+        # tiling extension of every section of every tiling of Z(n, 3),
+        # 4 <= n <= 6
+        digest = hashlib.sha256()
+        calls = sections = 0
+        for n in range(3, 6):
+            for p in C.all_decorated_permutations(n):
+                if C.necklace_of(p).k in (0, n):
+                    continue
+                for s in P.enumerate_plabic(p).payloads:
+                    for direction in ("up", "down"):
+                        digest.update(outcome_line(P.up_down_graph, s, direction))
+                        calls += 1
+                    digest.update(outcome_line(lambda s: P.embed_in_cyclic(s)[0], s))
+        for n in range(4, 7):
+            for tiling in Z.enumerate_tilings(Z.zonotope_spec(n, 3)).payloads:
+                for k in range(1, n):
+                    s = P.cross_section(tiling, k)
+                    for direction in ("up", "down"):
+                        digest.update(outcome_line(P.layer_step, s, direction))
+                    digest.update(outcome_line(lambda s: P.extend_to_tiling(s).key(), s))
+                    sections += 1
+        assert (calls, sections) == (980, 786)
+        assert digest.hexdigest() == "ff8d63a4c22148a77f4a106d3f9b38c3b0906aac4ae67770344fb56b9268db6e"
 
 
 class TestEmbed:
