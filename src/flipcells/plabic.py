@@ -774,14 +774,19 @@ def triangulation_from_labels(
     return _tile_labels(collection.n, collection.k, labels, walk)
 
 
-def _tile_labels(n: int, k: int, labels: list[int], walk: tuple[int, ...]) -> PlabicTriangulation:
+def _tile_labels(n: int, k: int, labels: list[int], walk: tuple[int, ...], chords=()) -> PlabicTriangulation:
     """`triangulation_from_labels` on sorted, weakly separated label masks
-    and a walk of masks."""
+    and a walk of masks.
+
+    Each clique polygon is triangulated so that the `chords` (sorted label
+    pairs) among its vertices are kept, and fanned from its least label
+    otherwise.
+    """
     if not set(walk) <= set(labels):
         raise ValidationError("boundary label missing from the collection")
     tris = []
     for poly in _cliques(labels, n).values():
-        tris.extend(_fan_triangles(poly))
+        tris.extend(_triangulate_with_chords(poly, chords) if chords else _fan_triangles(poly))
     tris.sort()
     sigma = PlabicTriangulation(n, k, tuple(tris), walk)
     if sigma.triangles_area2() != sigma.boundary_area2():
@@ -830,6 +835,23 @@ def _fan_triangles(poly: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
     return tuple([(low, a, b) if a < b else (low, b, a) for a, b in zip(ring, ring[1:])])
 
 
+def _triangulate_with_chords(poly: tuple[int, ...], chords) -> list[tuple[int, int, int]]:
+    """The sorted triangles of a convex polygon of distinct labels that keep
+    the chords (sorted label pairs) among its vertices, which must not
+    cross; the pieces between them are fanned from their least labels.
+    Chords along the polygon's sides change nothing."""
+    members = set(poly)
+    inner = sorted(c for c in chords if c[0] in members and c[1] in members)
+    for a, b in inner:
+        ia, ib = sorted((poly.index(a), poly.index(b)))
+        if ib - ia in (1, len(poly) - 1):
+            continue
+        left = poly[ia : ib + 1]
+        right = poly[ib:] + poly[: ia + 1]
+        return _triangulate_with_chords(left, inner) + _triangulate_with_chords(right, inner)
+    return list(_fan_triangles(poly))
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -869,33 +891,21 @@ def seed_triangulation(p: DecoratedPermutation) -> PlabicTriangulation:
     return sigma
 
 
-def _cyclic_triangulation(
-    ext_masks: list[int], n: int, k: int, forced: set[tuple[int, int]]
-) -> PlabicTriangulation:
-    """Full cyclic triangulation of a maximal collection with forced chords."""
-    tris = []
-    for poly in _cliques(ext_masks, n).values():
-        poly_set = set(poly)
-        chords = {
-            seg
-            for seg in forced
-            if seg[0] in poly_set and seg[1] in poly_set and not _poly_adjacent(poly, seg)
-        }
-        tris.extend(_triangulate_with_chords(poly, chords))
-    full = PlabicTriangulation.make(n, k, tris, cyclic_walk(n, k))
-    if full.triangles_area2() != full.boundary_area2():
-        raise AssertionError("constrained cliques do not tile the full polygon")
-    return full
-
-
 def restrict_to_walk(sigma: PlabicTriangulation, walk: tuple[int, ...]) -> PlabicTriangulation:
-    """Sub-triangulation of the region enclosed by a necklace walk."""
+    """Sub-triangulation of the region enclosed by a necklace walk; raises
+    ValidationError when the walk passes through a triangle, winds twice
+    around one, or encloses triangles that do not tile its region."""
     walk_pts = [tuple(3 * c for c in pos(m)) for m in walk]
     keep = []
     for t in sigma.triangles:
         cx = sum(pos(l)[0] for l in t)
         cy = sum(pos(l)[1] for l in t)
-        w = winding_number(walk_pts, (cx, cy))
+        try:
+            w = winding_number(walk_pts, (cx, cy))
+        except ValueError as exc:
+            raise ValidationError(
+                "necklace walk passes through triangle %s" % ([elems_of(l) for l in t],)
+            ) from exc
         if abs(w) > 1:
             raise ValidationError("necklace walk winds more than once")
         if w:
@@ -950,27 +960,34 @@ def _invert_move(m: Move) -> Move:
 # UP/DOWN layer machinery
 
 
+def _tri_and(t):
+    return t[0] & t[1] & t[2]
+
+
+def _tri_or(t):
+    return t[0] | t[1] | t[2]
+
+
 def _white_to_black(tri: tuple[int, int, int]) -> tuple[int, int, int]:
     """The level-(k+1) black triangle cut from the same tile as a white one."""
-    union = tri[0] | tri[1] | tri[2]
-    common = tri[0] & tri[1] & tri[2]
-    extras = union & ~common
+    union = _tri_or(tri)
+    extras = union & ~_tri_and(tri)
     return _norm_tri(tuple(union & ~(1 << (i - 1)) for i in elems_of(extras)))
 
 
 def _black_to_white(tri: tuple[int, int, int]) -> tuple[int, int, int]:
     """The level-(k-1) white triangle cut from the same tile as a black one."""
-    union = tri[0] | tri[1] | tri[2]
-    common = tri[0] & tri[1] & tri[2]
-    removed = union & ~common
+    common = _tri_and(tri)
+    removed = _tri_or(tri) & ~common
     return _norm_tri(tuple(common | (1 << (i - 1)) for i in elems_of(removed)))
 
 
 def layer_step(sigma: PlabicTriangulation, direction: str) -> PlabicTriangulation:
     """The neighboring cross-section of a full cyclic plabic triangulation.
 
-    Going up, black triangles are forced by the white triangles below and the
-    white regions are fanned canonically; going down is the mirror image.
+    Going up, black triangles are forced by the white triangles below: the
+    clique tiler keeps their sides as chords, which rebuilds them, and fans
+    the white clique polygons.  Going down is the mirror image.
     """
     n, k = sigma.n, sigma.k
     if sigma.boundary != cyclic_walk(n, k):
@@ -982,35 +999,15 @@ def layer_step(sigma: PlabicTriangulation, direction: str) -> PlabicTriangulatio
         raise ArgumentError("target level %d out of [1, n-1]" % k2)
     if direction == "up":
         fixed = [_white_to_black(t) for t in sigma.triangles if triangle_color(t) == WHITE]
-        free_color = WHITE
     else:
         fixed = [_black_to_white(t) for t in sigma.triangles if triangle_color(t) == BLACK]
-        free_color = BLACK
-    labels = set(cyclic_walk(n, k2))
+    walk = cyclic_walk(n, k2)
+    labels = set(walk)
+    chords = set()
     for t in fixed:
         labels.update(t)
-    tris = list(fixed)
-    for poly in _cliques(labels, n).values():
-        if _poly_color(poly) == free_color:
-            tris.extend(_fan_triangles(poly))
-    out = PlabicTriangulation.make(n, k2, tris, cyclic_walk(n, k2))
-    if out.triangles_area2() != out.boundary_area2():
-        raise AssertionError("layer step does not tile the section")
-    return out
-
-
-def _poly_color(poly: list[int]) -> str:
-    k = bin(poly[0]).count("1")
-    inter = poly[0]
-    union = 0
-    for m in poly:
-        inter &= m
-        union |= m
-    if bin(inter).count("1") == k - 1:
-        return WHITE
-    if bin(union).count("1") == k + 1:
-        return BLACK
-    raise ValidationError("clique polygon has no color")
+        chords.update(itertools.combinations(t, 2))
+    return _tile_labels(n, k2, sorted(labels), walk, chords)
 
 
 def extend_to_tiling(sigma: PlabicTriangulation) -> Tiling:
@@ -1030,8 +1027,8 @@ def extend_to_tiling(sigma: PlabicTriangulation) -> Tiling:
         for t in levels[j].triangles:
             if triangle_color(t) != WHITE:
                 continue
-            common = t[0] & t[1] & t[2]
-            zero = (t[0] | t[1] | t[2]) & ~common
+            common = _tri_and(t)
+            zero = _tri_or(t) & ~common
             tiles.append(SignedSubset(n, common, spec.full_mask & ~(common | zero)))
     tiling = Tiling.from_tiles(spec, tiles)
     if cross_section(tiling, k) != sigma:
@@ -1039,61 +1036,30 @@ def extend_to_tiling(sigma: PlabicTriangulation) -> Tiling:
     return tiling
 
 
-def embed_in_cyclic(sigma: PlabicTriangulation) -> tuple[PlabicTriangulation, tuple[int, ...]]:
-    """Embed a plabic triangulation into a full cyclic one, keeping its own
-    triangles verbatim; returns (full triangulation, original boundary walk)."""
+def embed_in_cyclic(sigma: PlabicTriangulation) -> PlabicTriangulation:
+    """A full cyclic plabic triangulation that holds sigma's triangles
+    verbatim: sigma's labels grown to a maximal weakly separated collection
+    by one colex scan (`combinat.colex_greedy`), tiled keeping the sides of
+    sigma's triangles and the segments of its walk as chords."""
     n, k = sigma.n, sigma.k
-    if sigma.boundary == cyclic_walk(n, k):
-        return sigma, sigma.boundary
-    labels = {frozenset(elems_of(m)) for m in sigma.labels()}
-    extended = combinat.extend_to_maximal_ws(LabelCollection(n, k, frozenset(labels)))
-    ext_masks = sorted(mask_of(s) for s in extended.labels)
-    forced: set[tuple[int, int]] = set()
+    walk = cyclic_walk(n, k)
+    if sigma.boundary == walk:
+        return sigma
+    chords = set(walked_segments(sigma.boundary))
     for t in sigma.triangles:
-        for a, b in itertools.combinations(t, 2):
-            forced.add((min(a, b), max(a, b)))
-    forced.update(walked_segments(sigma.boundary))
-    full = _cyclic_triangulation(ext_masks, n, k, forced)
+        chords.update(itertools.combinations(t, 2))
+    labels = combinat.colex_greedy(n, k, sorted(sigma.labels()))
+    full = _tile_labels(n, k, sorted(labels), walk, chords)
     if not set(sigma.triangles) <= set(full.triangles):
         raise AssertionError("embedding does not contain the original triangulation")
-    return full, sigma.boundary
-
-
-def _poly_adjacent(poly: list[int], seg: tuple[int, int]) -> bool:
-    m = len(poly)
-    for i in range(m):
-        a, b = poly[i], poly[(i + 1) % m]
-        if (min(a, b), max(a, b)) == seg:
-            return True
-    return False
-
-
-def _triangulate_with_chords(poly: tuple[int, ...], chords: set[tuple[int, int]]):
-    """Triangulate a convex polygon respecting non-crossing forced chords."""
-    if len(poly) < 3:
-        return []
-    if len(poly) == 3:
-        return [_norm_tri(poly)]
-    for a, b in sorted(chords):
-        ia, ib = poly.index(a), poly.index(b)
-        if ia > ib:
-            ia, ib = ib, ia
-        if ib - ia in (1, len(poly) - 1):
-            continue
-        left = poly[ia : ib + 1]
-        right = poly[ib:] + poly[: ia + 1]
-        rest = {c for c in chords if c != (min(a, b), max(a, b))}
-        lset, rset = set(left), set(right)
-        lch = {c for c in rest if c[0] in lset and c[1] in lset and not (c[0] in rset and c[1] in rset)}
-        rch = rest - lch
-        return _triangulate_with_chords(left, lch) + _triangulate_with_chords(right, rch)
-    return list(_fan_triangles(poly))
+    return full
 
 
 def up_down_graph(sigma: PlabicTriangulation, direction: str) -> PlabicTriangulation:
-    """UP/DOWN of a plabic triangulation with arbitrary connectivity: embed,
-    extend to a tiling, take the neighboring layer, cut along the shifted
-    necklace (free regions re-fanned canonically)."""
+    """UP/DOWN of a plabic triangulation with arbitrary connectivity: embed
+    it in a full cyclic triangulation, take the adjacent layer, and restrict
+    that to the shifted necklace walk, which raises ValidationError when
+    the layer does not restrict to it."""
     if direction not in ("up", "down"):
         raise ArgumentError("direction must be 'up' or 'down'")
     necklace = sigma.necklace()
@@ -1102,12 +1068,8 @@ def up_down_graph(sigma: PlabicTriangulation, direction: str) -> PlabicTriangula
     shifted = combinat.necklace_shift(necklace, direction)
     if len(set(shifted.sets)) == 1:
         raise PreconditionError("%s connectivity is an identity" % direction.upper())
-    full, _ = embed_in_cyclic(sigma)
-    tiling = extend_to_tiling(full)
-    k2 = sigma.k + 1 if direction == "up" else sigma.k - 1
-    section = cross_section(tiling, k2)
     walk = tuple(mask_of(s) for s in shifted.sets)
-    return restrict_to_walk(section, walk)
+    return restrict_to_walk(layer_step(embed_in_cyclic(sigma), direction), walk)
 
 
 # ---------------------------------------------------------------------------
@@ -1151,14 +1113,6 @@ def flip_move_correspondence(tiling: Tiling) -> list[tuple]:
             raise AssertionError("flip at %s has no unique square move" % (elems,))
         out.append((site, level, match[0]))
     return out
-
-
-def _tri_and(t):
-    return t[0] & t[1] & t[2]
-
-
-def _tri_or(t):
-    return t[0] | t[1] | t[2]
 
 
 def realize_trivalent_move(tiling: Tiling, k: int, move: Move) -> list:

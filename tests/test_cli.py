@@ -163,6 +163,17 @@ class TestDeterminismAndErrors:
         assert captured.out == ""
         assert captured.err == "error: updown needs --necklace or --triangulation\n"
 
+    def test_updown_walk_through_a_triangle_is_usage_error(self, capsys, tmp_path):
+        # the UP layer of this vertex has a triangle whose centroid lies on
+        # the shifted necklace walk, so the layer does not restrict to it
+        sigma = P.enumerate_plabic(cli.parse_permutation("1w,3,4,5,6,2")).payloads[4]
+        sfile = tmp_path / "sigma.json"
+        sfile.write_text(json.dumps(sigma.to_json()))
+        assert cli.main(["updown", "--triangulation", str(sfile), "--dir", "up"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: necklace walk passes through triangle [(1, 6), (3, 6), (4, 6)]\n"
+
     @pytest.mark.parametrize("command", ["plabic", "tcd"])
     def test_non_integer_cyclic_is_usage_error(self, capsys, command):
         assert cli.main([command, "cyclic", "6", "x"]) == 2

@@ -44,7 +44,7 @@ def revcolex_seed(p):
         if all(C.is_weakly_separated_mask(cand, m) for m in have):
             have.add(cand)
     forced = {(min(a, b), max(a, b)) for a, b in zip(walk, walk[1:] + walk[:1]) if a != b}
-    return P.restrict_to_walk(P._cyclic_triangulation(sorted(have), n, k, forced), walk)
+    return P.restrict_to_walk(P._tile_labels(n, k, sorted(have), P.cyclic_walk(n, k), forced), walk)
 
 
 def reference_seed(p):
@@ -515,7 +515,7 @@ class TestLayerPins:
                     for direction in ("up", "down"):
                         digest.update(outcome_line(P.up_down_graph, s, direction))
                         calls += 1
-                    digest.update(outcome_line(lambda s: P.embed_in_cyclic(s)[0], s))
+                    digest.update(outcome_line(P.embed_in_cyclic, s))
         for n in range(4, 7):
             for tiling in Z.enumerate_tilings(Z.zonotope_spec(n, 3)).payloads:
                 for k in range(1, n):
@@ -531,15 +531,13 @@ class TestLayerPins:
 class TestEmbed:
     def test_cyclic_is_identity(self):
         s = P.seed_triangulation(C.cyclic_decorated(4, 2))
-        full, marker = P.embed_in_cyclic(s)
-        assert full == s and marker == s.boundary
+        assert P.embed_in_cyclic(s) == s
 
     def test_hanging_edge_embeds(self):
         nk = C.GrassmannNecklace.make(5, [[1, 3, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 3, 5]])
         s = P.seed_triangulation(C.decorated_of(nk))
-        full, marker = P.embed_in_cyclic(s)
+        full = P.embed_in_cyclic(s)
         assert set(s.triangles) <= set(full.triangles)
-        assert marker == s.boundary
         assert {mask_of(x) for x in nk.sets} <= set(full.labels())
         assert full.boundary == P.cyclic_walk(5, 3)
 
