@@ -263,6 +263,24 @@ class TestParser:
             pytest.param(["cross-section", "--level", "2"], "exit 2", None, "usage:", id="missing-required"),
             pytest.param(["frobnicate"], "exit 2", None, "usage:", id="unknown-command"),
             pytest.param([], "exit 2", None, "usage:", id="no-command"),
+            # getopt's edge cases: `--` makes the next word a positional, and a run of flags between
+            # two positionals has its names and arity checked before any value is read
+            pytest.param(["--", "tilings", "3", "2"], "return 0", '"n_vertices":2', None, id="dashdash-first"),
+            pytest.param(["tilings", "3", "--", "2"], "return 0", '"n_vertices":2', None, id="dashdash-between"),
+            pytest.param(["tilings", "--", "-1", "2"], "return 2", None, "error: need 1 <= d < n", id="dashdash-negative"),
+            pytest.param(["tilings", "-1", "2"], "exit 2", None, "option -1 not recognized", id="negative"),
+            pytest.param(["-h", "--bogus"], "exit 2", None, "option --bogus not recognized", id="help-then-unknown"),
+            pytest.param(["--bogus", "-h"], "exit 2", None, "option --bogus not recognized", id="unknown-then-help"),
+            pytest.param(["plabic", "3,1,2", "-h", "--kind", "Z"], "exit 0", "usage:", None, id="help-then-bad-choice"),
+            pytest.param(
+                ["plabic", "3,1,2", "--kind", "Z", "-h"], "exit 2", None, "invalid choice", id="bad-choice-then-help"
+            ),
+            pytest.param(["-hx"], "exit 2", None, "option -x not recognized", id="short-cluster"),
+            pytest.param(
+                ["plabic", "3,1,2", "--certify=1"], "exit 2", None, "must not have an argument", id="switch-value"
+            ),
+            pytest.param(["plabic", "3,1,2", "--he"], "exit 0", "usage:", None, id="prefix-help"),
+            pytest.param(["tilings", "3", "2", "-"], "exit 2", None, "tilings takes n d", id="lone-dash"),
         ],
     )
     def test_parse(self, capsys, tmp_path, argv, ended, out, err):
