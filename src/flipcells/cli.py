@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import getopt
 import json
 import os
 import sys
@@ -99,19 +98,22 @@ def _load_tiling(path: str) -> zonotope.Tiling:
         return zonotope.tiling_from_json(json.load(fh))
 
 
-def cmd_tilings(args) -> int:
+def _load_triangulation(path: str) -> plabic.PlabicTriangulation:
+    with open(path) as fh:
+        return plabic.PlabicTriangulation.from_json(json.load(fh))
+
+
+def cmd_tilings(args) -> str:
     graph = zonotope.enumerate_tilings(zonotope.zonotope_spec(args.n, args.d), vertex_cap=args.cap)
     if args.format == "dot":
-        _emit(args, graph.to_dot("tilings_%d_%d" % (args.n, args.d)))
-        return 0
+        return graph.to_dot("tilings_%d_%d" % (args.n, args.d))
     data = zonotope.flipgraph_to_json(graph)
     data["rank_range"] = [0, max(graph.ranks)]
     data["single_cycle"] = graph.is_single_cycle()
-    _emit(args, _dump(data))
-    return 0
+    return _dump(data)
 
 
-def cmd_zcomplex(args) -> int:
+def cmd_zcomplex(args) -> str:
     graph = zonotope.enumerate_tilings(zonotope.zonotope_spec(args.n, args.d), vertex_cap=args.cap)
     complex_, cells = zonotope.build_z_complex(graph)
     data = {
@@ -124,11 +126,10 @@ def cmd_zcomplex(args) -> int:
         data["certificate"] = topology.certificate(complex_, budget=args.budget)
     else:
         data.update({"V": complex_.nv, "E": len(complex_.edges), "F": len(complex_.cells)})
-    _emit(args, _dump(data))
-    return 0
+    return _dump(data)
 
 
-def cmd_complex(args) -> int:
+def cmd_complex(args) -> str:
     p = _parse_conn(args)
     if args.kind == "T":
         complex_, cells = tcd.build_t_complex(p, vertex_cap=args.cap)
@@ -145,65 +146,44 @@ def cmd_complex(args) -> int:
     }
     if args.certify:
         data["certificate"] = topology.certificate(complex_, budget=args.budget)
-    _emit(args, _dump(data))
-    return 0
+    return _dump(data)
 
 
-def cmd_cross_section(args) -> int:
-    tiling = _load_tiling(args.tiling)
-    sigma = plabic.cross_section(tiling, args.level)
+def cmd_cross_section(args) -> str:
+    return _triangulation_out(args, plabic.cross_section(_load_tiling(args.tiling), args.level))
+
+
+def _triangulation_out(args, sigma: plabic.PlabicTriangulation) -> str:
     if args.format == "svg":
-        _emit(args, plabic.triangulation_to_svg(sigma, dual_overlay=args.dual, strands=args.strands))
-        return 0
-    _emit(args, _dump(sigma.to_json()))
-    return 0
+        return plabic.triangulation_to_svg(sigma, dual_overlay=args.dual, strands=args.strands)
+    return _dump(sigma.to_json())
 
 
-def cmd_updown(args) -> int:
+def cmd_updown(args) -> str:
     if args.necklace:
-        necklace = _load_necklace(args.necklace)
-        shifted = combinat.necklace_shift(necklace, args.dir)
-        _emit(args, _dump(shifted.to_json()))
-        return 0
+        return _dump(combinat.necklace_shift(_load_necklace(args.necklace), args.dir).to_json())
     if not args.triangulation:
         raise ArgumentError("updown needs --necklace or --triangulation")
-    with open(args.triangulation) as fh:
-        sigma = plabic.PlabicTriangulation.from_json(json.load(fh))
-    out = plabic.up_down_graph(sigma, args.dir)
-    _emit(args, _dump(out.to_json()))
-    return 0
+    return _dump(plabic.up_down_graph(_load_triangulation(args.triangulation), args.dir).to_json())
 
 
-def cmd_realize_move(args) -> int:
+def cmd_realize_move(args) -> str:
     tiling = _load_tiling(args.tiling)
     sigma = plabic.cross_section(tiling, args.level)
     moves = [m for m in plabic.available_moves(sigma) if m.kind in ("M1", "M3")]
     if args.kind:
         moves = [m for m in moves if m.kind == args.kind]
     if not 0 <= args.move_index < len(moves):
-        raise ArgumentError(
-            "move index %d out of range (%d trivalent moves)" % (args.move_index, len(moves))
-        )
+        raise ArgumentError("move index %d out of range (%d trivalent moves)" % (args.move_index, len(moves)))
     move = moves[args.move_index]
     seq = plabic.realize_trivalent_move(tiling, args.level, move)
-    verified = _verify_realization(tiling, args.level, move, seq)
-    data = {
-        "schema_version": 1,
-        "level": args.level,
-        "move_kind": move.kind,
-        "flips": [list(s.elements()) for s in seq],
-        "verified": verified,
-    }
-    _emit(args, _dump(data))
-    return 0
+    ok = _verify_realization(tiling, args.level, move, seq)
+    flips = [list(s.elements()) for s in seq]
+    return _dump({"schema_version": 1, "level": args.level, "move_kind": move.kind, "flips": flips, "verified": ok})
 
 
 def _verify_realization(tiling, level, move, seq) -> bool:
-    protected = (
-        range(level, tiling.spec.n)
-        if move.kind == "M3"
-        else range(1, level + 1)
-    )
+    protected = range(level, tiling.spec.n) if move.kind == "M3" else range(1, level + 1)
     cur = tiling
     for i, site in enumerate(seq):
         before = {l: plabic.cross_section(cur, l) for l in protected if 1 <= l < tiling.spec.n}
@@ -220,28 +200,19 @@ def _verify_realization(tiling, level, move, seq) -> bool:
     return plabic.cross_section(cur, level) == target
 
 
-def cmd_align(args) -> int:
-    ta = _load_tiling(args.tiling_a)
-    tb = _load_tiling(args.tiling_b)
+def cmd_align(args) -> str:
+    ta, tb = _load_tiling(args.tiling_a), _load_tiling(args.tiling_b)
     seq = plabic.align_tilings(ta, tb, args.level)
-    cur = ta
-    ok = True
+    cur, ok = ta, True
     for site in seq:
         cur = zonotope.apply_flip(cur, site)
         if plabic.cross_section(cur, args.level) != plabic.cross_section(ta, args.level):
             ok = False
     ok = ok and cur.key() == tb.key()
-    data = {
-        "schema_version": 1,
-        "level": args.level,
-        "flips": [list(s.elements()) for s in seq],
-        "verified": ok,
-    }
-    _emit(args, _dump(data))
-    return 0
+    return _dump({"schema_version": 1, "level": args.level, "flips": [list(s.elements()) for s in seq], "verified": ok})
 
 
-def cmd_export(args) -> int:
+def cmd_export(args) -> str:
     if args.flip_graph:
         if args.format != "dot":
             raise ArgumentError("flip graphs export to dot")
@@ -252,27 +223,17 @@ def cmd_export(args) -> int:
             isinstance(e, dict) and type(e.get("u")) is int and type(e.get("v")) is int for e in edges
         ):
             raise ValidationError('a flip graph is {"edges": [{"u": int, "v": int}, ...], ...}')
-        lines = ["graph exported {"]
-        for e in edges:
-            lines.append("  %d -- %d;" % (e["u"], e["v"]))
-        lines.append("}")
-        _emit(args, "\n".join(lines))
-        return 0
+        return "\n".join(["graph exported {", *("  %d -- %d;" % (e["u"], e["v"]) for e in edges), "}"])
     if not args.triangulation:
         raise ArgumentError("export needs --flip-graph or --triangulation")
     if args.format == "dot":
         raise ArgumentError("triangulations export to json or svg")
-    with open(args.triangulation) as fh:
-        sigma = plabic.PlabicTriangulation.from_json(json.load(fh))
-    if args.format == "svg":
-        _emit(args, plabic.triangulation_to_svg(sigma, dual_overlay=args.dual, strands=args.strands))
-    else:
-        _emit(args, _dump(sigma.to_json()))
-    return 0
+    return _triangulation_out(args, _load_triangulation(args.triangulation))
 
 
-# One row per command.  `pos` is ("n", "d"), two ints, or ("perm",), one or more words.  A flag's kind
-# is int, str, a tuple of choices, or bool (a switch); unless in `defaults`, a switch is False, others None.
+# One row per command; `func` returns the text that `main` writes.  `pos` is ("n", "d"), two ints, or
+# ("perm",), one or more words.  A flag's kind is int, str, a tuple of choices, or bool (a switch); unless
+# in `defaults`, a switch is False, others None.
 Command = namedtuple("Command", "func help pos flags defaults required formats", defaults=({}, (), ("json",)))
 COMMANDS = {
     "tilings": Command(cmd_tilings, "enumerate fine zonotopal tilings of Z(n,d)", ("n", "d"), {},
@@ -327,58 +288,96 @@ def _help(command: str | None) -> str:
     return "%s\n\n%s%s\n\n%s" % (" ".join(words), cmd.help, notes, _COMMON_HELP)
 
 
-def _read(opts, flags: dict, values: dict, command: str | None) -> None:
+class UsageError(Exception):
+    """A command line that does not parse: `main` prints the usage line and exits 2."""
+
+
+def _table(flags: dict, defaults: dict) -> tuple[dict, dict]:
+    """flag -> (key, kind) of `flags`, the common ones and --help (kind None); and the values before any
+    flag is read: the common defaults, then a switch False and another flag None unless in `defaults`."""
+    table = {flag: (flag[2:].replace("-", "_"), kind) for flag, kind in {**_COMMON, **flags}.items()}
+    start = dict(cap=flipgraph.DEFAULT_VERTEX_CAP, budget=topology.DEFAULT_PI1_BUDGET, format="json", out=None)
+    start.update({table[flag][0]: False if kind is bool else None for flag, kind in flags.items()}, **defaults)
+    return {**table, "--help": (None, None)}, start
+
+
+_TABLES = {None: _table({}, {}), **{name: _table(cmd.flags, cmd.defaults) for name, cmd in COMMANDS.items()}}
+_POSITIONALS = {"n": ("n", int), "d": ("d", int), "perm": ("perm", list)}
+
+
+def _read(opts, table: dict, values: dict, command: str | None) -> None:
     for flag, value in opts:
-        if flag in ("-h", "--help"):
+        key, kind = table[flag]
+        if kind is None:
             print(_help(command))
             raise SystemExit(0)
-        kind = flags[flag]
         if kind is int:
             try:
                 value = int(value)
             except ValueError:
-                raise getopt.GetoptError("%s: invalid int value: %r" % (flag, value)) from None
+                raise UsageError("%s: invalid int value: %r" % (flag, value)) from None
         elif isinstance(kind, tuple) and value not in kind:
-            raise getopt.GetoptError("%s: invalid choice: %r (choose from %s)" % (flag, value, ", ".join(kind)))
-        values[flag.lstrip("-").replace("-", "_")] = True if kind is bool else value
+            raise UsageError("%s: invalid choice: %r (choose from %s)" % (flag, value, ", ".join(kind)))
+        values[key] = True if kind is bool else value
 
 
 def main(argv=None) -> int:
-    """Run one command line, read in one pass: common flags, the command word, then its positionals
-    and flags in any order.  A unique prefix stands for a flag; a usage error exits 2, -h exits 0."""
+    """Run one command line, read in one pass: common flags, the command word, then its positionals and
+    flags in any order.  As with getopt, each run of flags up to the next word has every name and arity
+    checked before any value is read, and `--` makes the next word a positional or the command.  An
+    exact flag is one lookup and a unique prefix stands for a flag.  A usage error exits 2, -h exits 0."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    values = dict(cap=flipgraph.DEFAULT_VERTEX_CAP, budget=topology.DEFAULT_PI1_BUDGET, format="json", out=None)
-    command = None
+    command, table, values, words, run, word_next = None, _TABLES[None][0], {}, [], [], False
     try:
-        opts, rest = getopt.getopt(argv, "h", [flag[2:] + "=" for flag in _COMMON] + ["help"])
-        _read(opts, _COMMON, values, command)
-        if not rest or rest[0] not in COMMANDS:
-            raise getopt.GetoptError("expected a command (%s), got %r" % (", ".join(COMMANDS), (rest or [None])[0]))
-        command, cmd, rest, words = rest[0], COMMANDS[rest[0]], rest[1:], []
-        flags = {**_COMMON, **cmd.flags}
-        longopts = [flag[2:] + "=" * (kind is not bool) for flag, kind in flags.items()] + ["help"]
-        unset = {flag[2:].replace("-", "_"): False if kind is bool else None for flag, kind in cmd.flags.items()}
-        values.update(unset, **cmd.defaults)
-        while rest:  # getopt stops at the first word that is not a flag
-            opts, rest = getopt.getopt(rest, "h", longopts)
-            _read(opts, flags, values, command)
-            words, rest = words + rest[:1], rest[1:]
+        rest = iter(argv)
+        for arg in rest:
+            if word_next or arg[:1] != "-" or arg == "-":  # a word ends the run of flags before it
+                _read(run, table, values, command)
+                word_next, run = False, []
+                if command is None and arg not in COMMANDS:
+                    raise UsageError("expected a command (%s), got %r" % (", ".join(COMMANDS), arg))
+                if command is None:
+                    command, cmd, (table, start) = arg, COMMANDS[arg], _TABLES[arg]
+                    values = {**start, **values}
+                else:
+                    words.append(arg)
+            elif arg == "--":
+                word_next = True
+            elif arg[1] != "-":  # a cluster of short flags, and -h is the only one
+                if arg[1:].lstrip("h"):
+                    raise UsageError("option -%s not recognized" % arg[1:].lstrip("h")[0])
+                run.append(("--help", None))
+            else:
+                flag, eq, value = arg.partition("=")
+                hits = [flag] if flag in table else [name for name in table if name.startswith(flag)]
+                if len(hits) != 1:
+                    raise UsageError("option %s %s" % (flag, "not a unique prefix" if hits else "not recognized"))
+                flag, switch = hits[0], table[hits[0]][1] in (bool, None)
+                if switch and eq:
+                    raise UsageError("option %s must not have an argument" % flag)
+                if not (switch or eq) and (value := next(rest, None)) is None:
+                    raise UsageError("option %s requires argument" % flag)
+                run.append((flag, value))
+        _read(run, table, values, command)
+        if command is None:
+            raise UsageError("expected a command (%s), got None" % ", ".join(COMMANDS))
         words = [words] if cmd.pos == ("perm",) and words else words
         if len(words) != len(cmd.pos):
-            raise getopt.GetoptError("%s takes %s" % (command, " ".join(cmd.pos) or "no positionals"))
-        _read(zip(cmd.pos, words), {"n": int, "d": int, "perm": list}, values, command)
-        if any(values[flag[2:].replace("-", "_")] is None for flag in cmd.required):
-            raise getopt.GetoptError("%s needs %s" % (command, " and ".join(cmd.required)))
+            raise UsageError("%s takes %s" % (command, " ".join(cmd.pos) or "no positionals"))
+        _read(zip(cmd.pos, words), _POSITIONALS, values, command)
+        if any(values[table[flag][0]] is None for flag in cmd.required):
+            raise UsageError("%s needs %s" % (command, " and ".join(cmd.required)))
         if values["cap"] < 1 or values["budget"] < 1:
-            raise getopt.GetoptError("cap and budget must be positive")
-    except getopt.GetoptError as exc:
+            raise UsageError("cap and budget must be positive")
+    except UsageError as exc:
         print("%s\nflipcells: error: %s" % (_help(command).partition("\n")[0], exc), file=sys.stderr)
         raise SystemExit(2) from None
     args = SimpleNamespace(command=command, **values)
     try:
         if args.format not in cmd.formats:
             raise ArgumentError("%s writes %s, not %s" % (args.command, " or ".join(cmd.formats), args.format))
-        return cmd.func(args)
+        _emit(args, cmd.func(args))
+        return 0
     except (ArgumentError, ValidationError, PreconditionError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

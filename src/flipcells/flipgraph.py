@@ -13,7 +13,7 @@ runs.
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import gc
 import itertools
 from collections.abc import Sequence
@@ -196,23 +196,38 @@ def commuting_squares(graph: FlipGraph, independent: Callable[[Any, Any], bool] 
                 yield quad, a, b
 
 
-@contextlib.contextmanager
-def collector_paused():
-    """Keep the cyclic garbage collector off inside the block.
+class collector_paused:
+    """Keep the cyclic garbage collector off inside a `with` block, or in
+    every call of a function it decorates.
 
     A build allocates millions of long-lived containers and frees none of
     them, so the collections it would trigger find nothing to collect.  The
     collector's state on entry is restored on every exit, errors included;
-    a nested use leaves it off until the outermost use exits.  Usable as a
-    decorator.
+    a nested use leaves it off until the outermost use exits.  As a
+    decorator it wraps the function in a plain try/finally, so a call
+    builds no context manager.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc) -> None:
+        if self.enabled:
             gc.enable()
+
+    def __call__(self, func: Callable) -> Callable:
+        @functools.wraps(func)
+        def paused(*args, **kwargs):
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                return func(*args, **kwargs)
+            finally:
+                if enabled:
+                    gc.enable()
+
+        return paused
 
 
 def move_cycle(

@@ -357,6 +357,7 @@ def _dual_links(sigma: PlabicTriangulation):
     walk = sigma.boundary
     steps = list(zip(walk, walk[1:] + walk[:1]))
     entry: dict[int, int] = {}
+    index = None  # step -> its number, or 0 if the walk takes it twice; built at the first hanging step
     for i, (a, b) in enumerate(steps, 1):
         if a == b:
             continue
@@ -373,10 +374,14 @@ def _dual_links(sigma: PlabicTriangulation):
             link[inner] = -i
             entry[i] = inner
             continue
-        partners = [j for j, back in enumerate(steps, 1) if back == (b, a)]
-        if len(partners) != 1:
+        if index is None:
+            index = {}
+            for j, step in enumerate(steps, 1):
+                index[step] = 0 if step in index else j
+        partner = index.get((b, a))
+        if not partner:
             raise ValidationError("hanging boundary step %d has no reverse partner" % i)
-        entry[i] = -partners[0]
+        entry[i] = -partner
     return colors, sides, link, entry
 
 
@@ -1320,6 +1325,14 @@ def _embedded_candidates(n: int, k: int) -> tuple[tuple[int, frozenset, tuple[in
     return tuple(cands)
 
 
+@lru_cache(maxsize=None)
+def _kept_candidates(n: int, k: int, hs: tuple[int, ...]) -> tuple[tuple[int, int, frozenset, tuple, int], ...]:
+    """(index, h, family, sub-walk, area) of each `_embedded_candidates(n, k)` entry whose h is in `hs`
+    and whose sub-walk encloses a region."""
+    cands = enumerate(_embedded_candidates(n, k))
+    return tuple((ci, h, family, walk5, area) for ci, (h, family, walk5, area) in cands if h in hs and area)
+
+
 def embedded_cells(graph: FlipGraph, hs) -> dict:
     """Cells of the embedded pi(5, h) sub-necklaces of a plabic flip graph,
     for each h in `hs`: frozenset(cycle) -> (h, cycle).
@@ -1335,11 +1348,7 @@ def embedded_cells(graph: FlipGraph, hs) -> dict:
     boundary walk that every vertex shares.
     """
     first = graph.payloads[0]
-    cands = [
-        (ci, h, family, walk5, area)
-        for ci, (h, family, walk5, area) in enumerate(_embedded_candidates(first.n, first.k))
-        if h in hs and area
-    ]
+    cands = _kept_candidates(first.n, first.k, tuple(hs))
     boundary = set(first.boundary)
     cells = {}
     walked: dict[int, set[int]] = {}  # vertex id -> candidates walked through it

@@ -519,6 +519,35 @@ def test_builders_restore_the_collector_state(caller_enabled):
         (gc.enable if was else gc.disable)()
 
 
+@pytest.mark.parametrize("caller_enabled", [True, False], ids=["enabled", "disabled"])
+def test_decorated_pause_restores_the_collector(caller_enabled):
+    seen = []
+
+    @collector_paused()
+    def inner():
+        seen.append(("inner", gc.isenabled()))
+        raise KeyError("inner")
+
+    @collector_paused()
+    def outer():
+        seen.append(("outer", gc.isenabled()))
+        with pytest.raises(KeyError):
+            inner()
+        seen.append(("after inner", gc.isenabled()))
+        raise ValueError("outer")
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if caller_enabled else gc.disable)()
+        with pytest.raises(ValueError):
+            outer()
+        assert gc.isenabled() is caller_enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [("outer", False), ("inner", False), ("after inner", False)]
+    assert outer.__name__ == "outer"
+
+
 def test_nested_pause_keeps_the_collector_off():
     was = gc.isenabled()
     gc.enable()

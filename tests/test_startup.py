@@ -1,5 +1,5 @@
 """Start-up cost: numpy loads only where the zonotopal flip scan runs, and a
-CLI call loads no argparse.
+CLI call loads neither argparse nor getopt.
 
 Each case runs in a fresh interpreter, because this test session has
 already imported numpy.  The snippet's last stdout line says whether numpy
@@ -60,8 +60,9 @@ def test_kernels_module_is_imported_with_the_package():
 
 
 def test_cli_call_does_not_load_argparse():
-    out, _ = _run(_main("plabic", "cyclic", "5", "2", "--certify") + "import sys\nprint('argparse' in sys.modules)\n")
-    assert out[-1] == "False"
+    probe = "import sys\nprint('argparse' in sys.modules, 'getopt' in sys.modules)\n"
+    out, _ = _run(_main("plabic", "cyclic", "5", "2", "--certify") + probe)
+    assert out[-1] == "False False"
 
 
 def test_zcomplex_loads_numpy_on_first_enumeration():
