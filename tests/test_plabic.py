@@ -667,6 +667,30 @@ class TestExports:
         assert svg.startswith("<svg") and svg.endswith("</svg>")
         assert "polygon" in svg
 
+    def test_dual_and_svg_hash(self):
+        # one sha256 over dual_graph's edges, colors and rotations (each
+        # started at its least dart) and the SVG with the dual and its
+        # strands, of every X vertex with n <= 5 and every section of Z(5,3)
+        def triangulations():
+            for n in range(1, 6):
+                for p in C.all_decorated_permutations(n):
+                    yield from P.enumerate_plabic(p).payloads
+            for tiling in Z.enumerate_tilings(Z.zonotope_spec(5, 3)).payloads:
+                for k in range(1, 5):
+                    yield P.cross_section(tiling, k)
+
+        digest = hashlib.sha256()
+        count = 0
+        for sigma in triangulations():
+            g = P.dual_graph(sigma)
+            starts = [rot.index(min(rot)) for rot in g.rotations]
+            rotations = [rot[i:] + rot[:i] for rot, i in zip(g.rotations, starts)]
+            digest.update(json.dumps([g.edges, g.colors, rotations], separators=(",", ":")).encode() + b"\n")
+            digest.update(P.triangulation_to_svg(sigma, dual_overlay=True, strands=True).encode() + b"\n")
+            count += 1
+        assert count == 543
+        assert digest.hexdigest() == "8cd535d6449997eafe548bcb5fc5fd53f55c130b39e8fac42d31c800aa771f6a"
+
 
 class TestCrossValidation:
     @pytest.mark.parametrize("n", [5, 6])
