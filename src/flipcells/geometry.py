@@ -2,13 +2,13 @@
 
 All plabic-triangulation geometry in this package lives on integer
 coordinates (sums of moment-curve values), so every predicate here is
-integer arithmetic; no floats, no epsilons.  Where midpoints or centroids
-are needed, callers pass coordinates scaled by 2, 3 or 6 to stay integral.
+integer arithmetic; no floats, no epsilons.  Where centroids or midpoints
+are needed, callers pass coordinates scaled by 3, or by 6 for both, to stay
+integral.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence
 
 Point = tuple[int, int]
@@ -18,31 +18,6 @@ def orient(o: Point, a: Point, b: Point) -> int:
     """Sign of the cross product (a-o) x (b-o): +1 left turn, -1 right, 0 collinear."""
     v = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
     return (v > 0) - (v < 0)
-
-
-def cross(u: Point, v: Point) -> int:
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _angular_cmp(u: Point, v: Point) -> int:
-    """Compare direction vectors by CCW angle from the positive x axis."""
-    hu = 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
-    hv = 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-    if hu != hv:
-        return -1 if hu < hv else 1
-    c = cross(u, v)
-    return (c < 0) - (c > 0)
-
-
-def ccw_order(dirs: Sequence[Point]) -> list[int]:
-    """Indices of `dirs` sorted counterclockwise.  Directions must be nonzero
-    and pairwise non-equal in angle."""
-    idx = list(range(len(dirs)))
-    idx.sort(key=functools.cmp_to_key(lambda i, j: _angular_cmp(dirs[i], dirs[j])))
-    for a, b in zip(idx, idx[1:]):
-        if _angular_cmp(dirs[a], dirs[b]) == 0:
-            raise ValueError("coincident directions in rotation system")
-    return idx
 
 
 def shoelace2(points: Sequence[Point]) -> int:

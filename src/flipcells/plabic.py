@@ -45,7 +45,7 @@ from .flipgraph import (
     sorted_cells,
     union_classes,
 )
-from .geometry import ccw_order, orient, shoelace2, triangle_area2, winding_number
+from .geometry import orient, shoelace2, triangle_area2, winding_number
 from .zonotope import SignedSubset, Tiling, ZonotopeSpec
 
 
@@ -190,10 +190,14 @@ class PlabicTriangulation:
                 raise ValidationError("label %s is not a k-subset of [n]" % (elems_of(lab),))
         for t in self.triangles:
             triangle_color(t)
-        # before the separation rows, which take C(n, k) bits each
         if self.triangles_area2() != self.boundary_area2():
             raise ValidationError("triangles do not tile the boundary region")
-        combinat.separated_from_all(self.n, self.k, self.labels())
+        # pairwise, so the cost is bounded by the labels held, not by C(n, k)
+        for a, b in itertools.combinations(sorted(self.labels()), 2):
+            if not combinat.is_weakly_separated_mask(a, b):
+                raise ValidationError(
+                    "labels %s and %s are not weakly separated" % (elems_of(a), elems_of(b))
+                )
 
     def to_json(self) -> dict:
         return {
@@ -246,27 +250,36 @@ class PlabicTriangulation:
 
 
 def cross_section(tiling: Tiling, k: int) -> PlabicTriangulation:
-    """The level-k plabic triangulation of a fine zonotopal tiling of Z(n, 3).
-
-    Tiles with |X+| = k-1 are cut near their bottom vertex and contribute a
-    white triangle; tiles with |X+| = k-2 are cut near the top and contribute
-    a black one.
-    """
+    """The level-k plabic triangulation of a fine zonotopal tiling of Z(n, 3):
+    the triangles `_cut` from its tiles."""
     spec = tiling.spec
     if spec.d != 3:
         raise ArgumentError("cross sections are defined for d = 3")
     if not 1 <= k <= spec.n - 1:
         raise ArgumentError("level k must lie in [1, n-1]")
-    tris = []
-    for zero, plus in zip(spec.dsubsets, tiling.plus):
-        np_ = bin(plus).count("1")
-        bits = [1 << (i - 1) for i in elems_of(zero)]
-        if np_ == k - 1:
-            tris.append(tuple(sorted(plus | b for b in bits)))
-        elif np_ == k - 2:
-            union = plus | zero
-            tris.append(tuple(sorted(union & ~b for b in bits)))
-    return PlabicTriangulation.make(spec.n, k, tris, cyclic_walk(spec.n, k))
+    tris = [_cut(plus, zero, k) for zero, plus in zip(spec.dsubsets, tiling.plus)]
+    return PlabicTriangulation.make(spec.n, k, filter(None, tris), cyclic_walk(spec.n, k))
+
+
+def _tile_of(tri: tuple[int, int, int]) -> tuple[int, int]:
+    """The Z(n, 3) tile a white or black triangle is cut from, as masks
+    (plus, zero): the labels' intersection, and the three elements of their
+    union outside it."""
+    plus = _tri_and(tri)
+    return plus, _tri_or(tri) & ~plus
+
+
+def _cut(plus: int, zero: int, level: int) -> tuple[int, int, int] | None:
+    """The sorted triangle that level cuts from the tile (plus, zero): white,
+    near the tile's bottom vertex, when |plus| = level - 1; black, near its
+    top, when |plus| = level - 2; None when the level misses the tile."""
+    bits = [1 << (i - 1) for i in elems_of(zero)]
+    size = plus.bit_count()
+    if size == level - 1:
+        return tuple(sorted(plus | b for b in bits))
+    if size == level - 2:
+        return tuple(sorted((plus | zero) & ~b for b in bits))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -391,17 +404,20 @@ def dual_graph(sigma: PlabicTriangulation) -> PlabicGraph:
     b_i attaches across the boundary step I_i -> I_{i+1}; a step with no
     triangle on its inner (left) side pairs up with the reverse traversal of
     the same segment and yields a direct b_i -- b_j edge; a stalled step
-    (fixed point) yields an isolated vertex colored by the necklace.
+    (fixed point) yields an isolated vertex colored by the necklace.  The
+    darts at a triangle run counterclockwise as its `_ccw_sides` do.
     """
-    colors, sides, link, entry = _dual_links(sigma)
-    edges: list[tuple[tuple, tuple]] = []
-    # arms[v]: (dart, direction from the opposite label across the segment)
-    # of every dart at triangle v, in edge order
-    arms: list[list[tuple[tuple[int, int], tuple[int, int]]]] = [[] for _ in colors]
+    return _dual(sigma)[0]
 
-    def arm(ti, end, a, b, third):
-        pa, pb, pc = pos(a), pos(b), pos(third)
-        arms[ti].append(((len(edges), end), (pa[0] + pb[0] - 2 * pc[0], pa[1] + pb[1] - 2 * pc[1])))
+
+def _dual(sigma: PlabicTriangulation) -> tuple[PlabicGraph, list[tuple[int, int]]]:
+    """`dual_graph`, and the label segment each of its edges crosses: the
+    segment (a, a) for the leg of a step that stays at a."""
+    colors, sides, link, entry = _dual_links(sigma)
+    walk, n = sigma.boundary, sigma.n
+    edges: list[tuple[tuple, tuple]] = []
+    segments: list[tuple[int, int]] = []
+    dart: list[tuple[int, int] | None] = [None] * len(link)  # the dart across each slot
 
     # interior edges between triangles, by segment
     interior = sorted(
@@ -410,49 +426,32 @@ def dual_graph(sigma: PlabicTriangulation) -> PlabicGraph:
         if s2 is not None and s2 > s1
     )
     for seg, s1, s2 in interior:
-        t1, t2 = s1 // 3, s2 // 3
-        arm(t1, 0, seg[0], seg[1], sides[t1][s1 % 3][1])
-        arm(t2, 1, seg[0], seg[1], sides[t2][s2 % 3][1])
-        edges.append((("v", t1), ("v", t2)))
+        dart[s1], dart[s2] = (len(edges), 0), (len(edges), 1)
+        edges.append((("v", s1 // 3), ("v", s2 // 3)))
+        segments.append(seg)
 
     # boundary legs and direct edges, in step order; a direct edge between
     # two hanging steps is added at the first of them
     for i, s in entry.items():
         if s >= 0:
-            ti = s // 3
-            arm(ti, 0, sigma.boundary[i - 1], sigma.boundary[i % sigma.n], sides[ti][s % 3][1])
-            edges.append((("v", ti), ("b", i)))
+            dart[s] = (len(edges), 0)
+            edges.append((("v", s // 3), ("b", i)))
+            segments.append(sides[s // 3][s % 3][0])
         elif not (-s < i and entry.get(-s) == -i):
             edges.append((("b", i), ("b", -s)))
+            segments.append((walk[i - 1], walk[i % n]))
 
-    # rotation systems for triangle-dual vertices
-    rotations: list[tuple[tuple[int, int], ...]] = []
-    for darts in arms:
-        order = ccw_order([d for _, d in darts])
-        rotations.append(tuple(darts[i][0] for i in order))
+    rotations = [tuple(d for d in dart[s : s + 3] if d is not None) for s in range(0, len(dart), 3)]
 
     # isolated vertices for fixed points, one dart each
-    for i in range(1, sigma.n + 1):
-        a = sigma.boundary[i - 1]
-        b = sigma.boundary[i % sigma.n]
-        if a == b:
+    for i in range(1, n + 1):
+        a = walk[i - 1]
+        if a == walk[i % n]:
             rotations.append(((len(edges), 0),))
             colors.append(BLACK if a >> (i - 1) & 1 else WHITE)
             edges.append((("v", len(colors) - 1), ("b", i)))
-    return PlabicGraph(sigma.n, tuple(colors), tuple(edges), tuple(rotations))
-
-
-def _edge_segment(sigma: PlabicTriangulation, tri, edge, other):
-    """The label segment an incident dual edge crosses."""
-    if other[0] == "v":
-        shared = sorted(set(tri) & set(sigma.triangles[other[1]]))
-        if len(shared) != 2:
-            raise ValidationError("adjacent triangles must share two labels")
-        return shared[0], shared[1]
-    i = other[1]
-    a = sigma.boundary[i - 1]
-    b = sigma.boundary[i % sigma.n]
-    return a, b
+            segments.append((a, a))
+    return PlabicGraph(n, tuple(colors), tuple(edges), tuple(rotations)), segments
 
 
 def strand_permutation(graph: PlabicGraph) -> DecoratedPermutation:
@@ -973,20 +972,6 @@ def _tri_or(t):
     return t[0] | t[1] | t[2]
 
 
-def _white_to_black(tri: tuple[int, int, int]) -> tuple[int, int, int]:
-    """The level-(k+1) black triangle cut from the same tile as a white one."""
-    union = _tri_or(tri)
-    extras = union & ~_tri_and(tri)
-    return _norm_tri(tuple(union & ~(1 << (i - 1)) for i in elems_of(extras)))
-
-
-def _black_to_white(tri: tuple[int, int, int]) -> tuple[int, int, int]:
-    """The level-(k-1) white triangle cut from the same tile as a black one."""
-    common = _tri_and(tri)
-    removed = _tri_or(tri) & ~common
-    return _norm_tri(tuple(common | (1 << (i - 1)) for i in elems_of(removed)))
-
-
 def layer_step(sigma: PlabicTriangulation, direction: str) -> PlabicTriangulation:
     """The neighboring cross-section of a full cyclic plabic triangulation.
 
@@ -1002,10 +987,9 @@ def layer_step(sigma: PlabicTriangulation, direction: str) -> PlabicTriangulatio
     k2 = k + 1 if direction == "up" else k - 1
     if not 1 <= k2 <= n - 1:
         raise ArgumentError("target level %d out of [1, n-1]" % k2)
-    if direction == "up":
-        fixed = [_white_to_black(t) for t in sigma.triangles if triangle_color(t) == WHITE]
-    else:
-        fixed = [_black_to_white(t) for t in sigma.triangles if triangle_color(t) == BLACK]
+    # the level-k triangles of one color are cut from tiles that level k2 cuts too
+    color = WHITE if direction == "up" else BLACK
+    fixed = [_cut(*_tile_of(t), k2) for t in sigma.triangles if triangle_color(t) == color]
     walk = cyclic_walk(n, k2)
     labels = set(walk)
     chords = set()
@@ -1030,11 +1014,9 @@ def extend_to_tiling(sigma: PlabicTriangulation) -> Tiling:
     tiles = []
     for j in range(1, n):
         for t in levels[j].triangles:
-            if triangle_color(t) != WHITE:
-                continue
-            common = _tri_and(t)
-            zero = _tri_or(t) & ~common
-            tiles.append(SignedSubset(n, common, spec.full_mask & ~(common | zero)))
+            if triangle_color(t) == WHITE:
+                plus, zero = _tile_of(t)
+                tiles.append(SignedSubset(n, plus, spec.full_mask & ~(plus | zero)))
     tiling = Tiling.from_tiles(spec, tiles)
     if cross_section(tiling, k) != sigma:
         raise AssertionError("extend_to_tiling does not round-trip at level k")
@@ -1137,21 +1119,19 @@ def _realize_move(tiling: Tiling, k: int, move: Move) -> tuple[list, Tiling]:
     if move not in available_moves(sigma):
         raise PreconditionError("move is not available in the level-%d section" % k)
     black = move.kind == "M3"
-    t1, t2 = move.removed
-    zero1 = _tri_or(t1) & ~_tri_and(t1)
-    zero2 = _tri_or(t2) & ~_tri_and(t2)
-    if black and _tri_or(t1) != _tri_or(t2):
+    (plus1, zero1), (plus2, zero2) = map(_tile_of, move.removed)
+    if black and plus1 | zero1 != plus2 | zero2:
         raise AssertionError("black move triangles must share their union")
-    if not black and _tri_and(t1) != _tri_and(t2):
+    if not black and plus1 != plus2:
         raise AssertionError("white move triangles must share their intersection")
     s4 = zero1 | zero2
     shared = zero1 & zero2
     if black:
-        center = (_tri_or(t1) & ~s4) | (zero1 ^ zero2)
+        center = (plus1 | zero1) & ~s4 | (zero1 ^ zero2)
         adj = k - 1
         clique_of = _tri_or
     else:
-        center = _tri_and(t1) | shared
+        center = plus1 | shared
         adj = k + 1
         clique_of = _tri_and
     clique_masks = [
@@ -1388,11 +1368,6 @@ _QUOTIENTS = {
 _X_CELLS = _QUOTIENTS["X"][1]
 
 
-def _disjoint_removed(a: Move, b: Move) -> bool:
-    """Operationally commuting moves modify disjoint triangles."""
-    return not set(a.removed) & set(b.removed)
-
-
 @collector_paused()
 def build_plabic_complex(
     p: DecoratedPermutation,
@@ -1438,8 +1413,10 @@ def quotient_complex(graph: FlipGraph, kind: str):
         }
     )
 
+    # moves that remove a common triangle never close a square: neither is
+    # available after the other, since no move adds back what it removed
     def kept(a, b):
-        return a.kind not in collapsed and b.kind not in collapsed and _disjoint_removed(a, b)
+        return a.kind not in collapsed and b.kind not in collapsed
 
     quads = {}
     for quad, _, _ in commuting_squares(graph, kept):
@@ -1517,15 +1494,13 @@ def triangulation_to_svg(
             '<text x="%.2f" y="%.2f" font-size="10">%s</text>'
             % (x + 4, y - 4, "".join(map(str, elems_of(l))))
         )
+    if dual_overlay or strands:
+        g, segments = _dual(sigma)
     if dual_overlay:
-        g = dual_graph(sigma)
-        centers = {}
-        for v in range(len(g.colors)):
-            if v < len(sigma.triangles):
-                t = sigma.triangles[v]
-                cx = sum(pts[l][0] for l in t) / 3
-                cy = sum(pts[l][1] for l in t) / 3
-                centers[("v", v)] = (cx, cy)
+        centers = {
+            ("v", v): (sum(pts[l][0] for l in t) / 3, sum(pts[l][1] for l in t) / 3)
+            for v, t in enumerate(sigma.triangles)
+        }
         for e, (a, b) in enumerate(g.edges):
             if a in centers and b in centers:
                 xa, ya = xy(centers[a])
@@ -1541,8 +1516,8 @@ def triangulation_to_svg(
                 '<circle cx="%.2f" cy="%.2f" r="5" fill="%s" stroke="black"/>' % (x, y, color)
             )
     if strands:
-        g = dual_graph(sigma)
-        anchors = _edge_anchors(sigma, g)
+        # each strand runs through the midpoints of the segments it crosses
+        anchors = [((pos(a)[0] + pos(b)[0]) / 2, (pos(a)[1] + pos(b)[1]) / 2) for a, b in segments]
         for i in range(1, sigma.n + 1):
             _, path = _strand_walk(g, i)
             cords = " ".join("%.2f,%.2f" % xy(anchors[e]) for e, _ in path)
@@ -1552,24 +1527,3 @@ def triangulation_to_svg(
             )
     lines.append("</svg>")
     return "\n".join(lines)
-
-
-def _edge_anchors(sigma: PlabicTriangulation, g: PlabicGraph) -> dict[int, tuple]:
-    """Midpoint of the label segment each dual edge crosses (exact halves)."""
-    steps = {i: (a, b) for i, a, b in sigma.walk_steps()}
-    anchors = {}
-    for e, (a, b) in enumerate(g.edges):
-        seg = None
-        for end, other in ((a, b), (b, a)):
-            if end[0] == "v" and end[1] < len(sigma.triangles):
-                seg = _edge_segment(sigma, sigma.triangles[end[1]], g.edges[e], other)
-                break
-        if seg is None:
-            if a[0] == "b" and b[0] == "b":
-                seg = steps[min(a[1], b[1])]
-            else:
-                lab = sigma.boundary[(a[1] if a[0] == "b" else b[1]) - 1]
-                seg = (lab, lab)
-        pa, pb = pos(seg[0]), pos(seg[1])
-        anchors[e] = ((pa[0] + pb[0]) / 2, (pa[1] + pb[1]) / 2)
-    return anchors

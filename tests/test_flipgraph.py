@@ -435,7 +435,7 @@ def test_plabic_payloads_are_decoded_and_checked_on_access(monkeypatch):
 
 
 def _disjoint_removed(a, b):
-    # the independence test of build_plabic_complex
+    # an independence test that skips pairs before their square is looked up
     return not set(a.removed) & set(b.removed)
 
 

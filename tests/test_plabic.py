@@ -12,7 +12,7 @@ from flipcells import plabic as P
 from flipcells import topology as T
 from flipcells import zonotope as Z
 from flipcells.errors import ArgumentError, MalformedGraphError, PreconditionError, ValidationError
-from flipcells.geometry import winding_number
+from flipcells.geometry import orient, winding_number
 from flipcells.zonotope import elems_of, mask_of
 
 WHITE, BLACK = C.WHITE, C.BLACK
@@ -205,6 +205,32 @@ class TestDualAndStrands:
         g = P.PlabicGraph(2, (WHITE,), ((u, ("b", 1)), (("b", 2), u)), (((0, 0), (1, 1)),))
         assert (g.boundary_edge(1), g.boundary_edge(2)) == (0, 1)
 
+    def test_ccw_sides_turn_counterclockwise(self):
+        # the dual graph's rotations are `_ccw_sides` slot order, so the
+        # sides' midpoints must turn counterclockwise about the centroid;
+        # coordinates are scaled by 6 to keep both integral
+        def scaled(*labels):
+            pts = [P.pos(l) for l in labels]
+            return tuple(6 // len(pts) * sum(p[i] for p in pts) for i in (0, 1))
+
+        def triangulations():
+            for n in range(1, 7):
+                for p in C.all_decorated_permutations(n):
+                    yield from P.enumerate_plabic(p).payloads
+            for tiling in Z.enumerate_tilings(Z.zonotope_spec(6, 3)).payloads:
+                for k in range(1, 6):
+                    yield P.cross_section(tiling, k)
+
+        tris = {t for sigma in triangulations() for t in sigma.triangles}
+        for t in tris:
+            sides = P._ccw_sides(t)
+            centroid = scaled(*t)
+            mids = [scaled(*seg) for seg, _, _ in sides]
+            assert [orient(centroid, mids[i - 1], mids[i]) for i in range(3)] == [1, 1, 1], t
+            for (a, b), c, side in sides:
+                assert (a < b and c not in (a, b)) and orient(P.pos(a), P.pos(b), P.pos(c)) == side, t
+        assert len(tris) == 320
+
 
 class TestMoves:
     def test_square_move_relabels_center(self):
@@ -386,6 +412,25 @@ class TestTripWalk:
             with pytest.raises(ValidationError, match="neither white nor black"):
                 P.triangle_color(bad)
         assert P.triangle_color((3, 5, 9)) == WHITE
+
+
+class TestCheck:
+    def test_separation_is_tested_pairwise(self, monkeypatch):
+        # check reads no C(n, k)-bit separation rows, so its cost is bounded
+        # by the labels held: a walk of n = 40 would need 2^37-bit rows
+        seed = P.seed_triangulation(C.cyclic_decorated(5, 2))
+
+        def colex_index(n, k):
+            raise AssertionError("colex_index(%d, %d) called" % (n, k))
+
+        monkeypatch.setattr(C, "colex_index", colex_index)
+        seed.check()
+        big = P.PlabicTriangulation.make(40, 20, [], [mask_of(range(1, 21))] * 40)
+        big.check()
+        # 13 and 24 cross; the walk back and forth between them encloses nothing
+        crossing = P.PlabicTriangulation.make(4, 2, [], [mask_of([1, 3]), mask_of([2, 4])] * 2)
+        with pytest.raises(ValidationError, match=r"\(1, 3\) and \(2, 4\) are not weakly separated"):
+            crossing.check()
 
 
 class TestFromLabels:
