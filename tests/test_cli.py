@@ -83,6 +83,17 @@ class TestCommands:
         assert cli.main(["tcd", "2,1,3b"]) == 2
         assert "undecorated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "perm",
+        [['{"n":3,"image":[2,1,3],"fixed_color":{"3":"black"}}'], ["cyclic", "3", "3"]],
+        ids=["json", "cyclic"],
+    )
+    def test_tcd_black_fixed_point_by_other_routes_is_usage_error(self, capsys, perm):
+        # the JSON form is read as given, and pi(3, 3) is the identity with
+        # every fixed point black
+        assert cli.main(["tcd", *perm]) == 2
+        assert "undecorated" in capsys.readouterr().err
+
     def test_updown_necklace(self, capsys):
         code, out = run(
             capsys, "updown", "--necklace", "[[1,2],[2,3],[3,4],[4,5],[5,1]]", "--dir", "down"

@@ -82,6 +82,20 @@ def test_pinned_small_complexes():
     assert digest.hexdigest() == SMALL_COMPLEXES_HASH
 
 
+# sha256 over (cell names, canonical_hash()) of T for every permutation of 6,
+# in lexicographic order: tcd_sweep6 pins only V and E of these.
+T6_COMPLEXES_HASH = "298a754b92e552f53ba6d8662f1b32723967f54bf86049c0f119c5c8c5251501"
+
+
+def test_pinned_t_complexes_n6():
+    digest = hashlib.sha256()
+    for image in itertools.permutations(range(1, 7)):
+        cx, cells = tcd.build_t_complex(tcd.permutation_for_tcd(image))
+        row = [[name for name, _ in cells], cx.canonical_hash()]
+        digest.update(json.dumps(row).encode() + b"\n")
+    assert digest.hexdigest() == T6_COMPLEXES_HASH
+
+
 def _z52():
     return Z.enumerate_tilings(Z.zonotope_spec(5, 2))
 
