@@ -36,7 +36,7 @@ from .plabic import (
     triangulation_from_labels,
     up_down_graph,
 )
-from .tcd import TripleCrossingDiagram, as_tcd, build_t_complex
+from .tcd import TripleCrossingDiagram, as_tcd
 from .topology import (
     GroupPresentation,
     TwoComplex,

@@ -131,10 +131,7 @@ def cmd_zcomplex(args) -> str:
 
 def cmd_complex(args) -> str:
     p = _parse_conn(args)
-    if args.kind == "T":
-        complex_, cells = tcd.build_t_complex(p, vertex_cap=args.cap)
-    else:
-        complex_, cells = plabic.build_plabic_complex(p, args.kind, vertex_cap=args.cap)
+    complex_, cells = plabic.build_plabic_complex(p, args.kind, vertex_cap=args.cap)
     data = {
         "schema_version": 1,
         "connectivity": p.to_json(),

@@ -63,17 +63,9 @@ def pos(mask: int) -> tuple[int, int]:
     return (y, z)
 
 
-def interval_mask(n: int, start: int, length: int) -> int:
-    """Cyclic interval {start, ..., start+length-1} of [n] as a mask."""
-    m = 0
-    for off in range(length):
-        m |= 1 << ((start - 1 + off) % n)
-    return m
-
-
 def cyclic_walk(n: int, k: int) -> tuple[int, ...]:
     """Boundary walk of the full cross-section: necklace of pi(n, k)."""
-    return tuple(interval_mask(n, i, k) for i in range(1, n + 1))
+    return combinat.necklace_masks(combinat.cyclic_decorated(n, k))
 
 
 @lru_cache(maxsize=1)
@@ -956,10 +948,6 @@ def enumerate_plabic(
     )
 
 
-def _invert_move(m: Move) -> Move:
-    return Move(m.kind, m.added, m.removed, center=m.replacement, replacement=m.center)
-
-
 # ---------------------------------------------------------------------------
 # UP/DOWN layer machinery
 
@@ -1158,7 +1146,7 @@ def _realize_move(tiling: Tiling, k: int, move: Move) -> tuple[list, Tiling]:
             ]
             if len(star) <= 1:
                 continue
-            sub = _star_reduction_move(section, center, cl, clique_of, "M3" if black else "M1")
+            sub = _star_reduction_move(section, center, cl, clique_of)
             subseq, tiling = _realize_move(tiling, adj, sub)
             seq.extend(subseq)
             progressed = True
@@ -1167,11 +1155,11 @@ def _realize_move(tiling: Tiling, k: int, move: Move) -> tuple[list, Tiling]:
             raise AssertionError("flip unavailable but no ear reduction applies")
 
 
-def _star_reduction_move(section, center, clique, clique_of, kind) -> Move:
-    """A trivalent move inside one clique region that lowers the center's degree."""
+def _star_reduction_move(section, center, clique, clique_of) -> Move:
+    """A trivalent move inside one clique region that lowers the center's
+    degree.  The clique key fixes the color of the triangles that carry it,
+    so the move's kind is the clique's."""
     for m in available_moves(section):
-        if m.kind != kind:
-            continue
         if any(clique_of(t) != clique for t in m.removed):
             continue
         if not all(center in t for t in m.removed):
@@ -1211,7 +1199,6 @@ def _section_match_moves(sig_from: PlabicTriangulation, sig_to: PlabicTriangulat
     other = [t for t in sig_from.triangles if triangle_color(t) != color]
     if other != [t for t in sig_to.triangles if triangle_color(t) != color]:
         raise AssertionError("sections disagree outside the free color")
-    kind = "M1" if color == WHITE else "M3"
     by_clique_from: dict[int, set] = {}
     by_clique_to: dict[int, set] = {}
     keyf = _tri_and if color == WHITE else _tri_or
@@ -1228,19 +1215,23 @@ def _section_match_moves(sig_from: PlabicTriangulation, sig_to: PlabicTriangulat
         if cur == tgt:
             continue
         verts = sorted({x for t in cur for x in t})
-        moves.extend(_poly_flip_path(verts, cur, tgt, kind))
+        moves.extend(_poly_flip_path(verts, cur, tgt))
     return moves
 
 
-def _poly_flip_path(verts, tris_from, tris_to, kind):
+def _poly_flip_path(verts, tris_from, tris_to):
     """Flip path between two triangulations of the same convex vertex set."""
-    to_fan_a = _fan_path(verts, set(tris_from), kind)
-    to_fan_b = _fan_path(verts, set(tris_to), kind)
-    return to_fan_a + [_invert_move(m) for m in reversed(to_fan_b)]
+    to_fan_a = _fan_path(verts, tris_from)
+    to_fan_b = _fan_path(verts, tris_to)
+    return to_fan_a + [_flip_move(*m.added) for m in reversed(to_fan_b)]
 
 
-def _fan_path(verts, tris: set, kind: str):
-    """Flips carrying a triangulation to the fan from the colex-min vertex."""
+def _fan_path(verts, tris):
+    """Flips carrying a triangulation to the fan from the colex-min vertex.
+
+    The vertices are the labels of one clique, which lie on a translate of
+    the moment curve: every two adjacent triangles form a convex
+    quadrilateral of one color, so `_flip_move` flips them."""
     apex = min(verts)
     moves = []
     tris = set(tris)
@@ -1248,26 +1239,20 @@ def _fan_path(verts, tris: set, kind: str):
         star = [t for t in tris if apex in t]
         if len(star) == len(verts) - 2:
             return moves
-        flipped = False
-        for t in sorted(tris):
-            if apex in t:
-                continue
-            for st in sorted(star):
-                shared = set(t) & set(st)
-                if len(shared) == 2:
-                    x, y = sorted(shared)
-                    z = next(q for q in t if q not in shared)
-                    removed = tuple(sorted((st, t)))
-                    added = tuple(sorted((_norm_tri((apex, x, z)), _norm_tri((apex, y, z)))))
-                    moves.append(Move(kind, removed, added))
-                    tris.difference_update(removed)
-                    tris.update(added)
-                    flipped = True
-                    break
-            if flipped:
-                break
-        if not flipped:
+        pairs = (
+            (st, t)
+            for t in sorted(tris)
+            if apex not in t
+            for st in sorted(star)
+            if len(set(t) & set(st)) == 2
+        )
+        pair = next(pairs, None)
+        if pair is None:
             raise AssertionError("fan path stalled")
+        move = _flip_move(*sorted(pair))
+        moves.append(move)
+        tris.difference_update(move.removed)
+        tris.update(move.added)
 
 
 # ---------------------------------------------------------------------------
@@ -1374,14 +1359,17 @@ def build_plabic_complex(
     kind: str,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
 ):
-    """The 2-complex of trivalent plabic graphs (kind "X") or of their
-    square-move classes (kind "Y") for a decorated permutation: its flip
-    graph, enumerated once, read by `quotient_complex`.
+    """The 2-complex of trivalent plabic graphs (kind "X"), of their
+    square-move classes ("Y") or of triple crossing diagrams ("T") for a
+    decorated permutation: its flip graph, enumerated once, read by
+    `quotient_complex`.  A triple crossing diagram has no black fixed point.
 
     Returns (TwoComplex, cells), cells the (name, cycle) list.
     """
-    if kind not in ("X", "Y"):
-        raise ArgumentError("kind must be 'X' or 'Y'")
+    if kind not in _QUOTIENTS:
+        raise ArgumentError("kind must be 'X', 'Y' or 'T'")
+    if kind == "T" and any(c == BLACK for _, c in p.fixed_color):
+        raise ArgumentError("triple crossing diagrams have undecorated fixed points")
     return quotient_complex(enumerate_plabic(p, vertex_cap=vertex_cap), kind)[:2]
 
 

@@ -4,8 +4,10 @@ A (minimal) triple crossing diagram is the bipartite-normalized plabic graph
 it corresponds to: white vertices trivalent, black regions fully contracted.
 Its 2<->2 moves are the white trivalent flips (M1) and the square moves
 (M2); a black flip (M3) leaves the contracted diagram unchanged.  So the
-complex T is the complex X of trivalent plabic graphs modulo black flips,
-built by `plabic.quotient_complex` as Y is.
+complex T is the complex X of trivalent plabic graphs modulo black flips:
+`plabic.build_plabic_complex(p, "T")` builds it as it builds X and Y, from
+one row of `plabic._QUOTIENTS`.  This module keeps the diagram's validation
+and the reading of a plain permutation's fixed points.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinat import BLACK, WHITE, DecoratedPermutation
-from .errors import ArgumentError, ValidationError
-from .flipgraph import DEFAULT_VERTEX_CAP, collector_paused
-from .plabic import PlabicGraph, enumerate_plabic, is_reduced, quotient_complex, strand_permutation
+from .errors import ValidationError
+from .plabic import PlabicGraph, is_reduced, strand_permutation
 
 
 @dataclass(frozen=True)
@@ -45,32 +46,9 @@ def as_tcd(graph: PlabicGraph) -> TripleCrossingDiagram:
 
 def permutation_for_tcd(image, colors: dict[int, str] | None = None) -> DecoratedPermutation:
     """The connectivity of triple crossing diagrams from a one-line image:
-    every fixed point is white (undecorated), whether `colors` marks it so
-    or leaves it bare.  A black fixed point, or a color on a point that is
-    not fixed, raises ArgumentError."""
-    colors = dict(colors or {})
-    _reject_black(colors.values())
+    a fixed point that `colors` leaves bare is white (undecorated).  A
+    color on a point that is not fixed raises ArgumentError; a black fixed
+    point is kept, and `plabic.build_plabic_complex` rejects it for T."""
     image = tuple(image)
     fixed = [i for i in range(1, len(image) + 1) if image[i - 1] == i]
-    return DecoratedPermutation.make(image, dict.fromkeys(fixed, WHITE) | colors)
-
-
-def _reject_black(colors) -> None:
-    if BLACK in colors:
-        raise ArgumentError("triple crossing diagrams have undecorated fixed points")
-
-
-@collector_paused()
-def build_t_complex(p, vertex_cap: int = DEFAULT_VERTEX_CAP):
-    """The 2-complex of triple crossing diagrams for a permutation.
-
-    Accepts a plain one-line permutation, read by `permutation_for_tcd`, or
-    a DecoratedPermutation with white fixed points, used as it is.
-    `vertex_cap` bounds the trivalent plabic graphs enumerated.  Returns
-    (TwoComplex, cells), cells the sorted (name, cycle) list.
-    """
-    if isinstance(p, DecoratedPermutation):
-        _reject_black(dict(p.fixed_color).values())
-    else:
-        p = permutation_for_tcd(p)
-    return quotient_complex(enumerate_plabic(p, vertex_cap=vertex_cap), "T")[:2]
+    return DecoratedPermutation.make(image, dict.fromkeys(fixed, WHITE) | (colors or {}))

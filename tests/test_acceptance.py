@@ -149,7 +149,7 @@ def test_09_t_complexes_certified():
     count = 0
     for n in range(1, 6):
         for image in itertools.permutations(range(1, n + 1)):
-            cx, _ = tcd.build_t_complex(image)
+            cx, _ = P.build_plabic_complex(tcd.permutation_for_tcd(image), "T")
             cert = T.certificate(cx)
             assert cert["betti1"] == 0 and cert["torsion"] == []
             assert cert["pi1"] == "trivial"

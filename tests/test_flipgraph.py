@@ -45,7 +45,7 @@ def _build(name):
         return Z.build_z_complex(Z.enumerate_tilings(Z.zonotope_spec(n, d)))[0]
     if kind in ("X", "Y"):
         return P.build_plabic_complex(C.cyclic_decorated(6, 3), kind)[0]
-    return tcd.build_t_complex(tuple(int(x) for x in arg.split(",")))[0]
+    return P.build_plabic_complex(tcd.permutation_for_tcd(int(x) for x in arg.split(",")), "T")[0]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
@@ -71,7 +71,7 @@ def _small_complexes():
                 yield kind, p, P.build_plabic_complex(p, kind)
         for image in itertools.permutations(range(1, n + 1)):
             p = tcd.permutation_for_tcd(image)
-            yield "T", p, tcd.build_t_complex(p)
+            yield "T", p, P.build_plabic_complex(p, "T")
 
 
 def test_pinned_small_complexes():
@@ -90,7 +90,7 @@ T6_COMPLEXES_HASH = "298a754b92e552f53ba6d8662f1b32723967f54bf86049c0f119c5c8c52
 def test_pinned_t_complexes_n6():
     digest = hashlib.sha256()
     for image in itertools.permutations(range(1, 7)):
-        cx, cells = tcd.build_t_complex(tcd.permutation_for_tcd(image))
+        cx, cells = P.build_plabic_complex(tcd.permutation_for_tcd(image), "T")
         row = [[name for name, _ in cells], cx.canonical_hash()]
         digest.update(json.dumps(row).encode() + b"\n")
     assert digest.hexdigest() == T6_COMPLEXES_HASH
@@ -208,9 +208,10 @@ class TestCallCounts:
         # T is read off X's flip graph, which scans each X vertex once
         spy = _Spy(monkeypatch)
         for image in ((3, 4, 5, 1, 2), (2, 3, 4, 5, 6, 1), (4, 5, 6, 1, 2, 3)):
-            g = P.enumerate_plabic(tcd.permutation_for_tcd(image))
+            p = tcd.permutation_for_tcd(image)
+            g = P.enumerate_plabic(p)
             spy.calls["available_moves"] = 0
-            tcd.build_t_complex(image)
+            P.build_plabic_complex(p, "T")
             assert spy.calls["available_moves"] <= g.n_vertices
         assert spy.calls["apply_move"] == 0
 
@@ -361,10 +362,7 @@ def test_builds_decode_each_vertex_once(monkeypatch, kind):
     built = []
     post_init = P.PlabicTriangulation.__post_init__
     monkeypatch.setattr(P.PlabicTriangulation, "__post_init__", lambda self: built.append(1) or post_init(self))
-    if kind == "T":
-        tcd.build_t_complex(p)
-    else:
-        P.build_plabic_complex(p, kind)
+    P.build_plabic_complex(p, kind)
     assert len(built) == 3_334
 
 
@@ -494,7 +492,7 @@ PINNED_INPUT_HASHES = {
 @pytest.mark.parametrize("kind", sorted(PINNED_INPUT_HASHES))
 def test_pinned_pi73_certificate(kind):
     p = C.cyclic_decorated(7, 3)
-    complex_ = tcd.build_t_complex(p)[0] if kind == "T" else P.build_plabic_complex(p, kind)[0]
+    complex_ = P.build_plabic_complex(p, kind)[0]
     cert = T.certificate(complex_)
     assert (cert["input_hash"], cert["pi1"]) == (PINNED_INPUT_HASHES[kind], "trivial")
 
@@ -508,7 +506,7 @@ def _wrapped_builds():
     certificate, that pauses the collector."""
     pi52 = C.cyclic_decorated(5, 2)
     yield "X", lambda: P.build_plabic_complex(pi52, "X"), lambda: P.build_plabic_complex(pi52, "X", vertex_cap=2)
-    yield "T", lambda: tcd.build_t_complex(pi52), lambda: tcd.build_t_complex(pi52, vertex_cap=2)
+    yield "T", lambda: P.build_plabic_complex(pi52, "T"), lambda: P.build_plabic_complex(pi52, "T", vertex_cap=2)
     spec = Z.zonotope_spec(5, 2)
     yield "tilings", lambda: Z.enumerate_tilings(spec), lambda: Z.enumerate_tilings(spec, vertex_cap=2)
     # a graph without payloads fails build_z_complex's precondition

@@ -261,31 +261,31 @@ class TestNormalization:
 
 class TestComplex:
     def test_pentagon(self):
-        cx, cells = tcd.build_t_complex((2, 3, 4, 5, 1))
+        cx, cells = P.build_plabic_complex(tcd.permutation_for_tcd((2, 3, 4, 5, 1)), "T")
         assert cx.nv == 5
         assert [n for n, _ in cells] == ["pentagon_white"]
         assert T.h1(cx) == (0, [])
 
     def test_decagon(self):
-        cx, cells = tcd.build_t_complex((3, 4, 5, 1, 2))
+        cx, cells = P.build_plabic_complex(tcd.permutation_for_tcd((3, 4, 5, 1, 2)), "T")
         assert [n for n, _ in cells] == ["decagon"]
         assert T.h1(cx) == (0, [])
         assert T.certify_trivial(T.pi1_presentation(cx)) == "trivial"
 
     def test_pi53_square_pentagon(self):
-        cx, cells = tcd.build_t_complex((4, 5, 1, 2, 3))
+        cx, cells = P.build_plabic_complex(tcd.permutation_for_tcd((4, 5, 1, 2, 3)), "T")
         assert cx.nv == 5
         assert [n for n, _ in cells] == ["pentagon_square"]
         assert T.h1(cx) == (0, [])
 
     def test_cyclic_shift_n6_certifies_trivial(self):
         # the direct route glued no quads here and left betti1 2
-        cx, _ = tcd.build_t_complex((2, 3, 4, 5, 6, 1))
+        cx, _ = P.build_plabic_complex(tcd.permutation_for_tcd((2, 3, 4, 5, 6, 1)), "T")
         cert = T.certificate(cx)
         assert (cert["betti1"], cert["torsion"], cert["pi1"]) == (0, [], "trivial")
 
     def test_identity_single_vertex(self):
-        cx, _ = tcd.build_t_complex((1, 2, 3))
+        cx, _ = P.build_plabic_complex(tcd.permutation_for_tcd((1, 2, 3)), "T")
         assert (cx.nv, len(cx.edges), len(cx.cells)) == (1, 0, 0)
 
     def test_black_fixed_points_rejected(self):
@@ -293,17 +293,17 @@ class TestComplex:
 
         p = C.DecoratedPermutation.make((1, 3, 2), {1: BLACK})
         with pytest.raises(ArgumentError, match="undecorated fixed points"):
-            tcd.build_t_complex(p)
+            P.build_plabic_complex(p, "T")
 
     def test_decorated_permutation_used_as_given(self, monkeypatch):
         # a DecoratedPermutation was validated when it was made, so the
-        # build makes none; a one-line image is read as before
+        # build makes none; a one-line image is read by permutation_for_tcd
         p = C.DecoratedPermutation.make((1, 3, 4, 5, 6, 2), {1: WHITE})
-        want = tcd.build_t_complex((1, 3, 4, 5, 6, 2))
+        want = P.build_plabic_complex(tcd.permutation_for_tcd((1, 3, 4, 5, 6, 2)), "T")
         made = []
         make = C.DecoratedPermutation.make
         monkeypatch.setattr(C.DecoratedPermutation, "make", lambda *a: made.append(a) or make(*a))
-        cx, cells = tcd.build_t_complex(p)
+        cx, cells = P.build_plabic_complex(p, "T")
         assert made == []
         assert [name for name, _ in cells] == ["pentagon_white"]
         assert (cx.canonical_hash(), cells) == (want[0].canonical_hash(), want[1])
@@ -330,7 +330,7 @@ def lift_t_edge(s1, move, s2):
         target.update(P._fan_triangles(rest) if len(rest) >= 3 else [])
         current = {t for t in cur.triangles if P.triangle_color(t) == BLACK and P._tri_or(t) == u}
         verts = members
-        for mv in P._poly_flip_path(verts, current, target, "M3"):
+        for mv in P._poly_flip_path(verts, current, target):
             cur = P.apply_move(cur, mv)
             path.append(cur)
     # the square move itself
@@ -351,7 +351,7 @@ def _path_to_representative(cur, rep):
     for u, members in sorted(state.black_cliques().items()):
         current = {t for t in cur.triangles if P.triangle_color(t) == BLACK and P._tri_or(t) == u}
         target = {t for t in rep.triangles if P.triangle_color(t) == BLACK and P._tri_or(t) == u}
-        for mv in P._poly_flip_path(members, current, target, "M3"):
+        for mv in P._poly_flip_path(members, current, target):
             cur = P.apply_move(cur, mv)
             out.append(cur)
     assert cur == rep

@@ -357,7 +357,7 @@ class TestH1Routes:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_tcd(self, n):
         for image in itertools.permutations(range(1, n + 1)):
-            assert_h1_routes_agree(tcd.build_t_complex(image)[0])
+            assert_h1_routes_agree(P.build_plabic_complex(tcd.permutation_for_tcd(image), "T")[0])
 
 
 def _reference_reduce(word):
@@ -494,7 +494,7 @@ class TestTietze:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_tcd(self, n):
         for image in itertools.permutations(range(1, n + 1)):
-            assert_elimination_replays(tcd.build_t_complex(image)[0])
+            assert_elimination_replays(P.build_plabic_complex(tcd.permutation_for_tcd(image), "T")[0])
 
 
 class TestTwoComplex:
@@ -602,7 +602,7 @@ class TestCertificates:
         # the paper's 4-, 5- and 10-cycles: dropping any one family of a
         # real complex leaves H1 free of rank betti1, so pi1 is nontrivial
         p = C.cyclic_decorated(n, k)
-        cx, cells = tcd.build_t_complex(p) if kind == "T" else P.build_plabic_complex(p, kind)
+        cx, cells = P.build_plabic_complex(p, kind)
         assert {name for name, _ in cells} == set(betti1_without)
         for family, betti1 in betti1_without.items():
             ablated = T.TwoComplex.from_graph(cx.nv, cx.edges, [cyc for name, cyc in cells if name != family])
@@ -677,7 +677,7 @@ class TestCertificates:
                     yield P.build_plabic_complex(p, "X")[0]
                     yield P.build_plabic_complex(p, "Y")[0]
                 for image in itertools.permutations(range(1, n + 1)):
-                    yield tcd.build_t_complex(image)[0]
+                    yield P.build_plabic_complex(tcd.permutation_for_tcd(image), "T")[0]
             for n in range(2, 7):
                 for d in range(1, n):
                     yield Z.build_z_complex(Z.enumerate_tilings(Z.zonotope_spec(n, d)))[0]
@@ -697,7 +697,7 @@ class TestCertificates:
         # every T complex has H1 = 0, and each certifies
         nontrivial = 0
         for image in itertools.permutations(range(1, 7)):
-            k = tcd.build_t_complex(image)[0]
+            k = P.build_plabic_complex(tcd.permutation_for_tcd(image), "T")[0]
             cert = T.certificate(k, budget=100_000)
             assert (cert["betti1"], cert["torsion"]) == T.h1(k)
             assert cert["pi1"] == ("nontrivial" if cert["betti1"] or cert["torsion"] else "trivial")
