@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, determinism, error handling."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -135,6 +136,45 @@ class TestCommands:
         data = json.loads(out)
         assert data["flips"] == [] and data["verified"] is True
 
+    def test_zcomplex_counts_without_certify(self, capsys):
+        code, out = run(capsys, "zcomplex", "5", "3")
+        assert code == 0
+        assert json.loads(out) == {"E": 10, "F": 1, "V": 10, "cells": ["gon10"], "d": 3, "n": 5, "schema_version": 1}
+
+    @pytest.mark.parametrize("kind, level, flips", [("M1", "2", [[2, 3, 4, 5]]), ("M3", "3", [[1, 2, 3, 4]])])
+    def test_realize_move_of_each_kind(self, capsys, tmp_path, kind, level, flips):
+        tfile = tmp_path / "tiling.json"
+        tfile.write_text(json.dumps(Z.tiling_to_json(Z.minimal_tiling(Z.zonotope_spec(5, 3)))))
+        code, out = run(capsys, "realize-move", "--tiling", str(tfile), "--level", level, "--kind", kind)
+        assert code == 0
+        data = json.loads(out)
+        assert (data["move_kind"], data["flips"], data["verified"]) == (kind, flips, True)
+
+    def test_align_tilings_sharing_a_section(self, capsys, tmp_path):
+        # two distinct tilings of Z(5,3) with one level-1 section: a
+        # nonempty flip sequence that keeps the section at every step
+        g = Z.enumerate_tilings(Z.zonotope_spec(5, 3))
+        a, b = next(
+            (a, b)
+            for a, b in itertools.combinations(g.payloads, 2)
+            if P.cross_section(a, 1) == P.cross_section(b, 1)
+        )
+        files = []
+        for name, tiling in (("a", a), ("b", b)):
+            files.append(tmp_path / (name + ".json"))
+            files[-1].write_text(json.dumps(Z.tiling_to_json(tiling)))
+        code, out = run(capsys, "align", "--tiling-a", str(files[0]), "--tiling-b", str(files[1]), "--level", "1")
+        assert code == 0
+        data = json.loads(out)
+        assert data["flips"] and data["verified"] is True
+
+    def test_updown_necklace_from_a_file(self, capsys, tmp_path):
+        nfile = tmp_path / "necklace.json"
+        nfile.write_text("[[1,2],[2,3],[3,4],[4,5],[5,1]]")
+        code, out = run(capsys, "updown", "--necklace", str(nfile), "--dir", "down")
+        assert code == 0
+        assert json.loads(out) == [[1], [2], [3], [4], [5]]
+
     def test_flipgraph_export_dot(self, capsys, tmp_path):
         code, out = run(capsys, "tilings", "4", "2")
         gfile = tmp_path / "graph.json"
@@ -167,6 +207,27 @@ class TestDeterminismAndErrors:
     def test_color_on_non_fixed_point_is_usage_error(self, capsys, command):
         assert cli.main([command, "2w,1"]) == 2
         assert capsys.readouterr().err == "error: colors given for non-fixed points [1]\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["realize-move", "--level", "2", "--move-index", "99"], "move index 99 out of range (1 trivalent moves)"),
+            (["realize-move", "--level", "2", "--kind", "M3"], "move index 0 out of range (0 trivalent moves)"),
+            (["updown", "--necklace", "[[1,2],[2],[3,1]]", "--dir", "down"], "all necklace entries must have equal size"),
+            (["plabic", "3,3,1"], "image is not a bijection"),
+            (["plabic", "cyclic", "5"], "usage: cyclic n k"),
+            (["plabic", "2,1", "3,4"], "expected one permutation argument"),
+        ],
+        ids=["move-index", "no-move-of-kind", "necklace-sizes", "not-a-bijection", "cyclic-arity", "two-words"],
+    )
+    def test_input_error_exits_2(self, capsys, tmp_path, argv, message):
+        if argv[0] == "realize-move":
+            tfile = tmp_path / "tiling.json"
+            tfile.write_text(json.dumps(Z.tiling_to_json(Z.minimal_tiling(Z.zonotope_spec(5, 3)))))
+            argv = [*argv, "--tiling", str(tfile)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_updown_without_input_is_usage_error(self, capsys):
         assert cli.main(["updown", "--dir", "up"]) == 2

@@ -507,6 +507,20 @@ class TestTwoComplex:
         with pytest.raises(ValidationError, match="unknown edge"):
             T.TwoComplex(nv, edges, cells)
 
+    @pytest.mark.parametrize(
+        "nv, edges, cells, message",
+        [
+            (2, ((0, 2),), (), "edge endpoint out of range"),
+            (2, ((-1, 0),), (), "edge endpoint out of range"),
+            (3, ((0, 1), (1, 2), (2, 0)), ((1, 3),), "cell boundary is not a path"),
+            (3, ((0, 1), (1, 2), (2, 0)), ((1, 2),), "cell boundary is not closed"),
+        ],
+        ids=["endpoint_past_nv", "negative_endpoint", "not_a_path", "not_closed"],
+    )
+    def test_malformed_complex_rejected(self, nv, edges, cells, message):
+        with pytest.raises(ValidationError, match=message):
+            T.TwoComplex(nv, edges, cells)
+
     def test_from_graph_takes_the_first_edge_of_a_pair(self):
         # the lookup holds one orientation per vertex pair; either step
         # direction finds edge 0, and the sign follows its stored direction
