@@ -200,10 +200,11 @@ def _verify_realization(tiling, level, move, seq) -> bool:
 def cmd_align(args) -> str:
     ta, tb = _load_tiling(args.tiling_a), _load_tiling(args.tiling_b)
     seq = plabic.align_tilings(ta, tb, args.level)
+    section = plabic.cross_section(ta, args.level)
     cur, ok = ta, True
     for site in seq:
         cur = zonotope.apply_flip(cur, site)
-        if plabic.cross_section(cur, args.level) != plabic.cross_section(ta, args.level):
+        if plabic.cross_section(cur, args.level) != section:
             ok = False
     ok = ok and cur.key() == tb.key()
     return _dump({"schema_version": 1, "level": args.level, "flips": [list(s.elements()) for s in seq], "verified": ok})

@@ -139,12 +139,10 @@ class GrassmannNecklace:
                 raise ValidationError("all necklace entries must have equal size")
             if not s <= ground:
                 raise ValidationError("necklace entries must be subsets of [n]")
+        # entries have equal size, so I_{i+1} \ I_i is at most one element
+        # when I_i \ I_{i+1} is
         for i in range(1, self.n + 1):
-            cur = self.sets[i - 1]
-            nxt = self.sets[i % self.n]
-            if not (cur - nxt) <= {i}:
-                raise ValidationError("necklace exchange rule fails at index %d" % i)
-            if len(nxt - cur) > 1:
+            if not self.sets[i - 1] - self.sets[i % self.n] <= {i}:
                 raise ValidationError("necklace exchange rule fails at index %d" % i)
 
     @property
@@ -240,7 +238,8 @@ def necklace_masks(p: DecoratedPermutation) -> tuple[int, ...]:
 
 
 def decorated_of(necklace: GrassmannNecklace) -> DecoratedPermutation:
-    """Inverse of `necklace_of`: read pi(i) off the exchange I_{i+1} = (I_i \\ {i}) u {pi(i)}."""
+    """Inverse of `necklace_of`: read pi(i) off the exchange I_{i+1} = (I_i \\ {i}) u {pi(i)},
+    which a validated necklace obeys."""
     n = necklace.n
     image = []
     colors = {}
@@ -251,10 +250,8 @@ def decorated_of(necklace: GrassmannNecklace) -> DecoratedPermutation:
             image.append(i)
             colors[i] = BLACK if i in cur else WHITE
         else:
-            added = nxt - (cur - {i})
-            if len(added) != 1:
-                raise ValidationError("necklace exchange rule fails at index %d" % i)
-            image.append(next(iter(added)))
+            (j,) = nxt - cur
+            image.append(j)
     return DecoratedPermutation.make(tuple(image), colors)
 
 
@@ -266,58 +263,33 @@ def helicity(p: DecoratedPermutation) -> int:
 def necklace_shift(necklace: GrassmannNecklace, direction: str) -> GrassmannNecklace:
     """DOWN(I)_j = I_j n I_{iota(j)} and UP(I)_j = I_j u I_{lambda(j)}, where
     iota(j) / lambda(j) is the previous / next cyclic index whose entry differs
-    from I_j.  Defined only for non-identity necklaces."""
+    from I_j.  Defined only for non-identity necklaces, where some entry
+    differs from every I_j, so each walk to iota(j) or lambda(j) ends."""
     if direction not in ("up", "down"):
         raise ArgumentError("direction must be 'up' or 'down'")
-    n = necklace.n
-    if len(set(necklace.sets)) == 1:
+    sets, n = necklace.sets, necklace.n
+    if len(set(sets)) == 1:
         raise PreconditionError("UP/DOWN undefined for identity necklaces")
+    step = -1 if direction == "down" else 1
     out = []
-    for j in range(1, n + 1):
-        if direction == "down":
-            other = necklace[_prev_differing(necklace, j)]
-            out.append(necklace[j] & other)
-        else:
-            other = necklace[_next_differing(necklace, j)]
-            out.append(necklace[j] | other)
+    for j, cur in enumerate(sets):
+        i = (j + step) % n
+        while sets[i] == cur:
+            i = (i + step) % n
+        out.append(cur & sets[i] if step < 0 else cur | sets[i])
     return GrassmannNecklace(n, tuple(out))
-
-
-def _prev_differing(necklace: GrassmannNecklace, j: int) -> int:
-    n = necklace.n
-    for step in range(1, n):
-        i = (j - 1 - step) % n + 1
-        if necklace[i] != necklace[j]:
-            return i
-    raise PreconditionError("all necklace entries coincide")
-
-
-def _next_differing(necklace: GrassmannNecklace, j: int) -> int:
-    n = necklace.n
-    for step in range(1, n):
-        i = (j - 1 + step) % n + 1
-        if necklace[i] != necklace[j]:
-            return i
-    raise PreconditionError("all necklace entries coincide")
 
 
 def is_weakly_separated(a: Iterable[int], b: Iterable[int], n: int) -> bool:
     """No cyclically alternating quadruple between A \\ B and B \\ A.
 
     Equivalently, going around 1..n, the elements of the two difference sets
-    form at most two blocks.
+    form at most two blocks: `is_weakly_separated_mask` on their masks.
     """
     sa, sb = frozenset(a), frozenset(b)
     if len(sa) != len(sb):
         raise ArgumentError("weak separation is defined for equal-size subsets")
-    only_a = sa - sb
-    only_b = sb - sa
-    if not only_a or not only_b:
-        return True
-    tags = [(x, 0) for x in only_a] + [(x, 1) for x in only_b]
-    tags.sort()
-    changes = sum(1 for i in range(len(tags)) if tags[i][1] != tags[i - 1][1])
-    return changes <= 2
+    return is_weakly_separated_mask(mask_of(sa), mask_of(sb))
 
 
 def is_subset_json(data, n) -> bool:
@@ -338,7 +310,7 @@ def elems_of(mask: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=1 << 16)
 def is_weakly_separated_mask(a: int, b: int) -> bool:
-    """Bitmask variant of `is_weakly_separated` (equal popcounts assumed)."""
+    """The rule of `is_weakly_separated` on masks (equal popcounts assumed)."""
     only_a = a & ~b
     only_b = b & ~a
     if not only_a or not only_b:

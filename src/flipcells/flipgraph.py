@@ -196,38 +196,27 @@ def commuting_squares(graph: FlipGraph, independent: Callable[[Any, Any], bool] 
                 yield quad, a, b
 
 
-class collector_paused:
-    """Keep the cyclic garbage collector off inside a `with` block, or in
-    every call of a function it decorates.
+def collector_paused(func: Callable) -> Callable:
+    """Decorate `func` to keep the cyclic garbage collector off in every call.
 
     A build allocates millions of long-lived containers and frees none of
     them, so the collections it would trigger find nothing to collect.  The
-    collector's state on entry is restored on every exit, errors included;
-    a nested use leaves it off until the outermost use exits.  As a
-    decorator it wraps the function in a plain try/finally, so a call
-    builds no context manager.
+    wrapper is a plain try/finally: the collector's state on entry is
+    restored on every exit, errors included, and a nested call leaves it
+    off until the outermost call exits.
     """
 
-    def __enter__(self) -> None:
-        self.enabled = gc.isenabled()
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
         gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
 
-    def __exit__(self, *exc) -> None:
-        if self.enabled:
-            gc.enable()
-
-    def __call__(self, func: Callable) -> Callable:
-        @functools.wraps(func)
-        def paused(*args, **kwargs):
-            enabled = gc.isenabled()
-            gc.disable()
-            try:
-                return func(*args, **kwargs)
-            finally:
-                if enabled:
-                    gc.enable()
-
-        return paused
+    return paused
 
 
 def move_cycle(

@@ -176,12 +176,16 @@ class PlabicTriangulation:
         return sum(map(_area2, self.triangles))
 
     def check(self) -> None:
-        """Structural invariants: label sizes, colors, area, weak separation."""
+        """Structural invariants: label sizes, colors, distinct triangles,
+        area, weak separation."""
         for lab in self.labels():
             if bin(lab).count("1") != self.k or lab >> self.n:
                 raise ValidationError("label %s is not a k-subset of [n]" % (elems_of(lab),))
         for t in self.triangles:
             triangle_color(t)
+        # a doubled triangle can stand in for a missing one of equal area
+        if len(set(self.triangles)) != len(self.triangles):
+            raise ValidationError("a triangle is listed twice")
         if self.triangles_area2() != self.boundary_area2():
             raise ValidationError("triangles do not tile the boundary region")
         # pairwise, so the cost is bounded by the labels held, not by C(n, k)
@@ -309,15 +313,6 @@ class PlabicGraph:
 
     def degree(self, v: int) -> int:
         return len(self.rotations[v])
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "n": self.n,
-            "colors": list(self.colors),
-            "edges": [[list(a), list(b)] for a, b in self.edges],
-            "rotations": [[list(d) for d in rot] for rot in self.rotations],
-        }
 
 
 def _dual_links(sigma: PlabicTriangulation):
@@ -647,15 +642,17 @@ def available_moves(sigma: PlabicTriangulation) -> tuple[Move, ...]:
 
 @lru_cache(maxsize=SITE_CACHE_SIZE)
 def _square_move(center: int, star: tuple[tuple[int, int, int], ...]) -> Move | None:
-    """The square move at `center`, whose star is the four sorted triangles
-    `star`, or None unless their colors alternate around it and the five
-    labels form a square."""
-    order = _chain_pairs([tuple(x for x in t if x != center) for t in star])
-    if order is None:
-        return None
-    cols = [triangle_color(star[i]) for i in order]
-    if cols[0] == cols[1] or cols[1] == cols[2] or cols[2] == cols[3]:
-        return None
+    """The square move at `center`, whose star is the four distinct sorted
+    triangles `star`, or None unless the five labels form a square.
+
+    The labels decide it alone (Oh-Postnikov-Speyer).  If they form a
+    square, the center is Sxy and each outer label S plus two of x, y, z,
+    w.  A triangle {Sxy, p, q} is white only for {Sxz, Sxw} or {Syz, Syw},
+    black only for {Sxz, Syz} or {Sxw, Syw}, and neither for any other
+    pair, which `triangle_color` rejects.  So four colored triangles are
+    these four, and their colors alternate around the center."""
+    for t in star:
+        triangle_color(t)
     v2 = square_relabel(center, {x for t in star for x in t if x != center})
     if v2 is None:
         return None
@@ -685,14 +682,13 @@ def trivalent_flips(triangles, boundary) -> list[Move]:
 @lru_cache(maxsize=SITE_CACHE_SIZE)
 def _flip_move(t1: tuple[int, int, int], t2: tuple[int, int, int]) -> Move | None:
     """The flip of the diagonal shared by triangles t1 < t2, or None unless
-    they have one color and form a convex quadrilateral."""
+    they have one color and form a convex quadrilateral.  Every caller
+    passes two triangles with a common side; other triangles raise
+    ValueError at the unpacking."""
     c1 = triangle_color(t1)
     if c1 != triangle_color(t2):
         return None
-    only1, only2 = set(t1).difference(t2), set(t2).difference(t1)
-    if len(only1) != 1:  # a doubled triangle has no diagonal
-        return None
-    a, d = only1.pop(), only2.pop()
+    ((a,), (d,)) = set(t1).difference(t2), set(t2).difference(t1)
     b_, c_ = (x for x in t1 if x != a)
     if orient(pos(a), pos(d), pos(b_)) * orient(pos(a), pos(d), pos(c_)) >= 0:
         return None
@@ -713,36 +709,6 @@ def square_relabel(center: int, outer) -> int | None:
     if len(outer) != 4 or bin(diff).count("1") != 4:
         return None
     return common | (diff & ~center)
-
-
-def _chain_pairs(pairs) -> list[int] | None:
-    """Cyclic order of the faces around a vertex, chained by shared neighbors.
-
-    Each face is given by the pair of its neighbors of that vertex; returns
-    the face indices in cyclic order, or None if they do not close up.
-    """
-    incid: dict[int, list[int]] = {}
-    for idx, pair in enumerate(pairs):
-        if len(pair) != 2:
-            return None
-        for x in pair:
-            incid.setdefault(x, []).append(idx)
-    if any(len(lst) != 2 for lst in incid.values()):
-        return None
-    order = [0]
-    used = {0}
-    joint = pairs[0][1]
-    while len(order) < len(pairs):
-        nxt = [i for i in incid[joint] if i not in used]
-        if not nxt:
-            return None
-        order.append(nxt[0])
-        used.add(nxt[0])
-        a, b = pairs[nxt[0]]
-        joint = b if a == joint else a
-    if joint != pairs[0][0]:
-        return None
-    return order
 
 
 def apply_move(sigma: PlabicTriangulation, move: Move) -> PlabicTriangulation:
@@ -1353,7 +1319,7 @@ _QUOTIENTS = {
 _X_CELLS = _QUOTIENTS["X"][1]
 
 
-@collector_paused()
+@collector_paused
 def build_plabic_complex(
     p: DecoratedPermutation,
     kind: str,

@@ -556,7 +556,7 @@ def certify_trivial(pres: GroupPresentation, budget: int = DEFAULT_PI1_BUDGET) -
 # certificates
 
 
-@collector_paused()
+@collector_paused
 def certificate(k: TwoComplex, budget: int = DEFAULT_PI1_BUDGET) -> dict:
     """Simple-connectivity certificate of the spanning-tree presentation.
 

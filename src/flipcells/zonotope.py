@@ -510,18 +510,6 @@ class ValidationReport:
     inside_zonotope: bool
     failures: list[str]
 
-    def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "ok": self.ok,
-            "fine": self.fine,
-            "one_tile_per_zero_set": self.one_tile_per_zero_set,
-            "volume2": self.volume2,
-            "expected_volume2": self.expected_volume2,
-            "inside_zonotope": self.inside_zonotope,
-            "failures": self.failures,
-        }
-
 
 def validate_tiling(spec: ZonotopeSpec, tiles) -> ValidationReport:
     """Exact check of the fine-tiling conditions for a collection of tiles.
@@ -593,7 +581,7 @@ def validate_tiling(spec: ZonotopeSpec, tiles) -> ValidationReport:
 # enumeration
 
 
-@collector_paused()
+@collector_paused
 def enumerate_tilings(spec: ZonotopeSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) -> FlipGraph:
     """BFS closure of the flip relation from the minimal tiling.
 
@@ -696,7 +684,7 @@ def _coarse_cycles(graph: FlipGraph, spec: ZonotopeSpec):
             yield cycle
 
 
-@collector_paused()
+@collector_paused
 def build_z_complex(graph: FlipGraph):
     """2-cells over the flip graph: operationally commuting flip pairs give
     quadrilaterals; coarse (d+2)-subset tiles give (2d+4)-gon cycles.

@@ -478,8 +478,18 @@ class TestFormats:
             (lambda d: d["triangles"].pop(), ["--format", "svg", "export", "--triangulation", "SIGMA"]),
             (lambda d: d.update(k=3), ["--format", "svg", "export", "--triangulation", "SIGMA"]),
             (lambda d: d.update(k=3), ["updown", "--triangulation", "SIGMA", "--dir", "down"]),
+            # triangles 0 and 1 have equal area, so the areas still add up
+            (lambda d: d["triangles"].__setitem__(1, d["triangles"][0]), ["export", "--triangulation", "SIGMA"]),
+            (lambda d: d["triangles"].__setitem__(1, d["triangles"][0]), ["updown", "--triangulation", "SIGMA", "--dir", "up"]),
         ],
-        ids=["missing_triangle_updown", "missing_triangle_svg", "wrong_k_svg", "wrong_k_updown"],
+        ids=[
+            "missing_triangle_updown",
+            "missing_triangle_svg",
+            "wrong_k_svg",
+            "wrong_k_updown",
+            "doubled_triangle_json",
+            "doubled_triangle_updown",
+        ],
     )
     def test_invalid_triangulation_is_usage_error(self, capsys, files, tmp_path, edit, argv):
         data = json.loads(open(files["SIGMA"]).read())

@@ -24,7 +24,14 @@ from flipcells.flipgraph import (
     collector_paused,
     commuting_squares,
 )
-from test_tcd import disjoint_support, enumerate_tcd, reference_embedded_cells, square_moves, tcd_neighbors
+from test_tcd import (
+    chain_pairs,
+    disjoint_support,
+    enumerate_tcd,
+    reference_embedded_cells,
+    square_moves,
+    tcd_neighbors,
+)
 
 # canonical_hash() of complexes whose cells must never change.
 PINNED_HASHES = {
@@ -250,7 +257,9 @@ def reference_flips(triangles, boundary):
 
 
 def reference_moves(sigma):
-    """The per-vertex scan of `available_moves`."""
+    """The per-vertex scan of `available_moves`, with the square rule
+    derived the long way: the star's link closes up, the colors alternate
+    around it, and the five labels form a square."""
     moves = reference_flips(sigma.triangles, sigma.boundary)
     star = {}
     for t in sigma.triangles:
@@ -260,7 +269,7 @@ def reference_moves(sigma):
     for v, tris in star.items():
         if v in boundary_set or len(tris) != 4:
             continue
-        order = P._chain_pairs([tuple(x for x in t if x != v) for t in tris])
+        order = chain_pairs([tuple(x for x in t if x != v) for t in tris])
         if order is None:
             continue
         cols = [P.triangle_color(tris[i]) for i in order]
@@ -580,12 +589,12 @@ def test_builders_restore_the_collector_state(caller_enabled):
 def test_decorated_pause_restores_the_collector(caller_enabled):
     seen = []
 
-    @collector_paused()
+    @collector_paused
     def inner():
         seen.append(("inner", gc.isenabled()))
         raise KeyError("inner")
 
-    @collector_paused()
+    @collector_paused
     def outer():
         seen.append(("outer", gc.isenabled()))
         with pytest.raises(KeyError):
@@ -603,16 +612,3 @@ def test_decorated_pause_restores_the_collector(caller_enabled):
         (gc.enable if was else gc.disable)()
     assert seen == [("outer", False), ("inner", False), ("after inner", False)]
     assert outer.__name__ == "outer"
-
-
-def test_nested_pause_keeps_the_collector_off():
-    was = gc.isenabled()
-    gc.enable()
-    try:
-        with collector_paused():
-            with collector_paused():
-                assert not gc.isenabled()
-            assert not gc.isenabled()
-        assert gc.isenabled()
-    finally:
-        (gc.enable if was else gc.disable)()

@@ -433,6 +433,19 @@ class TestCheck:
             crossing.check()
 
 
+    def test_doubled_triangle_rejected(self):
+        # one triangle listed twice in place of another of the same area: the
+        # areas add up and the labels are weakly separated, but the
+        # triangles do not tile the region
+        seed = P.seed_triangulation(C.DecoratedPermutation.make((2, 4, 1, 3)))
+        tris = list(seed.triangles)
+        a, b = next((a, b) for a, b in itertools.permutations(tris, 2) if P._area2(a) == P._area2(b))
+        tris[tris.index(b)] = a
+        doubled = P.PlabicTriangulation.make(seed.n, seed.k, tris, seed.boundary)
+        with pytest.raises(ValidationError, match="a triangle is listed twice"):
+            doubled.check()
+
+
 class TestFromLabels:
     def test_rejects_one_pair_not_weakly_separated(self):
         # 13 and 24 cross; every other pair is weakly separated

@@ -54,6 +54,37 @@ def normalize(sigma):
     return TCDState(sigma.n, sigma.k, whites, tuple(sorted(sigma.labels())), sigma.boundary)
 
 
+def chain_pairs(pairs):
+    """Cyclic order of the faces around a vertex, chained by shared neighbors.
+
+    Each face is given by the pair of its neighbors of that vertex; returns
+    the face indices in cyclic order, or None if they do not close up.  The
+    link walk of the square-move references, here and in `reference_moves`.
+    """
+    incid = {}
+    for idx, pair in enumerate(pairs):
+        if len(pair) != 2:
+            return None
+        for x in pair:
+            incid.setdefault(x, []).append(idx)
+    if any(len(lst) != 2 for lst in incid.values()):
+        return None
+    order = [0]
+    used = {0}
+    joint = pairs[0][1]
+    while len(order) < len(pairs):
+        nxt = [i for i in incid[joint] if i not in used]
+        if not nxt:
+            return None
+        order.append(nxt[0])
+        used.add(nxt[0])
+        a, b = pairs[nxt[0]]
+        joint = b if a == joint else a
+    if joint != pairs[0][0]:
+        return None
+    return order
+
+
 def square_moves(state):
     """Square sites of the contracted diagram: interior labels whose star is
     two white triangles alternating with two black regions."""
@@ -80,7 +111,7 @@ def square_moves(state):
             continue
         faces = [("w", t, tuple(x for x in t if x != v)) for t in whites]
         faces += [("b", u, nb) for u, nb in black_faces]
-        order = P._chain_pairs([f[2] for f in faces])
+        order = chain_pairs([f[2] for f in faces])
         if order is None:
             continue
         kinds = [faces[i][0] for i in order]
