@@ -1,5 +1,13 @@
 """Flip graphs of zonotopal tilings, plabic graphs, and triple crossing
-diagrams, with certified simply connected 2-complexes."""
+diagrams, with certified simply connected 2-complexes.
+
+The names of `sections` (cross sections, dual graphs, UP/DOWN, move
+realization) and `exact` (exact tiling checks) resolve on first use, which
+imports their module: a certificate never compiles them.
+"""
+
+import importlib
+import types
 
 from .combinat import (
     BLACK,
@@ -17,26 +25,12 @@ from .combinat import (
 )
 from .plabic import (
     Move,
-    PlabicGraph,
     PlabicTriangulation,
-    align_tilings,
     apply_move,
     available_moves,
     build_plabic_complex,
-    cross_section,
-    dual_graph,
-    embed_in_cyclic,
     enumerate_plabic,
-    extend_to_tiling,
-    flip_move_correspondence,
-    is_reduced,
-    layer_step,
-    realize_trivalent_move,
-    strand_permutation,
-    triangulation_from_labels,
-    up_down_graph,
 )
-from .tcd import TripleCrossingDiagram, as_tcd
 from .topology import (
     GroupPresentation,
     TwoComplex,
@@ -55,9 +49,35 @@ from .zonotope import (
     build_z_complex,
     enumerate_tilings,
     minimal_tiling,
-    to_tile,
-    validate_tiling,
     zonotope_spec,
 )
 
 __version__ = "0.1.0"
+
+# name -> the module that defines it, imported by `__getattr__` on first use
+_LAZY = {
+    **dict.fromkeys(
+        "PlabicGraph TripleCrossingDiagram align_tilings as_tcd cross_section dual_graph embed_in_cyclic "
+        "extend_to_tiling flip_move_correspondence is_reduced layer_step realize_trivalent_move "
+        "strand_permutation triangulation_from_labels up_down_graph".split(),
+        "sections",
+    ),
+    "to_tile": "exact",
+    "validate_tiling": "exact",
+}
+
+# every public name: the classes and functions above, not the submodules
+__all__ = sorted(
+    [name for name, value in globals().items() if not (name[0] == "_" or isinstance(value, types.ModuleType))]
+    + list(_LAZY)
+)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(importlib.import_module("." + _LAZY[name], __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -8,7 +8,8 @@ import sys
 from collections import namedtuple
 from types import SimpleNamespace
 
-from . import combinat, flipgraph, plabic, tcd, topology, zonotope
+# `sections` and `exact` are imported inside the commands that run them: no certificate compiles them.
+from . import combinat, flipgraph, plabic, topology, zonotope
 from .combinat import DecoratedPermutation, GrassmannNecklace
 from .errors import ArgumentError, PreconditionError, ResourceCapExceeded, ValidationError
 
@@ -79,7 +80,7 @@ def _parse_conn(args) -> DecoratedPermutation:
     text = args.perm[0]
     if args.kind != "T" or text.strip().startswith("{"):
         return parse_permutation(text)
-    return tcd.permutation_for_tcd(*_one_line(text))
+    return combinat.permutation_for_tcd(*_one_line(text))
 
 
 def _load_necklace(text: str) -> GrassmannNecklace:
@@ -94,8 +95,10 @@ def _load_necklace(text: str) -> GrassmannNecklace:
 
 
 def _load_tiling(path: str) -> zonotope.Tiling:
+    from . import exact
+
     with open(path) as fh:
-        return zonotope.tiling_from_json(json.load(fh))
+        return exact.tiling_from_json(json.load(fh))
 
 
 def _load_triangulation(path: str) -> plabic.PlabicTriangulation:
@@ -104,10 +107,12 @@ def _load_triangulation(path: str) -> plabic.PlabicTriangulation:
 
 
 def cmd_tilings(args) -> str:
+    from . import exact
+
     graph = zonotope.enumerate_tilings(zonotope.zonotope_spec(args.n, args.d), vertex_cap=args.cap)
     if args.format == "dot":
         return graph.to_dot("tilings_%d_%d" % (args.n, args.d))
-    data = zonotope.flipgraph_to_json(graph)
+    data = exact.flipgraph_to_json(graph)
     data["rank_range"] = [0, max(graph.ranks)]
     data["single_cycle"] = graph.is_single_cycle()
     return _dump(data)
@@ -147,12 +152,16 @@ def cmd_complex(args) -> str:
 
 
 def cmd_cross_section(args) -> str:
-    return _triangulation_out(args, plabic.cross_section(_load_tiling(args.tiling), args.level))
+    from . import sections
+
+    return _triangulation_out(args, sections.cross_section(_load_tiling(args.tiling), args.level))
 
 
 def _triangulation_out(args, sigma: plabic.PlabicTriangulation) -> str:
     if args.format == "svg":
-        return plabic.triangulation_to_svg(sigma, dual_overlay=args.dual, strands=args.strands)
+        from . import sections
+
+        return sections.triangulation_to_svg(sigma, dual_overlay=args.dual, strands=args.strands)
     return _dump(sigma.to_json())
 
 
@@ -161,31 +170,37 @@ def cmd_updown(args) -> str:
         return _dump(combinat.necklace_shift(_load_necklace(args.necklace), args.dir).to_json())
     if not args.triangulation:
         raise ArgumentError("updown needs --necklace or --triangulation")
-    return _dump(plabic.up_down_graph(_load_triangulation(args.triangulation), args.dir).to_json())
+    from . import sections
+
+    return _dump(sections.up_down_graph(_load_triangulation(args.triangulation), args.dir).to_json())
 
 
 def cmd_realize_move(args) -> str:
+    from . import sections
+
     tiling = _load_tiling(args.tiling)
-    sigma = plabic.cross_section(tiling, args.level)
+    sigma = sections.cross_section(tiling, args.level)
     moves = [m for m in plabic.available_moves(sigma) if m.kind in ("M1", "M3")]
     if args.kind:
         moves = [m for m in moves if m.kind == args.kind]
     if not 0 <= args.move_index < len(moves):
         raise ArgumentError("move index %d out of range (%d trivalent moves)" % (args.move_index, len(moves)))
     move = moves[args.move_index]
-    seq = plabic.realize_trivalent_move(tiling, args.level, move)
+    seq = sections.realize_trivalent_move(tiling, args.level, move)
     ok = _verify_realization(tiling, args.level, move, seq)
     flips = [list(s.elements()) for s in seq]
     return _dump({"schema_version": 1, "level": args.level, "move_kind": move.kind, "flips": flips, "verified": ok})
 
 
 def _verify_realization(tiling, level, move, seq) -> bool:
+    from . import sections
+
     protected = range(level, tiling.spec.n) if move.kind == "M3" else range(1, level + 1)
     cur = tiling
     for i, site in enumerate(seq):
-        before = {l: plabic.cross_section(cur, l) for l in protected if 1 <= l < tiling.spec.n}
+        before = {l: sections.cross_section(cur, l) for l in protected if 1 <= l < tiling.spec.n}
         cur = zonotope.apply_flip(cur, site)
-        after = {l: plabic.cross_section(cur, l) for l in protected if 1 <= l < tiling.spec.n}
+        after = {l: sections.cross_section(cur, l) for l in protected if 1 <= l < tiling.spec.n}
         if i < len(seq) - 1:
             if before != after:
                 return False
@@ -193,18 +208,20 @@ def _verify_realization(tiling, level, move, seq) -> bool:
             for l in before:
                 if l != level and before[l] != after[l]:
                     return False
-    target = plabic.apply_move(plabic.cross_section(tiling, level), move)
-    return plabic.cross_section(cur, level) == target
+    target = plabic.apply_move(sections.cross_section(tiling, level), move)
+    return sections.cross_section(cur, level) == target
 
 
 def cmd_align(args) -> str:
+    from . import sections
+
     ta, tb = _load_tiling(args.tiling_a), _load_tiling(args.tiling_b)
-    seq = plabic.align_tilings(ta, tb, args.level)
-    section = plabic.cross_section(ta, args.level)
+    seq = sections.align_tilings(ta, tb, args.level)
+    section = sections.cross_section(ta, args.level)
     cur, ok = ta, True
     for site in seq:
         cur = zonotope.apply_flip(cur, site)
-        if plabic.cross_section(cur, args.level) != section:
+        if sections.cross_section(cur, args.level) != section:
             ok = False
     ok = ok and cur.key() == tb.key()
     return _dump({"schema_version": 1, "level": args.level, "flips": [list(s.elements()) for s in seq], "verified": ok})

@@ -194,6 +194,16 @@ def cyclic_decorated(n: int, k: int) -> DecoratedPermutation:
     return DecoratedPermutation(n, image, ())
 
 
+def permutation_for_tcd(image, colors: dict[int, str] | None = None) -> DecoratedPermutation:
+    """The connectivity of triple crossing diagrams from a one-line image:
+    a fixed point that `colors` leaves bare is white (undecorated).  A
+    color on a point that is not fixed raises ArgumentError; a black fixed
+    point is kept, and `plabic.build_plabic_complex` rejects it for T."""
+    image = tuple(image)
+    fixed = [i for i in range(1, len(image) + 1) if image[i - 1] == i]
+    return DecoratedPermutation.make(image, dict.fromkeys(fixed, WHITE) | (colors or {}))
+
+
 def necklace_of(p: DecoratedPermutation) -> GrassmannNecklace:
     """The Grassmann necklace corresponding to a decorated permutation.
 

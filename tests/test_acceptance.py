@@ -12,7 +12,7 @@ import pytest
 
 from flipcells import combinat as C
 from flipcells import plabic as P
-from flipcells import tcd
+from flipcells import sections as S
 from flipcells import topology as T
 from flipcells import zonotope as Z
 
@@ -29,7 +29,7 @@ def square_moves_by_level(tiling):
     """Reference route: the square moves of every cross-section, counted
     independently of the flips."""
     return {
-        k: [m for m in P.available_moves(P.cross_section(tiling, k)) if m.kind == "M2"]
+        k: [m for m in P.available_moves(S.cross_section(tiling, k)) if m.kind == "M2"]
         for k in range(1, tiling.spec.n)
     }
 
@@ -82,7 +82,7 @@ def test_05_flip_square_move_bijection():
     for n in (5, 6):
         g = enumerate_graph(n, 3)
         for tiling in g.payloads:
-            pairs = P.flip_move_correspondence(tiling)
+            pairs = S.flip_move_correspondence(tiling)
             by_level = square_moves_by_level(tiling)
             independent = {
                 (level, m.center, m.replacement)
@@ -101,13 +101,13 @@ def test_06_cross_section_round_trips():
     g = enumerate_graph(5, 3)
     for tiling in g.payloads:
         for k in range(1, 5):
-            sigma = P.cross_section(tiling, k)
-            dual = P.dual_graph(sigma)
+            sigma = S.cross_section(tiling, k)
+            dual = S.dual_graph(sigma)
             assert all(dual.degree(v) == 3 for v in range(len(dual.colors)))
-            assert P.is_reduced(dual).ok
-            assert P.strand_permutation(dual) == C.cyclic_decorated(5, k)
-            rebuilt = P.extend_to_tiling(sigma)
-            assert P.cross_section(rebuilt, k) == sigma
+            assert S.is_reduced(dual).ok
+            assert S.strand_permutation(dual) == C.cyclic_decorated(5, k)
+            rebuilt = S.extend_to_tiling(sigma)
+            assert S.cross_section(rebuilt, k) == sigma
     report(6, "every cross-section of every Z(5,3) tiling dualizes to a "
               "trivalent reduced graph with connectivity pi(5,k) and rebuilds exactly")
 
@@ -149,7 +149,7 @@ def test_09_t_complexes_certified():
     count = 0
     for n in range(1, 6):
         for image in itertools.permutations(range(1, n + 1)):
-            cx, _ = P.build_plabic_complex(tcd.permutation_for_tcd(image), "T")
+            cx, _ = P.build_plabic_complex(C.permutation_for_tcd(image), "T")
             cert = T.certificate(cx)
             assert cert["betti1"] == 0 and cert["torsion"] == []
             assert cert["pi1"] == "trivial"
@@ -162,16 +162,16 @@ def _verify_realization(tiling, level, move, seq):
     protected = range(level, n) if move.kind == "M3" else range(1, level + 1)
     cur = tiling
     for i, site in enumerate(seq):
-        before = {l: P.cross_section(cur, l) for l in protected}
+        before = {l: S.cross_section(cur, l) for l in protected}
         cur = Z.apply_flip(cur, site)
-        after = {l: P.cross_section(cur, l) for l in protected}
+        after = {l: S.cross_section(cur, l) for l in protected}
         if i < len(seq) - 1:
             assert before == after
         else:
             for l in protected:
                 if l != level:
                     assert before[l] == after[l]
-    assert P.cross_section(cur, level) == P.apply_move(P.cross_section(tiling, level), move)
+    assert S.cross_section(cur, level) == P.apply_move(S.cross_section(tiling, level), move)
 
 
 def test_10_move_realization_and_alignment():
@@ -179,10 +179,10 @@ def test_10_move_realization_and_alignment():
     n_moves = 0
     for tiling in g53.payloads:
         for level in range(1, 5):
-            for move in P.available_moves(P.cross_section(tiling, level)):
+            for move in P.available_moves(S.cross_section(tiling, level)):
                 if move.kind == "M2":
                     continue
-                seq = P.realize_trivalent_move(tiling, level, move)
+                seq = S.realize_trivalent_move(tiling, level, move)
                 _verify_realization(tiling, level, move, seq)
                 n_moves += 1
 
@@ -194,26 +194,26 @@ def test_10_move_realization_and_alignment():
         level = rng.randrange(1, 6)
         moves = [
             m
-            for m in P.available_moves(P.cross_section(tiling, level))
+            for m in P.available_moves(S.cross_section(tiling, level))
             if m.kind in ("M1", "M3")
         ]
         if not moves:
             continue
         move = moves[rng.randrange(len(moves))]
-        seq = P.realize_trivalent_move(tiling, level, move)
+        seq = S.realize_trivalent_move(tiling, level, move)
         _verify_realization(tiling, level, move, seq)
         samples += 1
 
     n_pairs = 0
     for k in range(1, 5):
         for a, b in itertools.combinations(g53.payloads, 2):
-            if P.cross_section(a, k) != P.cross_section(b, k):
+            if S.cross_section(a, k) != S.cross_section(b, k):
                 continue
-            seq = P.align_tilings(a, b, k)
+            seq = S.align_tilings(a, b, k)
             cur = a
             for site in seq:
                 cur = Z.apply_flip(cur, site)
-                assert P.cross_section(cur, k) == P.cross_section(a, k)
+                assert S.cross_section(cur, k) == S.cross_section(a, k)
             assert cur.key() == b.key()
             n_pairs += 1
     report(10, "move realization verified flip-by-flip on %d Z(5,3) moves and "

@@ -7,7 +7,9 @@ import json
 import pytest
 
 from flipcells import cli
+from flipcells import exact as E
 from flipcells import plabic as P
+from flipcells import sections as S
 from flipcells import zonotope as Z
 from flipcells.combinat import elems_of
 
@@ -105,7 +107,7 @@ class TestCommands:
     def test_cross_section_and_exports(self, capsys, tmp_path):
         tiling = Z.minimal_tiling(Z.zonotope_spec(5, 3))
         tfile = tmp_path / "tiling.json"
-        tfile.write_text(json.dumps(Z.tiling_to_json(tiling)))
+        tfile.write_text(json.dumps(E.tiling_to_json(tiling)))
         code, out = run(capsys, "cross-section", "--tiling", str(tfile), "--level", "2")
         assert code == 0
         sec = json.loads(out)
@@ -123,7 +125,7 @@ class TestCommands:
         g = Z.enumerate_tilings(spec)
         a = g.payloads[0]
         afile = tmp_path / "a.json"
-        afile.write_text(json.dumps(Z.tiling_to_json(a)))
+        afile.write_text(json.dumps(E.tiling_to_json(a)))
         code, out = run(
             capsys, "realize-move", "--tiling", str(afile), "--level", "2", "--move-index", "0"
         )
@@ -144,7 +146,7 @@ class TestCommands:
     @pytest.mark.parametrize("kind, level, flips", [("M1", "2", [[2, 3, 4, 5]]), ("M3", "3", [[1, 2, 3, 4]])])
     def test_realize_move_of_each_kind(self, capsys, tmp_path, kind, level, flips):
         tfile = tmp_path / "tiling.json"
-        tfile.write_text(json.dumps(Z.tiling_to_json(Z.minimal_tiling(Z.zonotope_spec(5, 3)))))
+        tfile.write_text(json.dumps(E.tiling_to_json(Z.minimal_tiling(Z.zonotope_spec(5, 3)))))
         code, out = run(capsys, "realize-move", "--tiling", str(tfile), "--level", level, "--kind", kind)
         assert code == 0
         data = json.loads(out)
@@ -157,12 +159,12 @@ class TestCommands:
         a, b = next(
             (a, b)
             for a, b in itertools.combinations(g.payloads, 2)
-            if P.cross_section(a, 1) == P.cross_section(b, 1)
+            if S.cross_section(a, 1) == S.cross_section(b, 1)
         )
         files = []
         for name, tiling in (("a", a), ("b", b)):
             files.append(tmp_path / (name + ".json"))
-            files[-1].write_text(json.dumps(Z.tiling_to_json(tiling)))
+            files[-1].write_text(json.dumps(E.tiling_to_json(tiling)))
         code, out = run(capsys, "align", "--tiling-a", str(files[0]), "--tiling-b", str(files[1]), "--level", "1")
         assert code == 0
         data = json.loads(out)
@@ -223,7 +225,7 @@ class TestDeterminismAndErrors:
     def test_input_error_exits_2(self, capsys, tmp_path, argv, message):
         if argv[0] == "realize-move":
             tfile = tmp_path / "tiling.json"
-            tfile.write_text(json.dumps(Z.tiling_to_json(Z.minimal_tiling(Z.zonotope_spec(5, 3)))))
+            tfile.write_text(json.dumps(E.tiling_to_json(Z.minimal_tiling(Z.zonotope_spec(5, 3)))))
             argv = [*argv, "--tiling", str(tfile)]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
@@ -376,7 +378,7 @@ class TestFormats:
     def files(self, tmp_path):
         tiling = Z.minimal_tiling(Z.zonotope_spec(5, 3))
         tfile = tmp_path / "tiling.json"
-        tfile.write_text(json.dumps(Z.tiling_to_json(tiling)))
+        tfile.write_text(json.dumps(E.tiling_to_json(tiling)))
         sfile = tmp_path / "sigma.json"
         assert cli.main(["cross-section", "--tiling", str(tfile), "--level", "2", "--out", str(sfile)]) == 0
         gfile = tmp_path / "graph.json"
@@ -463,7 +465,7 @@ class TestFormats:
     )
     def test_bad_sign_strings_are_usage_errors(self, capsys, tmp_path, edit, argv):
         # every sign string of a Z(5, 3) tiling has 5 characters from "+-0"
-        data = Z.tiling_to_json(Z.minimal_tiling(Z.zonotope_spec(5, 3)))
+        data = E.tiling_to_json(Z.minimal_tiling(Z.zonotope_spec(5, 3)))
         data["tiles"] = [edit(s) for s in data["tiles"]]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -547,7 +549,7 @@ class TestHarnessConfig:
     def test_strand_overlay_svg(self, capsys, tmp_path):
         tiling = Z.minimal_tiling(Z.zonotope_spec(5, 3))
         tfile = tmp_path / "t.json"
-        tfile.write_text(json.dumps(Z.tiling_to_json(tiling)))
+        tfile.write_text(json.dumps(E.tiling_to_json(tiling)))
         code, out = run(
             capsys, "--format", "svg", "cross-section", "--tiling", str(tfile),
             "--level", "2", "--dual", "--strands",

@@ -12,7 +12,7 @@ import pytest
 
 from flipcells import combinat as C
 from flipcells import plabic as P
-from flipcells import tcd
+from flipcells import sections as S
 from flipcells import topology as T
 from flipcells import zonotope as Z
 from flipcells.errors import PreconditionError, ResourceCapExceeded, ValidationError
@@ -53,7 +53,7 @@ def _build(name):
         return Z.build_z_complex(Z.enumerate_tilings(Z.zonotope_spec(n, d)))[0]
     if kind in ("X", "Y"):
         return P.build_plabic_complex(C.cyclic_decorated(6, 3), kind)[0]
-    return P.build_plabic_complex(tcd.permutation_for_tcd(int(x) for x in arg.split(",")), "T")[0]
+    return P.build_plabic_complex(C.permutation_for_tcd(int(x) for x in arg.split(",")), "T")[0]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
@@ -78,7 +78,7 @@ def _small_complexes():
             for kind in ("X", "Y"):
                 yield kind, p, P.build_plabic_complex(p, kind)
         for image in itertools.permutations(range(1, n + 1)):
-            p = tcd.permutation_for_tcd(image)
+            p = C.permutation_for_tcd(image)
             yield "T", p, P.build_plabic_complex(p, "T")
 
 
@@ -98,7 +98,7 @@ T6_COMPLEXES_HASH = "298a754b92e552f53ba6d8662f1b32723967f54bf86049c0f119c5c8c52
 def test_pinned_t_complexes_n6():
     digest = hashlib.sha256()
     for image in itertools.permutations(range(1, 7)):
-        cx, cells = P.build_plabic_complex(tcd.permutation_for_tcd(image), "T")
+        cx, cells = P.build_plabic_complex(C.permutation_for_tcd(image), "T")
         row = [[name for name, _ in cells], cx.canonical_hash()]
         digest.update(json.dumps(row).encode() + b"\n")
     assert digest.hexdigest() == T6_COMPLEXES_HASH
@@ -114,7 +114,7 @@ def _x52():
 
 def _t34512():
     # T builds no flip graph of its own: this is the reference route's
-    return enumerate_tcd(tcd.permutation_for_tcd((3, 4, 5, 1, 2)))
+    return enumerate_tcd(C.permutation_for_tcd((3, 4, 5, 1, 2)))
 
 
 def _rescanned_moves(graph):
@@ -216,7 +216,7 @@ class TestCallCounts:
         # T is read off X's flip graph, which scans each X vertex once
         spy = _Spy(monkeypatch)
         for image in ((3, 4, 5, 1, 2), (2, 3, 4, 5, 6, 1), (4, 5, 6, 1, 2, 3)):
-            p = tcd.permutation_for_tcd(image)
+            p = C.permutation_for_tcd(image)
             g = P.enumerate_plabic(p)
             spy.calls["available_moves"] = 0
             P.build_plabic_complex(p, "T")
@@ -310,7 +310,7 @@ def _perturbed_sections():
                 i = rng.randrange(len(plus))
                 plus[i] ^= 1 << rng.choice([b for b in range(n) if not spec.dsubsets[i] >> b & 1])
             tiling = Z.Tiling(spec, tuple(plus))
-            yield from (P.cross_section(tiling, k) for k in range(1, n))
+            yield from (S.cross_section(tiling, k) for k in range(1, n))
 
 
 def _site_memo_cases():
@@ -326,7 +326,7 @@ def _site_memo_cases():
     yield list(_perturbed_sections()), x_scan, reference_moves
     for n in range(1, 6):
         for image in itertools.permutations(range(1, n + 1)):
-            graph = enumerate_tcd(tcd.permutation_for_tcd(image))
+            graph = enumerate_tcd(C.permutation_for_tcd(image))
             yield graph.payloads, t_scan, reference_tcd_moves
 
 
@@ -521,7 +521,7 @@ def test_plabic_payloads_and_squares_match_the_reference():
 
 def test_t_and_z_squares_match_the_reference():
     graphs = [
-        (enumerate_tcd(tcd.permutation_for_tcd(image)), disjoint_support)
+        (enumerate_tcd(C.permutation_for_tcd(image)), disjoint_support)
         for n in range(1, 6)
         for image in itertools.permutations(range(1, n + 1))
     ]

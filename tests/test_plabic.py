@@ -8,7 +8,9 @@ import random
 import pytest
 
 from flipcells import combinat as C
+from flipcells import exact as E
 from flipcells import plabic as P
+from flipcells import sections as S
 from flipcells import topology as T
 from flipcells import zonotope as Z
 from flipcells.errors import ArgumentError, MalformedGraphError, PreconditionError, ValidationError
@@ -22,7 +24,7 @@ def square_moves_by_level(tiling):
     """Reference route: the square moves of every cross-section, counted
     independently of the flips."""
     return {
-        k: [m for m in P.available_moves(P.cross_section(tiling, k)) if m.kind == "M2"]
+        k: [m for m in P.available_moves(S.cross_section(tiling, k)) if m.kind == "M2"]
         for k in range(1, tiling.spec.n)
     }
 
@@ -44,7 +46,7 @@ def revcolex_seed(p):
         if all(C.is_weakly_separated_mask(cand, m) for m in have):
             have.add(cand)
     forced = {(min(a, b), max(a, b)) for a, b in zip(walk, walk[1:] + walk[:1]) if a != b}
-    return P.restrict_to_walk(P._tile_labels(n, k, sorted(have), P.cyclic_walk(n, k), forced), walk)
+    return S.restrict_to_walk(P._tile_labels(n, k, sorted(have), P.cyclic_walk(n, k), forced), walk)
 
 
 def reference_seed(p):
@@ -67,7 +69,7 @@ def reference_seed(p):
     for a, b in itertools.combinations(kept, 2):
         assert C.is_weakly_separated_mask(a, b)
     sigma = P._tile_labels(n, k, sorted(kept), walk)
-    assert P.strand_permutation(P.dual_graph(sigma)) == p
+    assert S.strand_permutation(S.dual_graph(sigma)) == p
     return sigma
 
 
@@ -94,7 +96,7 @@ class TestCrossSection:
         spec = Z.zonotope_spec(4, 3)
         for t in (Z.minimal_tiling(spec),
                   Z.apply_flip(Z.minimal_tiling(spec), Z.available_flips(Z.minimal_tiling(spec))[0])):
-            s = P.cross_section(t, 2)
+            s = S.cross_section(t, 2)
             assert [sorted(elems_of(m)) for m in s.boundary] == [[1, 2], [2, 3], [3, 4], [1, 4]]
             inner = s.interior_labels()
             assert len(inner) == 1
@@ -105,7 +107,7 @@ class TestCrossSection:
 
     def test_level1_all_white_fan(self):
         spec = Z.zonotope_spec(5, 3)
-        s = P.cross_section(Z.minimal_tiling(spec), 1)
+        s = S.cross_section(Z.minimal_tiling(spec), 1)
         assert all(P.triangle_color(t) == WHITE for t in s.triangles)
         assert all(bin(l).count("1") == 1 for l in s.labels())
         assert len(s.triangles) == 3
@@ -113,13 +115,13 @@ class TestCrossSection:
     def test_z53_level2_connectivity(self):
         spec = Z.zonotope_spec(5, 3)
         for t in Z.enumerate_tilings(spec).payloads:
-            g = P.dual_graph(P.cross_section(t, 2))
-            assert P.strand_permutation(g) == C.cyclic_decorated(5, 2)
+            g = S.dual_graph(S.cross_section(t, 2))
+            assert S.strand_permutation(g) == C.cyclic_decorated(5, 2)
 
     def test_bad_level(self):
         spec = Z.zonotope_spec(5, 3)
         with pytest.raises(ArgumentError):
-            P.cross_section(Z.minimal_tiling(spec), 5)
+            S.cross_section(Z.minimal_tiling(spec), 5)
 
 
 class TestPositions:
@@ -144,15 +146,15 @@ class TestPositions:
 class TestDualAndStrands:
     def test_square_graph(self):
         s = P.seed_triangulation(C.cyclic_decorated(4, 2))
-        g = P.dual_graph(s)
-        assert P.strand_permutation(g).image == (3, 4, 1, 2)
-        assert P.is_reduced(g).ok
+        g = S.dual_graph(s)
+        assert S.strand_permutation(g).image == (3, 4, 1, 2)
+        assert S.is_reduced(g).ok
         internal_deg = [g.degree(v) for v in range(len(g.colors))]
         assert internal_deg == [3, 3, 3, 3]
 
     def test_pentagon_fan_dual_is_tree(self):
         s = P.seed_triangulation(C.cyclic_decorated(5, 1))
-        g = P.dual_graph(s)
+        g = S.dual_graph(s)
         assert all(c == WHITE for c in g.colors)
         assert len(g.colors) == 3
         assert all(g.degree(v) == 3 for v in range(3))
@@ -160,13 +162,13 @@ class TestDualAndStrands:
         assert n_internal_edges == 2  # a path on three vertices
 
     def test_single_black_lollipop(self):
-        g = P.PlabicGraph(
+        g = S.PlabicGraph(
             1, (BLACK,), (((("v", 0)), ("b", 1)),), (((0, 0),),)
         )
-        p = P.strand_permutation(g)
+        p = S.strand_permutation(g)
         assert p.image == (1,)
         assert p.color_of(1) == BLACK
-        assert P.is_reduced(g).ok
+        assert S.is_reduced(g).ok
 
     def test_hanging_edge_necklace(self):
         nk = C.GrassmannNecklace.make(5, [[1, 3, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 3, 5]])
@@ -174,35 +176,35 @@ class TestDualAndStrands:
         s = P.seed_triangulation(p)
         assert len(s.triangles) == 1
         assert P.triangle_color(s.triangles[0]) == BLACK
-        g = P.dual_graph(s)
+        g = S.dual_graph(s)
         assert (("b", 1), ("b", 2)) in g.edges
-        assert P.strand_permutation(g) == p
-        assert P.is_reduced(g).ok
+        assert S.strand_permutation(g) == p
+        assert S.is_reduced(g).ok
 
     def test_doubled_edge_not_reduced(self):
         u, v = ("v", 0), ("v", 1)
         edges = ((u, v), (u, v), (u, ("b", 1)), (v, ("b", 2)))
         rotations = (((1, 0), (0, 0), (2, 0)), ((3, 0), (0, 1), (1, 1)))
-        g = P.PlabicGraph(2, (WHITE, BLACK), edges, rotations)
-        rep = P.is_reduced(g)
+        g = S.PlabicGraph(2, (WHITE, BLACK), edges, rotations)
+        rep = S.is_reduced(g)
         assert not rep.ok
 
     def test_all_isolated_identity_reduced(self):
         p = C.cyclic_decorated(4, 0)
-        g = P.dual_graph(P.seed_triangulation(p))
-        assert P.is_reduced(g).ok
-        assert P.strand_permutation(g) == p
+        g = S.dual_graph(P.seed_triangulation(p))
+        assert S.is_reduced(g).ok
+        assert S.strand_permutation(g) == p
 
     def test_boundary_edge_needs_exactly_one_edge(self):
         u = ("v", 0)
         # b_2 has no edge, b_1 has two
-        g = P.PlabicGraph(2, (WHITE,), ((u, ("b", 1)), (u, ("b", 1))), (((0, 0), (1, 0)),))
+        g = S.PlabicGraph(2, (WHITE,), ((u, ("b", 1)), (u, ("b", 1))), (((0, 0), (1, 0)),))
         for i in (1, 2):
             with pytest.raises(MalformedGraphError):
                 g.boundary_edge(i)
         with pytest.raises(MalformedGraphError):
-            P.strand_permutation(g)
-        g = P.PlabicGraph(2, (WHITE,), ((u, ("b", 1)), (("b", 2), u)), (((0, 0), (1, 1)),))
+            S.strand_permutation(g)
+        g = S.PlabicGraph(2, (WHITE,), ((u, ("b", 1)), (("b", 2), u)), (((0, 0), (1, 1)),))
         assert (g.boundary_edge(1), g.boundary_edge(2)) == (0, 1)
 
     def test_ccw_sides_turn_counterclockwise(self):
@@ -219,7 +221,7 @@ class TestDualAndStrands:
                     yield from P.enumerate_plabic(p).payloads
             for tiling in Z.enumerate_tilings(Z.zonotope_spec(6, 3)).payloads:
                 for k in range(1, 6):
-                    yield P.cross_section(tiling, k)
+                    yield S.cross_section(tiling, k)
 
         tris = {t for sigma in triangulations() for t in sigma.triangles}
         for t in tris:
@@ -272,9 +274,9 @@ class TestMoves:
         # every graph reached by moves is reduced with the seed's strands
         for p in (C.cyclic_decorated(5, 2), C.cyclic_decorated(5, 1)):
             for sigma in P.enumerate_plabic(p).payloads:
-                g = P.dual_graph(sigma)
-                assert P.is_reduced(g).ok
-                assert P.strand_permutation(g) == p
+                g = S.dual_graph(sigma)
+                assert S.is_reduced(g).ok
+                assert S.strand_permutation(g) == p
 
 
 class TestEnumeration:
@@ -359,13 +361,13 @@ class TestTripWalk:
         for n in range(1, 6):
             for p in C.all_decorated_permutations(n):
                 for sigma in P.enumerate_plabic(p).payloads:
-                    assert P.trip_permutation(sigma) == P.strand_permutation(P.dual_graph(sigma))
+                    assert P.trip_permutation(sigma) == S.strand_permutation(S.dual_graph(sigma))
 
     def test_equals_dual_walk_on_z53_sections(self):
         for tiling in Z.enumerate_tilings(Z.zonotope_spec(5, 3)).payloads:
             for k in range(1, 5):
-                sigma = P.cross_section(tiling, k)
-                assert P.trip_permutation(sigma) == P.strand_permutation(P.dual_graph(sigma))
+                sigma = S.cross_section(tiling, k)
+                assert P.trip_permutation(sigma) == S.strand_permutation(S.dual_graph(sigma))
 
     @pytest.mark.parametrize(
         "case, message",
@@ -393,7 +395,7 @@ class TestTripWalk:
         with pytest.raises(ValidationError, match=message) as walk_exc:
             P.trip_permutation(sigma)
         with pytest.raises(ValidationError, match=message) as dual_exc:
-            P.dual_graph(sigma)
+            S.dual_graph(sigma)
         assert str(walk_exc.value) == str(dual_exc.value)
 
     def test_direct_edge_onto_a_leg_raises(self):
@@ -403,7 +405,7 @@ class TestTripWalk:
         with pytest.raises(MalformedGraphError, match="b_1 must have exactly one edge"):
             P.trip_permutation(sigma)
         with pytest.raises(MalformedGraphError, match="b_1 must have exactly one edge"):
-            P.strand_permutation(P.dual_graph(sigma))
+            S.strand_permutation(S.dual_graph(sigma))
 
     def test_memoized_color_raises_again(self):
         # {1,2}, {3,4}, {5,6} share no element and span six: neither color
@@ -451,44 +453,44 @@ class TestFromLabels:
         # 13 and 24 cross; every other pair is weakly separated
         coll = C.LabelCollection.make(4, 2, [[1, 2], [2, 3], [3, 4], [1, 4], [1, 3], [2, 4]])
         with pytest.raises(ValidationError, match=r"\(1, 3\) and \(2, 4\) are not weakly separated"):
-            P.triangulation_from_labels(coll, C.necklace_of(C.cyclic_decorated(4, 2)))
+            S.triangulation_from_labels(coll, C.necklace_of(C.cyclic_decorated(4, 2)))
 
     def test_center13(self):
         coll = C.LabelCollection.make(4, 2, [[1, 2], [2, 3], [3, 4], [1, 4], [1, 3]])
-        s = P.triangulation_from_labels(coll, C.necklace_of(C.cyclic_decorated(4, 2)))
+        s = S.triangulation_from_labels(coll, C.necklace_of(C.cyclic_decorated(4, 2)))
         assert s.interior_labels() == {mask_of([1, 3])}
         assert len(s.triangles) == 4
 
     def test_pentagon_fan(self):
         coll = C.LabelCollection.make(5, 1, [[1], [2], [3], [4], [5]])
-        s = P.triangulation_from_labels(coll, C.necklace_of(C.cyclic_decorated(5, 1)))
+        s = S.triangulation_from_labels(coll, C.necklace_of(C.cyclic_decorated(5, 1)))
         assert len(s.triangles) == 3
         assert all(mask_of([1]) in t for t in s.triangles)  # fan from colex-min
 
     def test_single_triangle(self):
         coll = C.LabelCollection.make(3, 1, [[1], [2], [3]])
-        s = P.triangulation_from_labels(coll, C.necklace_of(C.cyclic_decorated(3, 1)))
+        s = S.triangulation_from_labels(coll, C.necklace_of(C.cyclic_decorated(3, 1)))
         assert len(s.triangles) == 1
 
 
 class TestLayers:
     def test_fan_up_has_connectivity_52(self):
         s1 = P.seed_triangulation(C.cyclic_decorated(5, 1))
-        s2 = P.layer_step(s1, "up")
+        s2 = S.layer_step(s1, "up")
         blacks = [t for t in s2.triangles if P.triangle_color(t) == BLACK]
         assert len(blacks) == len(s1.triangles)
-        assert P.strand_permutation(P.dual_graph(s2)) == C.cyclic_decorated(5, 2)
+        assert S.strand_permutation(S.dual_graph(s2)) == C.cyclic_decorated(5, 2)
 
     def test_down_from_square(self):
         s2 = P.seed_triangulation(C.cyclic_decorated(4, 2))
-        s1 = P.layer_step(s2, "down")
+        s1 = S.layer_step(s2, "down")
         assert all(bin(l).count("1") == 1 for l in s1.labels())
-        assert P.strand_permutation(P.dual_graph(s1)) == C.cyclic_decorated(4, 1)
+        assert S.strand_permutation(S.dual_graph(s1)) == C.cyclic_decorated(4, 1)
 
     def test_up_down_fixes_black_determined_part(self):
         s1 = P.seed_triangulation(C.cyclic_decorated(5, 1))
-        s2 = P.layer_step(s1, "up")
-        s1back = P.layer_step(s2, "down")
+        s2 = S.layer_step(s1, "up")
+        s1back = S.layer_step(s2, "down")
         white_from = {t for t in s1back.triangles if P.triangle_color(t) == WHITE}
         white_orig = {t for t in s1.triangles if P.triangle_color(t) == WHITE}
         # level 1 is all white, so here the backward step is exact
@@ -497,47 +499,47 @@ class TestLayers:
     def test_level_bounds(self):
         s1 = P.seed_triangulation(C.cyclic_decorated(5, 1))
         with pytest.raises(ArgumentError):
-            P.layer_step(s1, "down")
+            S.layer_step(s1, "down")
 
 
 class TestExtendToTiling:
     def test_square_section_roundtrip(self):
         s = P.seed_triangulation(C.cyclic_decorated(4, 2))
-        t = P.extend_to_tiling(s)
-        assert P.cross_section(t, 2) == s
-        assert Z.validate_tiling(t.spec, t).ok
+        t = S.extend_to_tiling(s)
+        assert S.cross_section(t, 2) == s
+        assert E.validate_tiling(t.spec, t).ok
 
     def test_all_z53_sections_roundtrip(self):
         g = Z.enumerate_tilings(Z.zonotope_spec(5, 3))
         for tiling in g.payloads[:4]:
             for k in range(1, 5):
-                s = P.cross_section(tiling, k)
-                assert P.cross_section(P.extend_to_tiling(s), k) == s
+                s = S.cross_section(tiling, k)
+                assert S.cross_section(S.extend_to_tiling(s), k) == s
 
     def test_triangle_gives_single_tile(self):
         s = P.seed_triangulation(C.cyclic_decorated(3, 1))
-        t = P.extend_to_tiling(s)
+        t = S.extend_to_tiling(s)
         assert t.sign_strings() == ["000"]
 
 
 class TestUpDownGraph:
     def test_up_of_square(self):
         s = P.seed_triangulation(C.cyclic_decorated(4, 2))
-        up = P.up_down_graph(s, "up")
+        up = S.up_down_graph(s, "up")
         assert up.necklace() == C.necklace_of(C.cyclic_decorated(4, 3))
-        assert P.strand_permutation(P.dual_graph(up)) == C.cyclic_decorated(4, 3)
+        assert S.strand_permutation(S.dual_graph(up)) == C.cyclic_decorated(4, 3)
 
     def test_down_of_pentagon_fan_rejected(self):
         s = P.seed_triangulation(C.cyclic_decorated(5, 1))
         with pytest.raises(PreconditionError):
-            P.up_down_graph(s, "down")
+            S.up_down_graph(s, "down")
 
     def test_up_down_nested_boundary(self):
         p = C.DecoratedPermutation.make((2, 1, 5, 3, 4))
         s = P.seed_triangulation(p)
         nk = s.necklace()
-        down = P.up_down_graph(s, "down")
-        back = P.up_down_graph(down, "up")
+        down = S.up_down_graph(s, "down")
+        back = S.up_down_graph(down, "up")
         # UP(DOWN(I)) entries are entries of I: the shifted curve is nested
         assert set(back.necklace().sets) <= set(nk.sets)
 
@@ -571,16 +573,16 @@ class TestLayerPins:
                     continue
                 for s in P.enumerate_plabic(p).payloads:
                     for direction in ("up", "down"):
-                        digest.update(outcome_line(P.up_down_graph, s, direction))
+                        digest.update(outcome_line(S.up_down_graph, s, direction))
                         calls += 1
-                    digest.update(outcome_line(P.embed_in_cyclic, s))
+                    digest.update(outcome_line(S.embed_in_cyclic, s))
         for n in range(4, 7):
             for tiling in Z.enumerate_tilings(Z.zonotope_spec(n, 3)).payloads:
                 for k in range(1, n):
-                    s = P.cross_section(tiling, k)
+                    s = S.cross_section(tiling, k)
                     for direction in ("up", "down"):
-                        digest.update(outcome_line(P.layer_step, s, direction))
-                    digest.update(outcome_line(lambda s: P.extend_to_tiling(s).key(), s))
+                        digest.update(outcome_line(S.layer_step, s, direction))
+                    digest.update(outcome_line(lambda s: S.extend_to_tiling(s).key(), s))
                     sections += 1
         assert (calls, sections) == (980, 786)
         assert digest.hexdigest() == "ff8d63a4c22148a77f4a106d3f9b38c3b0906aac4ae67770344fb56b9268db6e"
@@ -589,12 +591,12 @@ class TestLayerPins:
 class TestEmbed:
     def test_cyclic_is_identity(self):
         s = P.seed_triangulation(C.cyclic_decorated(4, 2))
-        assert P.embed_in_cyclic(s) == s
+        assert S.embed_in_cyclic(s) == s
 
     def test_hanging_edge_embeds(self):
         nk = C.GrassmannNecklace.make(5, [[1, 3, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 3, 5]])
         s = P.seed_triangulation(C.decorated_of(nk))
-        full = P.embed_in_cyclic(s)
+        full = S.embed_in_cyclic(s)
         assert set(s.triangles) <= set(full.triangles)
         assert {mask_of(x) for x in nk.sets} <= set(full.labels())
         assert full.boundary == P.cyclic_walk(5, 3)
@@ -603,14 +605,14 @@ class TestEmbed:
 class TestFlipMoveCorrespondence:
     def test_z43(self):
         t = Z.minimal_tiling(Z.zonotope_spec(4, 3))
-        pairs = P.flip_move_correspondence(t)
+        pairs = S.flip_move_correspondence(t)
         assert len(pairs) == 1
         assert pairs[0][1] == 2
 
     def test_z53_counts_and_roundtrip(self):
         g = Z.enumerate_tilings(Z.zonotope_spec(5, 3))
         for t in g.payloads:
-            pairs = P.flip_move_correspondence(t)
+            pairs = S.flip_move_correspondence(t)
             assert len(pairs) == 2
             by_level = square_moves_by_level(t)
             assert len(pairs) == sum(len(v) for v in by_level.values())
@@ -628,8 +630,8 @@ class TestFlipMoveCorrespondence:
                 p_sz = bin(site.prefix).count("1")
                 t2 = Z.apply_flip(t, site)
                 for level in range(1, 6):
-                    before = P.cross_section(t, level)
-                    after = P.cross_section(t2, level)
+                    before = S.cross_section(t, level)
+                    after = S.cross_section(t2, level)
                     if level in (p_sz + 1, p_sz + 2, p_sz + 3):
                         kind = {p_sz + 1: "M1", p_sz + 2: "M2", p_sz + 3: "M3"}[level]
                         hits = [
@@ -646,27 +648,27 @@ class TestRealizeAndAlign:
     def test_z43_black_move_single_flip(self):
         spec = Z.zonotope_spec(4, 3)
         t = Z.minimal_tiling(spec)
-        s3 = P.cross_section(t, 3)
+        s3 = S.cross_section(t, 3)
         mv = [m for m in P.available_moves(s3) if m.kind == "M3"]
         assert len(mv) == 1
-        seq = P.realize_trivalent_move(t, 3, mv[0])
+        seq = S.realize_trivalent_move(t, 3, mv[0])
         assert len(seq) == 1
 
     def test_align_equal_tilings_empty(self):
         t = Z.minimal_tiling(Z.zonotope_spec(5, 3))
-        assert P.align_tilings(t, t, 2) == []
+        assert S.align_tilings(t, t, 2) == []
 
     def test_align_neighbors_sharing_section(self):
         g = Z.enumerate_tilings(Z.zonotope_spec(5, 3))
         found = 0
         for a, b in itertools.combinations(g.payloads, 2):
-            if P.cross_section(a, 1) != P.cross_section(b, 1):
+            if S.cross_section(a, 1) != S.cross_section(b, 1):
                 continue
-            seq = P.align_tilings(a, b, 1)
+            seq = S.align_tilings(a, b, 1)
             cur = a
             for site in seq:
                 cur = Z.apply_flip(cur, site)
-                assert P.cross_section(cur, 1) == P.cross_section(a, 1)
+                assert S.cross_section(cur, 1) == S.cross_section(a, 1)
             assert cur.key() == b.key()
             found += 1
         assert found > 0
@@ -674,9 +676,9 @@ class TestRealizeAndAlign:
     def test_mismatched_sections_rejected(self):
         g = Z.enumerate_tilings(Z.zonotope_spec(5, 3))
         a, b = g.payloads[0], g.payloads[1]
-        levels = [k for k in range(1, 5) if P.cross_section(a, k) != P.cross_section(b, k)]
+        levels = [k for k in range(1, 5) if S.cross_section(a, k) != S.cross_section(b, k)]
         with pytest.raises(PreconditionError):
-            P.align_tilings(a, b, levels[0])
+            S.align_tilings(a, b, levels[0])
 
 
 class TestComplexes:
@@ -721,7 +723,7 @@ class TestExports:
 
     def test_svg_smoke(self):
         s = P.seed_triangulation(C.cyclic_decorated(5, 2))
-        svg = P.triangulation_to_svg(s, dual_overlay=True)
+        svg = S.triangulation_to_svg(s, dual_overlay=True)
         assert svg.startswith("<svg") and svg.endswith("</svg>")
         assert "polygon" in svg
 
@@ -735,16 +737,16 @@ class TestExports:
                     yield from P.enumerate_plabic(p).payloads
             for tiling in Z.enumerate_tilings(Z.zonotope_spec(5, 3)).payloads:
                 for k in range(1, 5):
-                    yield P.cross_section(tiling, k)
+                    yield S.cross_section(tiling, k)
 
         digest = hashlib.sha256()
         count = 0
         for sigma in triangulations():
-            g = P.dual_graph(sigma)
+            g = S.dual_graph(sigma)
             starts = [rot.index(min(rot)) for rot in g.rotations]
             rotations = [rot[i:] + rot[:i] for rot, i in zip(g.rotations, starts)]
             digest.update(json.dumps([g.edges, g.colors, rotations], separators=(",", ":")).encode() + b"\n")
-            digest.update(P.triangulation_to_svg(sigma, dual_overlay=True, strands=True).encode() + b"\n")
+            digest.update(S.triangulation_to_svg(sigma, dual_overlay=True, strands=True).encode() + b"\n")
             count += 1
         assert count == 543
         assert digest.hexdigest() == "8cd535d6449997eafe548bcb5fc5fd53f55c130b39e8fac42d31c800aa771f6a"
@@ -758,7 +760,7 @@ class TestCrossValidation:
         # fine tiling of Z(n,3)
         g = Z.enumerate_tilings(Z.zonotope_spec(n, 3))
         for k in range(1, n):
-            sections = {P.cross_section(t, k).key() for t in g.payloads}
+            sections = {S.cross_section(t, k).key() for t in g.payloads}
             fg = P.enumerate_plabic(C.cyclic_decorated(n, k))
             assert sections == set(fg.vertices)
 

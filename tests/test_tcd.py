@@ -10,7 +10,7 @@ import pytest
 
 from flipcells import combinat as C
 from flipcells import plabic as P
-from flipcells import tcd
+from flipcells import sections as S
 from flipcells import topology as T
 from flipcells.errors import ValidationError
 from flipcells.flipgraph import DEFAULT_VERTEX_CAP, bfs_closure, commuting_squares, sorted_cells
@@ -218,25 +218,25 @@ def representative(state):
 
 class TestAsTcd:
     def test_square_graph_valid(self):
-        g = P.dual_graph(P.seed_triangulation(C.cyclic_decorated(4, 2)))
-        d = tcd.as_tcd(g)
+        g = S.dual_graph(P.seed_triangulation(C.cyclic_decorated(4, 2)))
+        d = S.as_tcd(g)
         assert d.connectivity.image == (3, 4, 1, 2)
 
     def test_black_black_edge_rejected(self):
         u, v = ("v", 0), ("v", 1)
         edges = ((u, v), (u, ("b", 1)), (u, ("b", 2)), (v, ("b", 3)), (v, ("b", 4)))
         rotations = (((1, 0), (0, 0), (2, 0)), ((3, 0), (0, 1), (4, 0)))
-        g = P.PlabicGraph(4, (BLACK, BLACK), edges, rotations)
+        g = S.PlabicGraph(4, (BLACK, BLACK), edges, rotations)
         with pytest.raises(ValidationError, match="black-black"):
-            tcd.as_tcd(g)
+            S.as_tcd(g)
 
     def test_white_degree_rejected(self):
         # a 4-valent white vertex with four boundary legs
         edges = tuple((("v", 0), ("b", i)) for i in range(1, 5))
         rotations = (((0, 0), (1, 0), (2, 0), (3, 0)),)
-        g = P.PlabicGraph(4, (WHITE,), edges, rotations)
+        g = S.PlabicGraph(4, (WHITE,), edges, rotations)
         with pytest.raises(ValidationError, match="white vertex degree"):
-            tcd.as_tcd(g)
+            S.as_tcd(g)
 
 
 class TestNeighbors:
@@ -270,7 +270,7 @@ class TestNeighbors:
         # which fans every black clique
         for n in range(1, 7):
             for image in itertools.permutations(range(1, n + 1)):
-                for state in enumerate_tcd(tcd.permutation_for_tcd(image)).payloads:
+                for state in enumerate_tcd(C.permutation_for_tcd(image)).payloads:
                     want = [m for m in P.available_moves(representative(state)) if m.kind == "M1"]
                     got = [m for m, _ in tcd_neighbors(state) if m.kind == "M1"]
                     assert got == want
@@ -285,38 +285,38 @@ class TestNormalization:
     def test_representative_is_reduced_with_right_strands(self):
         p = C.cyclic_decorated(6, 3)
         for state in enumerate_tcd(p).payloads[:6]:
-            g = P.dual_graph(representative(state))
-            assert P.is_reduced(g).ok
-            assert P.strand_permutation(g) == p
+            g = S.dual_graph(representative(state))
+            assert S.is_reduced(g).ok
+            assert S.strand_permutation(g) == p
 
 
 class TestComplex:
     def test_pentagon(self):
-        cx, cells = P.build_plabic_complex(tcd.permutation_for_tcd((2, 3, 4, 5, 1)), "T")
+        cx, cells = P.build_plabic_complex(C.permutation_for_tcd((2, 3, 4, 5, 1)), "T")
         assert cx.nv == 5
         assert [n for n, _ in cells] == ["pentagon_white"]
         assert T.h1(cx) == (0, [])
 
     def test_decagon(self):
-        cx, cells = P.build_plabic_complex(tcd.permutation_for_tcd((3, 4, 5, 1, 2)), "T")
+        cx, cells = P.build_plabic_complex(C.permutation_for_tcd((3, 4, 5, 1, 2)), "T")
         assert [n for n, _ in cells] == ["decagon"]
         assert T.h1(cx) == (0, [])
         assert T.certify_trivial(T.pi1_presentation(cx)) == "trivial"
 
     def test_pi53_square_pentagon(self):
-        cx, cells = P.build_plabic_complex(tcd.permutation_for_tcd((4, 5, 1, 2, 3)), "T")
+        cx, cells = P.build_plabic_complex(C.permutation_for_tcd((4, 5, 1, 2, 3)), "T")
         assert cx.nv == 5
         assert [n for n, _ in cells] == ["pentagon_square"]
         assert T.h1(cx) == (0, [])
 
     def test_cyclic_shift_n6_certifies_trivial(self):
         # the direct route glued no quads here and left betti1 2
-        cx, _ = P.build_plabic_complex(tcd.permutation_for_tcd((2, 3, 4, 5, 6, 1)), "T")
+        cx, _ = P.build_plabic_complex(C.permutation_for_tcd((2, 3, 4, 5, 6, 1)), "T")
         cert = T.certificate(cx)
         assert (cert["betti1"], cert["torsion"], cert["pi1"]) == (0, [], "trivial")
 
     def test_identity_single_vertex(self):
-        cx, _ = P.build_plabic_complex(tcd.permutation_for_tcd((1, 2, 3)), "T")
+        cx, _ = P.build_plabic_complex(C.permutation_for_tcd((1, 2, 3)), "T")
         assert (cx.nv, len(cx.edges), len(cx.cells)) == (1, 0, 0)
 
     def test_black_fixed_points_rejected(self):
@@ -330,7 +330,7 @@ class TestComplex:
         # a DecoratedPermutation was validated when it was made, so the
         # build makes none; a one-line image is read by permutation_for_tcd
         p = C.DecoratedPermutation.make((1, 3, 4, 5, 6, 2), {1: WHITE})
-        want = P.build_plabic_complex(tcd.permutation_for_tcd((1, 3, 4, 5, 6, 2)), "T")
+        want = P.build_plabic_complex(C.permutation_for_tcd((1, 3, 4, 5, 6, 2)), "T")
         made = []
         make = C.DecoratedPermutation.make
         monkeypatch.setattr(C.DecoratedPermutation, "make", lambda *a: made.append(a) or make(*a))
@@ -359,9 +359,9 @@ def lift_t_edge(s1, move, s2):
         rest = tuple(m for m in members if m != v)
         target = {ear}
         target.update(P._fan_triangles(rest) if len(rest) >= 3 else [])
-        current = {t for t in cur.triangles if P.triangle_color(t) == BLACK and P._tri_or(t) == u}
+        current = {t for t in cur.triangles if P.triangle_color(t) == BLACK and S._tri_or(t) == u}
         verts = members
-        for mv in P._poly_flip_path(verts, current, target):
+        for mv in S._poly_flip_path(verts, current, target):
             cur = P.apply_move(cur, mv)
             path.append(cur)
     # the square move itself
@@ -380,9 +380,9 @@ def _path_to_representative(cur, rep):
     out = []
     state = normalize(rep)
     for u, members in sorted(state.black_cliques().items()):
-        current = {t for t in cur.triangles if P.triangle_color(t) == BLACK and P._tri_or(t) == u}
-        target = {t for t in rep.triangles if P.triangle_color(t) == BLACK and P._tri_or(t) == u}
-        for mv in P._poly_flip_path(members, current, target):
+        current = {t for t in cur.triangles if P.triangle_color(t) == BLACK and S._tri_or(t) == u}
+        target = {t for t in rep.triangles if P.triangle_color(t) == BLACK and S._tri_or(t) == u}
+        for mv in S._poly_flip_path(members, current, target):
             cur = P.apply_move(cur, mv)
             out.append(cur)
     assert cur == rep
@@ -410,7 +410,7 @@ class TestPhiFunctoriality:
     def test_cells_lift_to_contractible_loops(self, image):
         # T's cells run over classes of X vertices; each class is reached on
         # the reference route as the diagram its X vertices contract to
-        p = tcd.permutation_for_tcd(image)
+        p = C.permutation_for_tcd(image)
         tg = enumerate_tcd(p)
         xg, _, cells, cls = t_quotient(p)
         state_of = states_of_classes(xg, cls)
@@ -437,7 +437,7 @@ class TestQuotientAgainstReference:
     def test_n5_edges_and_cells_match_under_the_diagram_bijection(self):
         for n in range(1, 6):
             for image in itertools.permutations(range(1, n + 1)):
-                p = tcd.permutation_for_tcd(image)
+                p = C.permutation_for_tcd(image)
                 xg, cx, cells, cls = t_quotient(p)
                 tg = enumerate_tcd(p)
                 key = {c: s.key() for c, s in states_of_classes(xg, cls).items()}
@@ -451,7 +451,7 @@ class TestQuotientAgainstReference:
 
     def test_n6_diagrams_and_edge_counts_match_and_every_complex_certifies(self):
         for image in itertools.permutations(range(1, 7)):
-            p = tcd.permutation_for_tcd(image)
+            p = C.permutation_for_tcd(image)
             xg, cx, _, cls = t_quotient(p)
             tg = enumerate_tcd(p)
             assert sorted(s.key() for s in states_of_classes(xg, cls).values()) == tg.vertices

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from flipcells import combinat as C
 from flipcells import plabic as P
-from flipcells import tcd
 from flipcells import topology as T
 from flipcells import zonotope as Z
 from flipcells.errors import PreconditionError, ValidationError
@@ -357,7 +356,7 @@ class TestH1Routes:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_tcd(self, n):
         for image in itertools.permutations(range(1, n + 1)):
-            assert_h1_routes_agree(P.build_plabic_complex(tcd.permutation_for_tcd(image), "T")[0])
+            assert_h1_routes_agree(P.build_plabic_complex(C.permutation_for_tcd(image), "T")[0])
 
 
 def _reference_reduce(word):
@@ -494,7 +493,7 @@ class TestTietze:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_tcd(self, n):
         for image in itertools.permutations(range(1, n + 1)):
-            assert_elimination_replays(P.build_plabic_complex(tcd.permutation_for_tcd(image), "T")[0])
+            assert_elimination_replays(P.build_plabic_complex(C.permutation_for_tcd(image), "T")[0])
 
 
 class TestTwoComplex:
@@ -691,7 +690,7 @@ class TestCertificates:
                     yield P.build_plabic_complex(p, "X")[0]
                     yield P.build_plabic_complex(p, "Y")[0]
                 for image in itertools.permutations(range(1, n + 1)):
-                    yield P.build_plabic_complex(tcd.permutation_for_tcd(image), "T")[0]
+                    yield P.build_plabic_complex(C.permutation_for_tcd(image), "T")[0]
             for n in range(2, 7):
                 for d in range(1, n):
                     yield Z.build_z_complex(Z.enumerate_tilings(Z.zonotope_spec(n, d)))[0]
@@ -711,7 +710,7 @@ class TestCertificates:
         # every T complex has H1 = 0, and each certifies
         nontrivial = 0
         for image in itertools.permutations(range(1, 7)):
-            k = P.build_plabic_complex(tcd.permutation_for_tcd(image), "T")[0]
+            k = P.build_plabic_complex(C.permutation_for_tcd(image), "T")[0]
             cert = T.certificate(k, budget=100_000)
             assert (cert["betti1"], cert["torsion"]) == T.h1(k)
             assert cert["pi1"] == ("nontrivial" if cert["betti1"] or cert["torsion"] else "trivial")
