@@ -107,12 +107,10 @@ def _load_triangulation(path: str) -> plabic.PlabicTriangulation:
 
 
 def cmd_tilings(args) -> str:
-    from . import exact
-
     graph = zonotope.enumerate_tilings(zonotope.zonotope_spec(args.n, args.d), vertex_cap=args.cap)
     if args.format == "dot":
         return graph.to_dot("tilings_%d_%d" % (args.n, args.d))
-    data = exact.flipgraph_to_json(graph)
+    data = zonotope.flipgraph_to_json(graph)
     data["rank_range"] = [0, max(graph.ranks)]
     data["single_cycle"] = graph.is_single_cycle()
     return _dump(data)

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .combinat import elems_of
 from .errors import ValidationError
-from .flipgraph import FlipGraph
 from .zonotope import SignedSubset, Tiling, ZonotopeSpec
 
 
@@ -301,17 +300,3 @@ def _is_binomial(n: int, d: int, count: int) -> bool:
         if c > count:
             return False
     return c == count
-
-
-def flipgraph_to_json(graph: FlipGraph) -> dict:
-    """The flip graph of `enumerate_tilings`: each edge with its flip's
-    (d+1)-subset, and each vertex as the sign strings of its tiles."""
-    return {
-        "schema_version": 1,
-        "n_vertices": graph.n_vertices,
-        "edges": [{"u": u, "v": v, "flip": list(elems_of(label))} for u, v, label in graph.edges],
-        "ranks": list(graph.ranks),
-        "min_vertex": graph.min_vertex,
-        "max_vertex": graph.max_vertex,
-        "vertices": [t.sign_strings() for t in graph.payloads],
-    }

@@ -46,8 +46,10 @@ from .flipgraph import collector_paused, union_classes
 
 DEFAULT_PI1_BUDGET = 10_000_000
 # the one encoder of canonical JSON text: json.dumps with non-default
-# arguments builds a new encoder on every call
-CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# arguments builds a new encoder on every call.  It encodes only trees the
+# library has just built (TwoComplex.to_json and the CLI outputs), which hold
+# no cycle, so the circular-reference check is skipped; the bytes are the same
+CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 @dataclass(frozen=True)
@@ -362,7 +364,13 @@ def _tietze_eliminate(pres: GroupPresentation) -> tuple[GroupPresentation, list[
     g a g^-1 with a dead says nothing.  Each relator is indexed by its
     distinct generators, with a count of the ones still live, and is queued
     when that count is one; each kill lowers the count of every relator
-    holding g.  Indexing and sweep take time linear in the total relator
+    holding g.  The index is built in one pass over the letters: a letter
+    appends its relator's id to the holder list of its generator unless
+    that id is already the list's last entry, which means the relator
+    repeats a generator.  Only such a relator is freely and cyclically
+    reduced, and its id is popped again from the lists of the generators
+    that cancelled; the ids go in increasing order, so it is their last
+    entry.  Indexing and sweep take time linear in the total relator
     length.
 
     Returns the residual presentation and the kill log of (relator index,
@@ -379,14 +387,27 @@ def _tietze_eliminate(pres: GroupPresentation) -> tuple[GroupPresentation, list[
     live = []  # distinct generators of each relator still live
     last = []  # sum of those: the live one, once only one is left
     for rid, w in enumerate(rels):
-        gens = set(map(abs, w))
-        if len(gens) < len(w):  # a repeated generator: the word may cancel
-            w = rels[rid] = _reduce(w)
+        total = 0
+        repeat = False
+        for x in w:
+            g = x if x > 0 else -x
+            h = holders[g]
+            if h and h[-1] == rid:  # met before in this relator
+                repeat = True
+            else:
+                h.append(rid)
+                total += g
+        if repeat:  # the word may cancel: reduce it, unlist what cancelled
             gens = set(map(abs, w))
-        live.append(len(gens))
-        last.append(sum(gens))
-        for g in gens:
-            holders[g].append(rid)
+            w = rels[rid] = _reduce(w)
+            kept = set(map(abs, w))
+            for g in gens - kept:
+                holders[g].pop()  # ids are appended in order: rid is last
+            live.append(len(kept))
+            last.append(sum(kept))
+        else:
+            live.append(len(w))
+            last.append(total)
     queue = [rid for rid, count in enumerate(live) if count == 1]
     log: list[tuple[int, int]] = []
     for rid in queue:  # the loop visits what it appends

@@ -404,6 +404,20 @@ def enumerate_tilings(spec: ZonotopeSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) 
     return graph
 
 
+def flipgraph_to_json(graph: FlipGraph) -> dict:
+    """The flip graph of `enumerate_tilings`: each edge with its flip's
+    (d+1)-subset, and each vertex as the sign strings of its tiles."""
+    return {
+        "schema_version": 1,
+        "n_vertices": graph.n_vertices,
+        "edges": [{"u": u, "v": v, "flip": list(elems_of(label))} for u, v, label in graph.edges],
+        "ranks": list(graph.ranks),
+        "min_vertex": graph.min_vertex,
+        "max_vertex": graph.max_vertex,
+        "vertices": [t.sign_strings() for t in graph.payloads],
+    }
+
+
 def spec_top_rank(spec: ZonotopeSpec) -> int:
     return math.comb(spec.n, spec.d + 1)
 

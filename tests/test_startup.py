@@ -120,7 +120,7 @@ def files(tmp_path_factory):
         (["align", "--tiling-a", "{tiling}", "--tiling-b", "{tiling}", "--level", "1"], {"sections", "exact"}),
         (["export", "--triangulation", "{sigma}", "--format", "svg", "--strands"], {"sections"}),
         (["export", "--triangulation", "{sigma}"], set()),
-        (["tilings", "4", "2"], {"exact"}),
+        (["tilings", "4", "2"], set()),
     ],
     ids=["cross-section", "cross-section-svg", "updown", "realize-move", "align", "export-svg", "export", "tilings"],
 )

@@ -452,6 +452,14 @@ class TestTietze:
         residual, log = T._tietze_eliminate(pres)
         assert log == [(1, 2), (0, 1)] and residual == T.GroupPresentation(0, ())
         replay_elimination(pres, residual, log)
+        # a b b^-1 c reduces to a c, so the index unlists it from b: with c
+        # dead it kills a.  Still listed under b, it would lose its last live
+        # generator when b dies as well, and a would survive
+        for more, expected in [((), ([(1, 3), (0, 1)], 1)), (((2,),), ([(1, 3), (2, 2), (0, 1)], 0))]:
+            pres = T.GroupPresentation(3, ((1, 2, -2, 3), (3,), *more))
+            residual, log = T._tietze_eliminate(pres)
+            assert (log, residual.n_generators) == expected and not residual.relators
+            replay_elimination(pres, residual, log)
 
     def test_residual_deletes_in_kill_order(self):
         # a, b, g, h = 1, 2, 3, 4.  Deleting g, reducing, then deleting h

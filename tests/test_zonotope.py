@@ -373,7 +373,7 @@ class TestJson:
 
     def test_flipgraph_json_and_dot(self):
         g = Z.enumerate_tilings(Z.zonotope_spec(4, 2))
-        data = E.flipgraph_to_json(g)
+        data = Z.flipgraph_to_json(g)
         assert data["n_vertices"] == 8
         assert len(data["edges"]) == 8
         dot = g.to_dot()
