@@ -39,6 +39,7 @@ from .errors import (
 from .flipgraph import (
     DEFAULT_VERTEX_CAP,
     FlipGraph,
+    PayloadView,
     bfs_closure,
     collector_paused,
     commuting_squares,
@@ -630,34 +631,199 @@ def enumerate_plabic(
 ) -> FlipGraph:
     """BFS closure of the moves M1/M2/M3 from the canonical seed.
 
-    The BFS runs over triangle keys: a vertex is decoded into its
-    `PlabicTriangulation` when it is expanded, and again each time
-    `payloads` reads it, and a successor is just its sorted triangles.
-    Each edge is labelled by the move from its lower vertex id to the other.
+    The BFS runs over int keys of `_triangle_table(n, k)`, whose order is
+    the order of the sorted triangle tuples, so vertex ids are those of the
+    tuples.  Expanding a vertex is one pass over its triangle bits
+    (`_TriangleTable.scan`) that collects its triangles and every move
+    site whose triangles are all present and whose side or center is off the
+    boundary walk; a successor's key is the vertex's XOR the site's mask.
+    The triangles are decoded into a `PlabicTriangulation` once, when the
+    vertex is expanded, which runs its constructor's check.  After the BFS
+    each vertex is its sorted triangles again, and `payloads` decodes it
+    each time it is read.  Each edge is labelled by the move from its lower
+    vertex id to the other.
     """
     seed = seed_triangulation(p)
     n, k, boundary = seed.n, seed.k, seed.boundary
+    table = _triangle_table(n, k)
+    avoid = walked_segments(boundary).union(boundary)
 
-    def decode(key):
-        return PlabicTriangulation(n, k, key, boundary)
+    def decode(tris):
+        return PlabicTriangulation(n, k, tris, boundary)
 
     def moves_of(key):
-        base = set(key)
-        out = []
-        for move in available_moves(decode(key)):
-            # keys and move.added are already normalised
-            tris = base.difference(move.removed)
-            tris.update(move.added)
-            out.append((move, tuple(sorted(tris))))
-        return out
+        tris, moves = table.scan(key, avoid)
+        decode(tris)  # the constructor's check, once per vertex
+        return moves
 
-    return bfs_closure(
-        seed.key(),
+    graph = bfs_closure(
+        table.key(seed.triangles),
         lambda frontier: map(moves_of, frontier),
         decode,
         vertex_cap,
         "vertex cap %d exceeded enumerating plabic graphs" % vertex_cap,
     )
+    graph.vertices = list(map(table.unpack, graph.vertices))
+    graph.payloads = PayloadView(decode, graph.vertices)
+    return graph
+
+
+class _TriangleTable:
+    """Every white and black triangle of k-subsets of [n], in sorted order,
+    and the move sites over them.
+
+    A set of these triangles is an int: the triangle of rank r is bit
+    U - 1 - r, U the number of triangles.  A key is the complement of that
+    mask in U bits, so that over sets of one size, as the triangulations of
+    one flip graph are, int order is the order of the sorted triangle
+    tuples.
+
+    Oh-Postnikov-Speyer's rule decides each move from its own triangles, so
+    each move is a fixed site: a flip of two same-color triangles across a
+    side (`_flip_move`), or a square move at a center whose star is the
+    square pattern (`_square_move`).  In a triangulation, a side borders at
+    most two triangles and a square pattern around its center is the whole
+    star, so a site is available exactly when its triangles are present and
+    its flipped side, or its center, is not on the boundary walk.
+    """
+
+    def __init__(self, n: int, k: int):
+        self.n = n
+        tris = []
+        # white: k - 1 common elements and three more; black: k + 1
+        # elements, three of which are left out in turn
+        for common in itertools.combinations(range(n), k - 1) if k else ():
+            low = sum(1 << i for i in common)
+            rest = [1 << i for i in range(n) if not low >> i & 1]
+            tris.extend((low | a, low | b, low | c) for a, b, c in itertools.combinations(rest, 3))
+        for union in itertools.combinations(range(n), k + 1):
+            high = sum(1 << i for i in union)
+            left_out = itertools.combinations([1 << i for i in union], 3)
+            tris.extend((high ^ c, high ^ b, high ^ a) for a, b, c in left_out)
+        tris.sort()
+        self.triangles = tuple(tris)
+        self.top = len(tris) - 1
+        self.full = (1 << len(tris)) - 1
+        self.rank = {t: r for r, t in enumerate(tris)}
+        self.by_side: dict[tuple[int, int], list[int]] = {}
+        for r, (a, b, c) in enumerate(tris):
+            for side in ((a, b), (a, c), (b, c)):
+                self.by_side.setdefault(side, []).append(r)
+        self._sites: list[tuple | None] = [None] * len(tris)
+
+    def bits(self, triangles) -> int:
+        """The mask of a set of triangles of the table."""
+        rank, top = self.rank, self.top
+        return sum(1 << top - rank[t] for t in triangles)
+
+    def key(self, triangles) -> int:
+        """The key of a set of triangles of the table."""
+        return self.full ^ self.bits(triangles)
+
+    def sites(self, r: int) -> tuple[tuple[int, int, Move, object, int], ...]:
+        """The sites whose lowest triangle has rank r, built on first use,
+        in (kind, removed, added) order.  Each is (need, xor, move, avoid,
+        kind): the mask of the triangles the move removes, the mask whose
+        XOR takes a key to its successor's, the `Move`, the side or center
+        that must not be on the boundary walk, and 0, 1 or 2 for M1, M2 or
+        M3."""
+        out = self._sites[r]
+        if out is not None:
+            return out
+        t = self.triangles[r]
+        color = triangle_color(t)
+        found = []
+        for side in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
+            for u in self.by_side[side]:
+                other = self.triangles[u]
+                move = _flip_move(t, other) if u > r and triangle_color(other) == color else None
+                if move is not None:
+                    found.append((move, side))
+        for center in t:
+            for star in _square_stars(self.n, center, t):
+                if star[0] == t:
+                    found.append((_square_move(center, star), center))
+        out = []
+        for move, avoid in found:
+            need = self.bits(move.removed)
+            out.append((need, need | self.bits(move.added), move, avoid, int(move.kind[1]) - 1))
+        out.sort(key=lambda site: (site[4], site[2].removed, site[2].added))
+        self._sites[r] = out = tuple(out)
+        return out
+
+    def ranks(self, key: int) -> list[int]:
+        """The ranks of the triangles of `key`, ascending."""
+        bits, top = self.full ^ key, self.top
+        out = []
+        while bits:
+            high = bits.bit_length() - 1
+            bits ^= 1 << high
+            out.append(top - high)
+        return out
+
+    def unpack(self, key: int) -> tuple[tuple[int, int, int], ...]:
+        """The sorted triangles of `key`."""
+        return tuple(map(self.triangles.__getitem__, self.ranks(key)))
+
+    def scan(self, key: int, avoid) -> tuple[tuple[tuple[int, int, int], ...], list[tuple[Move, int]]]:
+        """The sorted triangles of `key`, and its moves in `available_moves`
+        order, each with its successor's key, read in one pass over its
+        triangles.  `avoid` holds the walked sides and the boundary labels.
+
+        A site is listed under its lowest triangle, the first of the move's
+        removed triangles, so each kind's moves come out of the pass sorted.
+        """
+        have = self.full ^ key
+        triangles, sites = self.triangles, self._sites
+        tris = []
+        by_kind: tuple[list, list, list] = ([], [], [])
+        for r in self.ranks(key):
+            tris.append(triangles[r])
+            here = sites[r]
+            if here is None:
+                here = self.sites(r)
+            for need, xor, move, at, kind in here:
+                if have & need == need and at not in avoid:
+                    by_kind[kind].append((move, key ^ xor))
+        return tuple(tris), by_kind[0] + by_kind[1] + by_kind[2]
+
+
+@lru_cache(maxsize=None)
+def _triangle_table(n: int, k: int) -> _TriangleTable:
+    return _TriangleTable(n, k)
+
+
+def _square_stars(n: int, center: int, tri: tuple[int, int, int]):
+    """The stars, each four sorted triangles in sorted order, of the square
+    patterns at `center` that hold the colored triangle `tri`.
+
+    A pattern is a center Sxy with outer labels Sxz, Sxw, Syz, Syw (see
+    `_square_move`).  `tri` leaves the center by one element y and enters
+    two, z and w, when white, so x is any other element of the center; when
+    black it leaves by x and y and enters z, so w is any element outside.
+    """
+    p, q = (lab for lab in tri if lab != center)
+    gone, came = center & ~p, p & ~center
+    if gone == center & ~q:
+        pairs = [(gone | x, came | q & ~center) for x in _bits(center & ~gone)]
+    else:
+        pairs = [(gone | center & ~q, came | w) for w in _bits(((1 << n) - 1) & ~(center | came))]
+    for xy, zw in pairs:
+        (x, y), (z, w) = _bits(xy), _bits(zw)
+        s = center & ~xy
+        sxz, sxw, syz, syw = s | x | z, s | x | w, s | y | z, s | y | w
+        star = ((center, sxz, sxw), (center, syz, syw), (center, sxz, syz), (center, sxw, syw))
+        yield tuple(sorted(tuple(sorted(t)) for t in star))
+
+
+def _bits(mask: int) -> list[int]:
+    """The one-bit masks of `mask`, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -291,8 +291,10 @@ def reference_tcd_moves(state):
 
 
 def _clear_site_caches():
+    # the triangle tables hold the moves of the memos, so they go too
     P._flip_move.cache_clear()
     P._square_move.cache_clear()
+    P._triangle_table.cache_clear()
 
 
 def _perturbed_sections():
@@ -517,6 +519,44 @@ def test_plabic_payloads_and_squares_match_the_reference():
         assert list(lowest_corner_squares(graph, _disjoint_removed).items()) == list(ref.items())
         squares += len(ref)
     assert squares
+
+
+def test_stored_plabic_moves_are_the_rule_scan():
+    # the BFS reads each vertex's moves off the triangle table's sites;
+    # `available_moves`, the rule for any triangulation, must give the same
+    # moves in the same order, as the same objects, at every vertex of X of
+    # every decorated permutation with n <= 6 and of pi(7,3)
+    _clear_site_caches()
+    perms = [p for n in range(1, 7) for p in C.all_decorated_permutations(n)]
+    vertices = 0
+    for p in perms + [C.cyclic_decorated(7, 3)]:
+        graph = P.enumerate_plabic(p)
+        for out, sigma in zip(graph.moves, graph.payloads):
+            want = P.available_moves(sigma)
+            assert len(out) == len(want) and all(a is b for a, b in zip(out, want))
+        vertices += graph.n_vertices
+    assert vertices == 4_562 + 3_332
+
+
+@pytest.mark.parametrize("n, k, size", [(6, 3, 10), (8, 4, 30)])
+def test_triangle_keys_order_as_sorted_tuples(n, k, size):
+    # vertex ids follow key order, and so every pinned hash rests on int
+    # order being the order of the sorted triangle tuples; the triangulations
+    # of one flip graph all have one size
+    table = P._triangle_table(n, k)
+    assert len(table.triangles) == {6: 120, 8: 1_120}[n]
+    rng = random.Random(n)
+    sets = []
+    for _ in range(300):
+        tris = rng.sample(table.triangles, size)
+        # a twin with one triangle swapped shares a long prefix more often
+        twin = list(tris)
+        twin[rng.randrange(size)] = rng.choice([t for t in table.triangles if t not in tris])
+        sets += [tris, twin]
+    tuples = [tuple(sorted(tris)) for tris in sets]
+    keys = [table.key(t) for t in tuples]
+    assert [table.unpack(key) for key in keys] == tuples
+    assert sorted(range(len(keys)), key=keys.__getitem__) == sorted(range(len(tuples)), key=tuples.__getitem__)
 
 
 def test_t_and_z_squares_match_the_reference():
