@@ -404,24 +404,34 @@ class Move:
 
 
 def available_moves(sigma: PlabicTriangulation) -> tuple[Move, ...]:
-    """All moves available in sigma, sorted canonically."""
-    moves = trivalent_flips(sigma.triangles, sigma.boundary)
+    """All moves available in sigma, sorted canonically: the sites that
+    `_TriangleTable.scan` finds on sigma's triangles.
 
-    # square moves: interior degree-4 vertices
-    star: dict[int, list[tuple[int, int, int]]] = {}
-    for t in sigma.triangles:
-        for lab in t:
-            star.setdefault(lab, []).append(t)
-    boundary_set = set(sigma.boundary)
-    for v, tris in star.items():
-        if v in boundary_set or len(tris) != 4:
-            continue
-        # sigma's triangles are sorted, so each star is too
-        move = _square_move(v, tuple(tris))
-        if move is not None:
-            moves.append(move)
-    moves.sort(key=lambda m: (m.kind, m.removed, m.added))
-    return tuple(moves)
+    sigma need not be a triangulation (the sections of a tiling that is not
+    fine overlap), so a flip counts only when its side borders two of
+    sigma's triangles, and a square move only when its center lies in four.
+    A triangle outside the table, or one listed twice, raises
+    ValidationError."""
+    table = _triangle_table(sigma.n, sigma.k)
+    try:
+        have = table.bits(sigma.triangles)
+    except KeyError as exc:
+        tri = exc.args[0]
+        triangle_color(tri)  # names a triple of neither color
+        raise ValidationError("triangle %s is not on distinct k-subsets of [n]" % (tri,)) from None
+    if have.bit_count() != len(sigma.triangles):  # a doubled bit carries
+        raise ValidationError("a triangle is listed twice")
+    tris, found = table.scan(table.full ^ have, walked_segments(sigma.boundary).union(sigma.boundary))
+    top, by_side = table.top, table.by_side
+
+    def whole(move):
+        if move.kind == "M2":
+            return sum(move.center in t for t in tris) == 4
+        (a, b, c), other = move.removed
+        side = (b, c) if a not in other else (a, b) if b in other else (a, c)
+        return sum(have >> top - u & 1 for u in by_side[side]) == 2
+
+    return tuple(move for move, _ in found if whole(move))
 
 
 @lru_cache(maxsize=SITE_CACHE_SIZE)
@@ -442,25 +452,6 @@ def _square_move(center: int, star: tuple[tuple[int, int, int], ...]) -> Move | 
         return None
     added = tuple(sorted(_norm_tri([v2 if x == center else x for x in t]) for t in star))
     return Move("M2", star, added, center=center, replacement=v2)
-
-
-def trivalent_flips(triangles, boundary) -> list[Move]:
-    """Flips of two same-color triangles across an interior diagonal: M1
-    for white, M3 for black.  Segments of the boundary walk never flip.
-    `triangles` is sorted, as triangulations store it."""
-    seg_map: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for t in triangles:
-        for seg, _, _ in _ccw_sides(t):
-            seg_map.setdefault(seg, []).append(t)
-    walked = walked_segments(boundary)
-    moves = []
-    for seg, lst in seg_map.items():
-        if len(lst) != 2 or seg in walked:
-            continue
-        move = _flip_move(*lst)
-        if move is not None:
-            moves.append(move)
-    return moves
 
 
 @lru_cache(maxsize=SITE_CACHE_SIZE)

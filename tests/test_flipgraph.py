@@ -522,20 +522,35 @@ def test_plabic_payloads_and_squares_match_the_reference():
 
 
 def test_stored_plabic_moves_are_the_rule_scan():
-    # the BFS reads each vertex's moves off the triangle table's sites;
-    # `available_moves`, the rule for any triangulation, must give the same
-    # moves in the same order, as the same objects, at every vertex of X of
-    # every decorated permutation with n <= 6 and of pi(7,3)
+    # the BFS and `available_moves` both read the triangle table's sites:
+    # at every vertex of X of every decorated permutation with n <= 6 and of
+    # pi(7,3), the moves the BFS stores are the per-vertex reference scan's,
+    # in the same order, and the very objects `available_moves` returns
     _clear_site_caches()
     perms = [p for n in range(1, 7) for p in C.all_decorated_permutations(n)]
     vertices = 0
     for p in perms + [C.cyclic_decorated(7, 3)]:
         graph = P.enumerate_plabic(p)
         for out, sigma in zip(graph.moves, graph.payloads):
+            assert tuple(out) == reference_moves(sigma)
             want = P.available_moves(sigma)
             assert len(out) == len(want) and all(a is b for a, b in zip(out, want))
         vertices += graph.n_vertices
     assert vertices == 4_562 + 3_332
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_available_moves_on_a_walk_at_n8(k):
+    # the 840- and 1,120-bit tables, read by `available_moves` along a
+    # seeded walk of 200 moves from the seed of pi(8, k)
+    rng = random.Random(k)
+    sigma = P.seed_triangulation(C.cyclic_decorated(8, k))
+    for _ in range(200):
+        moves = P.available_moves(sigma)
+        assert moves == reference_moves(sigma)
+        sigma = P.apply_move(sigma, rng.choice(moves))
+        sigma.check()
+    assert len(P._triangle_table(8, k).triangles) == {3: 840, 4: 1_120}[k]
 
 
 @pytest.mark.parametrize("n, k, size", [(6, 3, 10), (8, 4, 30)])

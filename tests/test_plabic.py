@@ -264,6 +264,26 @@ class TestMoves:
         assert len(back) == 1
         assert P.apply_move(s2, back[0]) == s
 
+    @staticmethod
+    def _seed52_with(first):
+        # the seed of pi(5,2) with its first triangle, (12, 13, 23), replaced
+        s = P.seed_triangulation(C.cyclic_decorated(5, 2))
+        return P.PlabicTriangulation(5, 2, tuple(sorted(first + s.triangles[1:])), s.boundary)
+
+    def test_doubled_triangle_rejected(self):
+        s = P.seed_triangulation(C.cyclic_decorated(5, 2))
+        with pytest.raises(ValidationError, match="listed twice"):
+            P.available_moves(self._seed52_with(s.triangles[:1] * 2))
+
+    def test_uncolored_triple_rejected(self):
+        with pytest.raises(ValidationError, match="neither white nor black"):
+            P.available_moves(self._seed52_with(((mask_of((1, 2)), mask_of((3, 4)), mask_of((1, 5))),)))
+
+    def test_triangle_with_wrong_label_size_rejected(self):
+        # white on its own labels, whose common element is 1, but 123 is no 2-subset
+        with pytest.raises(ValidationError, match="k-subsets"):
+            P.available_moves(self._seed52_with(((mask_of((1, 2)), mask_of((1, 3)), mask_of((1, 2, 3))),)))
+
     def test_unavailable_move_rejected(self):
         s = P.seed_triangulation(C.cyclic_decorated(4, 2))
         s2 = P.apply_move(s, P.available_moves(s)[0])

@@ -133,9 +133,17 @@ def apply_tcd_move(state, move):
     return TCDState(state.n, state.k, tuple(sorted(whites)), labels, state.boundary)
 
 
+def white_flips(state):
+    """The flips of two white triangles across an interior diagonal: the M1
+    moves of `available_moves` on the white triangles alone, so that they
+    are the objects the plabic flip graphs share."""
+    whites = P.PlabicTriangulation(state.n, state.k, state.whites, state.boundary)
+    return [m for m in P.available_moves(whites) if m.kind == "M1"]
+
+
 def tcd_neighbors(state):
     """All 2<->2 neighbors of a normalized diagram, sorted canonically."""
-    moves = P.trivalent_flips(state.whites, state.boundary) + square_moves(state)
+    moves = white_flips(state) + square_moves(state)
     moves.sort(key=lambda m: (m.kind, m.removed, m.added, m.center))
     return [(m, apply_tcd_move(state, m)) for m in moves]
 
@@ -261,7 +269,7 @@ class TestNeighbors:
     def test_degree_agreement(self):
         for p in (C.cyclic_decorated(5, 2), C.cyclic_decorated(6, 3)):
             for state in enumerate_tcd(p).payloads:
-                n_m1 = len(P.trivalent_flips(state.whites, state.boundary))
+                n_m1 = len(white_flips(state))
                 n_m2 = len(square_moves(state))
                 assert len(tcd_neighbors(state)) == n_m1 + n_m2
 
