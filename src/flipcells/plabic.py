@@ -404,34 +404,62 @@ class Move:
 
 
 def available_moves(sigma: PlabicTriangulation) -> tuple[Move, ...]:
-    """All moves available in sigma, sorted canonically: the sites that
-    `_TriangleTable.scan` finds on sigma's triangles.
-
+    """All moves available in sigma, sorted canonically: the sites of its
+    triangles (`_triangle_sites`) that lie in sigma, off the boundary walk.
     sigma need not be a triangulation (the sections of a tiling that is not
     fine overlap), so a flip counts only when its side borders two of
     sigma's triangles, and a square move only when its center lies in four.
-    A triangle outside the table, or one listed twice, raises
+    A triangle listed twice, or one `_triangle_sites` rejects, raises
     ValidationError."""
-    table = _triangle_table(sigma.n, sigma.k)
-    try:
-        have = table.bits(sigma.triangles)
-    except KeyError as exc:
-        tri = exc.args[0]
-        triangle_color(tri)  # names a triple of neither color
-        raise ValidationError("triangle %s is not on distinct k-subsets of [n]" % (tri,)) from None
-    if have.bit_count() != len(sigma.triangles):  # a doubled bit carries
+    n, k, tris = sigma.n, sigma.k, sigma.triangles
+    have = set(tris)
+    if len(have) != len(tris):
         raise ValidationError("a triangle is listed twice")
-    tris, found = table.scan(table.full ^ have, walked_segments(sigma.boundary).union(sigma.boundary))
-    top, by_side = table.top, table.by_side
+    avoid = walked_segments(sigma.boundary).union(sigma.boundary)
+    by_kind: dict[str, list[Move]] = {"M1": [], "M2": [], "M3": []}  # each comes out sorted, as `tris` is
+    for t in tris:
+        for move, at in _triangle_sites(n, k, t):
+            if at in avoid or not have.issuperset(move.removed):
+                continue
+            if move.kind == "M2":
+                whole = sum(at in u for u in tris) == 4
+            else:
+                whole = sum(at[0] in u and at[1] in u for u in tris) == 2
+            if whole:
+                by_kind[move.kind].append(move)
+    return tuple(by_kind["M1"] + by_kind["M2"] + by_kind["M3"])
 
-    def whole(move):
-        if move.kind == "M2":
-            return sum(move.center in t for t in tris) == 4
-        (a, b, c), other = move.removed
-        side = (b, c) if a not in other else (a, b) if b in other else (a, c)
-        return sum(have >> top - u & 1 for u in by_side[side]) == 2
 
-    return tuple(move for move, _ in found if whole(move))
+@lru_cache(maxsize=SITE_CACHE_SIZE)
+def _triangle_sites(n: int, k: int, t: tuple[int, int, int]) -> tuple[tuple[Move, object], ...]:
+    """The moves whose first removed triangle is t, in (kind, removed,
+    added) order, each with the side it flips or the center it relabels.
+
+    Oh-Postnikov-Speyer's rule decides each move from its own triangles: a
+    flip of t and a later triangle of its color across a side (`_flip_move`),
+    or a square move at a label of t whose star is the square pattern
+    (`_square_move`).  The white triangles on a side (a, b) add an element
+    outside a | b to a & b; the black ones take an element of a & b out of
+    a | b.  Raises ValidationError unless t is a white or black triangle of
+    increasing k-subsets of [n]."""
+    a, b, c = t
+    if not (a < b < c and a.bit_count() == b.bit_count() == c.bit_count() == k and not c >> n):
+        raise ValidationError("triangle %s is not on increasing k-subsets of [n]" % (t,))
+    white = triangle_color(t) == WHITE
+    found = []
+    for side in ((a, b), (a, c), (b, c)):
+        low, high = side[0] & side[1], side[0] | side[1]
+        thirds = [low | x for x in _bits(~high & (1 << n) - 1)] if white else [high ^ y for y in _bits(low)]
+        for other in (tuple(sorted((*side, third))) for third in thirds):
+            move = _flip_move(t, other) if other > t else None
+            if move is not None:
+                found.append((move, side))
+    for center in t:
+        for star in _square_stars(n, center, t):
+            if star[0] == t:
+                found.append((_square_move(center, star), center))
+    found.sort(key=lambda site: (site[0].kind, site[0].removed, site[0].added))
+    return tuple(found)
 
 
 @lru_cache(maxsize=SITE_CACHE_SIZE)
@@ -669,17 +697,15 @@ class _TriangleTable:
     one flip graph are, int order is the order of the sorted triangle
     tuples.
 
-    Oh-Postnikov-Speyer's rule decides each move from its own triangles, so
-    each move is a fixed site: a flip of two same-color triangles across a
-    side (`_flip_move`), or a square move at a center whose star is the
-    square pattern (`_square_move`).  In a triangulation, a side borders at
-    most two triangles and a square pattern around its center is the whole
-    star, so a site is available exactly when its triangles are present and
-    its flipped side, or its center, is not on the boundary walk.
+    Each triangle's sites are its `_triangle_sites`.  In a triangulation, a
+    side borders at most two triangles and a square pattern around its
+    center is the whole star, so a site is available exactly when its
+    triangles are present and its flipped side, or its center, is not on
+    the boundary walk.
     """
 
     def __init__(self, n: int, k: int):
-        self.n = n
+        self.n, self.k = n, k
         tris = []
         # white: k - 1 common elements and three more; black: k + 1
         # elements, three of which are left out in turn
@@ -696,10 +722,6 @@ class _TriangleTable:
         self.top = len(tris) - 1
         self.full = (1 << len(tris)) - 1
         self.rank = {t: r for r, t in enumerate(tris)}
-        self.by_side: dict[tuple[int, int], list[int]] = {}
-        for r, (a, b, c) in enumerate(tris):
-            for side in ((a, b), (a, c), (b, c)):
-                self.by_side.setdefault(side, []).append(r)
         self._sites: list[tuple | None] = [None] * len(tris)
 
     def bits(self, triangles) -> int:
@@ -721,24 +743,10 @@ class _TriangleTable:
         out = self._sites[r]
         if out is not None:
             return out
-        t = self.triangles[r]
-        color = triangle_color(t)
-        found = []
-        for side in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
-            for u in self.by_side[side]:
-                other = self.triangles[u]
-                move = _flip_move(t, other) if u > r and triangle_color(other) == color else None
-                if move is not None:
-                    found.append((move, side))
-        for center in t:
-            for star in _square_stars(self.n, center, t):
-                if star[0] == t:
-                    found.append((_square_move(center, star), center))
         out = []
-        for move, avoid in found:
+        for move, avoid in _triangle_sites(self.n, self.k, self.triangles[r]):
             need = self.bits(move.removed)
             out.append((need, need | self.bits(move.added), move, avoid, int(move.kind[1]) - 1))
-        out.sort(key=lambda site: (site[4], site[2].removed, site[2].added))
         self._sites[r] = out = tuple(out)
         return out
 

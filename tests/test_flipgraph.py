@@ -291,9 +291,11 @@ def reference_tcd_moves(state):
 
 
 def _clear_site_caches():
-    # the triangle tables hold the moves of the memos, so they go too
+    # the site lists and the triangle tables hold the moves of the memos,
+    # so they go too
     P._flip_move.cache_clear()
     P._square_move.cache_clear()
+    P._triangle_sites.cache_clear()
     P._triangle_table.cache_clear()
 
 
@@ -522,10 +524,11 @@ def test_plabic_payloads_and_squares_match_the_reference():
 
 
 def test_stored_plabic_moves_are_the_rule_scan():
-    # the BFS and `available_moves` both read the triangle table's sites:
-    # at every vertex of X of every decorated permutation with n <= 6 and of
-    # pi(7,3), the moves the BFS stores are the per-vertex reference scan's,
-    # in the same order, and the very objects `available_moves` returns
+    # the BFS and `available_moves` both read the per-triangle site lists
+    # (`_triangle_sites`): at every vertex of X of every decorated
+    # permutation with n <= 6 and of pi(7,3), the moves the BFS stores are
+    # the per-vertex reference scan's, in the same order, and the very
+    # objects `available_moves` returns
     _clear_site_caches()
     perms = [p for n in range(1, 7) for p in C.all_decorated_permutations(n)]
     vertices = 0
@@ -541,16 +544,21 @@ def test_stored_plabic_moves_are_the_rule_scan():
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_available_moves_on_a_walk_at_n8(k):
-    # the 840- and 1,120-bit tables, read by `available_moves` along a
-    # seeded walk of 200 moves from the seed of pi(8, k)
+    # along a seeded walk of 200 moves from the seed of pi(8, k), the moves
+    # of `available_moves` are the reference scan's, and the very objects
+    # that the BFS's scan of the 840- or 1,120-bit table finds
     rng = random.Random(k)
     sigma = P.seed_triangulation(C.cyclic_decorated(8, k))
+    table = P._triangle_table(8, k)
+    assert len(table.triangles) == {3: 840, 4: 1_120}[k]
+    avoid = P.walked_segments(sigma.boundary).union(sigma.boundary)
     for _ in range(200):
         moves = P.available_moves(sigma)
         assert moves == reference_moves(sigma)
+        scanned = [m for m, _ in table.scan(table.key(sigma.triangles), avoid)[1]]
+        assert len(scanned) == len(moves) and all(a is b for a, b in zip(scanned, moves))
         sigma = P.apply_move(sigma, rng.choice(moves))
         sigma.check()
-    assert len(P._triangle_table(8, k).triangles) == {3: 840, 4: 1_120}[k]
 
 
 @pytest.mark.parametrize("n, k, size", [(6, 3, 10), (8, 4, 30)])
