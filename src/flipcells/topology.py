@@ -1,18 +1,23 @@
 """Integer homology and fundamental-group certificates for 2-complexes.
 
-A certificate builds one spanning-tree presentation of pi1 (generators:
-the non-tree edges; relators: the cell boundaries, each walk rewritten
-through one table indexed by signed step) and first simplifies it by one
+A certificate reads pi1 off one spanning tree (generators: the non-tree
+edges; relators: the cell boundaries) and first simplifies it by one
 Tietze sweep that rewrites no relator: a relator whose generators
 are all dead (proved trivial) but one, g, proves g trivial when the
 exponent sum of g in it is +-1, since deleting the dead letters leaves a
 word in g alone, which then freely reduces to g^(+-1).  A relator such as
-g g, or g a g^-1 with a dead, does not.  Spreading out from the cells that
-cross a single non-tree edge, this sweep closes every Z, X, Y and T
-complex tested.  The paper proves these complexes simply connected; that
-the sweep alone always suffices is only observed.  The residual
-presentation, on the generators that survive, presents the same group.
-When no generator survives, pi1 = 1 and so H1 = 0.  Otherwise H1 is
+g g, or g a g^-1 with a dead, does not.  The sweep streams over the cell
+walks once, in stored order, reading each step through one table indexed
+by signed step in which the steps of a dead generator read as nothing; a
+relator that kills nothing yet waits on its live generators.  So a
+certificate whose sweep kills every generator builds no presentation.  The
+sweep closes every Z, X, Y and T complex tested.  The paper proves these
+complexes simply connected; that the sweep alone always suffices is only
+observed.  The residual presentation, on the generators that survive,
+presents the same group.  The `GroupPresentation` range check still runs
+on every presentation that is built; the letters the sweep reads come only
+from steps that the `TwoComplex` constructor has range-checked.  When no
+generator survives, pi1 = 1 and so H1 = 0.  Otherwise H1 is
 read from the residual's abelianization by an exact Smith normal form; `h1`
 says why the abelianized presentation and the 2-cell boundary d2 have the
 same nonzero invariant factors, and the tests check the two against each
@@ -265,15 +270,15 @@ class GroupPresentation:
                     raise ValidationError("relator letter out of range")
 
 
-def pi1_presentation(k: TwoComplex) -> GroupPresentation:
-    """Spanning-tree presentation of pi1: generators are non-tree edges,
-    relators are the 2-cell boundary walks rewritten over them.
+def _generator_table(k: TwoComplex) -> tuple[list[int], list[int]]:
+    """The step -> generator table of the spanning-tree presentation.
 
     The tree is the breadth-first tree from vertex 0 that scans each
     vertex's (neighbour, edge) pairs in sorted order; the non-tree edges
-    are generators 1..m in edge order.  Each walk is rewritten through one
-    table indexed by signed step: table[e+1] = g and table[-(e+1)] = -g for
-    the generator g of edge e, and 0 for a tree edge, which is dropped.
+    are generators 1..m in edge order.  ``table`` is indexed by signed
+    step: table[e+1] = g and table[-(e+1)] = -g for the generator g of edge
+    e, and 0 for a tree edge.  ``steps[g]`` = e+1 is the forward step of
+    generator g, and steps[0] = 0.
     """
     nv, ne = k.nv, len(k.edges)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
@@ -296,14 +301,23 @@ def pi1_presentation(k: TwoComplex) -> GroupPresentation:
     if not nv or len(queue) != nv:  # the tree misses a vertex
         raise PreconditionError("complex is disconnected; components: %s" % (k.components(),))
     table = [0] * (2 * ne + 1)  # a negative index counts from the end
-    g = 0
+    steps = [0]
     for e in range(ne):
         if not in_tree[e]:
-            g += 1
+            g = len(steps)
+            steps.append(e + 1)
             table[e + 1] = g
             table[-(e + 1)] = -g
+    return table, steps
+
+
+def pi1_presentation(k: TwoComplex) -> GroupPresentation:
+    """Spanning-tree presentation of pi1: generators are non-tree edges,
+    relators are the 2-cell boundary walks rewritten over them, each walk
+    through the table of `_generator_table`, which drops a tree edge."""
+    table, steps = _generator_table(k)
     step = table.__getitem__
-    return GroupPresentation(g, tuple([tuple(filter(None, map(step, walk))) for walk in k.cells]))
+    return GroupPresentation(len(steps) - 1, tuple([tuple(filter(None, map(step, walk))) for walk in k.cells]))
 
 
 def h1(k: TwoComplex) -> tuple[int, list[int]]:
@@ -353,25 +367,39 @@ def _reduce(word: list[int]) -> list[int]:
     return out[i : j + 1]
 
 
-def _tietze_eliminate(pres: GroupPresentation) -> tuple[GroupPresentation, list[tuple[int, int]]]:
-    """Kill trivial generators by Tietze transformations, in one linear sweep.
+def _tietze_eliminate(
+    words: Sequence[Sequence[int]], table: Sequence[int], steps: Sequence[int]
+) -> tuple[GroupPresentation, list[tuple[int, int]]]:
+    """Kill trivial generators by Tietze transformations, in one streaming
+    pass over the relators.
+
+    Relator r is ``words[r]`` read through ``table``, which maps a signed
+    step to a signed generator 1..m, or to 0 for a letter that is dropped;
+    ``steps[g]`` is the step that reads as generator g (steps[0] unused).
+    `certificate` passes the cell walks with the table of
+    `_generator_table`; a presentation's own relators go through the
+    identity table.
 
     The sweep rewrites no relator.  It marks dead every generator g that is
-    the only live generator of some relator and has exponent sum +-1 there.
-    That proves g trivial: the dead letters are trivial, and deleting them
-    leaves a word in g alone, which freely reduces to g^(+-1).  Any other
-    exponent sum proves less: g g only says that g has order 2, and
-    g a g^-1 with a dead says nothing.  Each relator is indexed by its
-    distinct generators, with a count of the ones still live, and is queued
-    when that count is one; each kill lowers the count of every relator
-    holding g.  The index is built in one pass over the letters: a letter
-    appends its relator's id to the holder list of its generator unless
-    that id is already the list's last entry, which means the relator
-    repeats a generator.  Only such a relator is freely and cyclically
-    reduced, and its id is popped again from the lists of the generators
-    that cancelled; the ids go in increasing order, so it is their last
-    entry.  Indexing and sweep take time linear in the total relator
-    length.
+    the only live generator of the freely and cyclically reduced relator
+    and has exponent sum +-1 there.  That proves g trivial: the dead
+    letters are trivial, and deleting them leaves a word in g alone, which
+    freely reduces to g^(+-1).  Any other exponent sum proves less: g g
+    only says that g has order 2, and g a g^-1 with a dead says nothing.
+
+    A death zeroes both steps of g in a copy of the table, so each relator
+    is read once, as its live letters.  One live letter kills its
+    generator at once; a generator met once cannot cancel, so its exponent
+    sum is +-1.  Only a relator whose live letters repeat a generator is
+    reduced, and whole, dead letters included, so the rule is the same
+    whenever the relator is read.  A relator that kills nothing yet waits,
+    indexed under its live generators with their count and sum; each death
+    lowers the count and sum of the relators waiting on it, and one left
+    with a single live generator of exponent sum +-1 kills it.  Each
+    relator is read once and each index entry visited once, so the sweep
+    takes time linear in the total relator length.  The rule only grows
+    with the dead set, so the generators it kills do not depend on the
+    order of the relators.
 
     Returns the residual presentation and the kill log of (relator index,
     generator) steps in original numbering.  The residual relators are the
@@ -381,46 +409,51 @@ def _tietze_eliminate(pres: GroupPresentation) -> tuple[GroupPresentation, list[
     Replayed in order, a step (r, g) finds relator r reduced to g^(+-1)
     by the kills before it, and solving for g gives the empty word.
     """
-    n = pres.n_generators
-    rels = list(pres.relators)
-    holders: list[list[int]] = [[] for _ in range(n + 1)]
-    live = []  # distinct generators of each relator still live
-    last = []  # sum of those: the live one, once only one is left
-    for rid, w in enumerate(rels):
-        total = 0
-        repeat = False
-        for x in w:
-            g = x if x > 0 else -x
-            h = holders[g]
-            if h and h[-1] == rid:  # met before in this relator
-                repeat = True
-            else:
-                h.append(rid)
-                total += g
-        if repeat:  # the word may cancel: reduce it, unlist what cancelled
-            gens = set(map(abs, w))
-            w = rels[rid] = _reduce(w)
-            kept = set(map(abs, w))
-            for g in gens - kept:
-                holders[g].pop()  # ids are appended in order: rid is last
-            live.append(len(kept))
-            last.append(sum(kept))
-        else:
-            live.append(len(w))
-            last.append(total)
-    queue = [rid for rid, count in enumerate(live) if count == 1]
+    n = len(steps) - 1
+    live = list(table)  # the table with the steps of the dead zeroed
+    read = live.__getitem__
+    holders: dict[int, list[int]] = {}  # live generator -> relators waiting on it
+    count: dict[int, int] = {}  # waiting relator -> its live generators, counted
+    total: dict[int, int] = {}  # ... and summed: the live one, once one is left
+    repeats: dict[int, list[int]] = {}  # reduced word of a waiting relator that repeats
     log: list[tuple[int, int]] = []
-    for rid in queue:  # the loop visits what it appends
-        g = last[rid]
-        w = rels[rid]
-        if live[rid] != 1 or abs(w.count(g) - w.count(-g)) != 1:
+    for rid, walk in enumerate(words):
+        w = tuple(filter(None, map(read, walk)))
+        if len(w) == 1:
+            queue = [(rid, w[0] if w[0] > 0 else -w[0])]
+        elif not w:
             continue
-        log.append((rid, g))
-        for other in holders[g]:
-            live[other] -= 1
-            last[other] -= g
-            if live[other] == 1:
-                queue.append(other)
+        else:
+            gens = set(map(abs, w))
+            full = None
+            if len(gens) < len(w):  # a repeat may cancel: reduce the whole word
+                full = _reduce(list(filter(None, map(table.__getitem__, walk))))
+                gens = {g for g in map(abs, full) if read(steps[g])}
+            g = sum(gens)
+            if len(gens) != 1 or abs(full.count(g) - full.count(-g)) != 1:
+                if gens:  # wait on the live generators
+                    if full is not None:
+                        repeats[rid] = full
+                    count[rid] = len(gens)
+                    total[rid] = g
+                    for h in gens:
+                        holders.setdefault(h, []).append(rid)
+                continue
+            queue = [(rid, g)]
+        for r, g in queue:  # the loop visits what it appends
+            if not read(steps[g]):  # a relator queued on g after another killed it
+                continue
+            log.append((r, g))
+            s = steps[g]
+            live[s] = live[-s] = 0
+            for other in holders.pop(g, ()):
+                count[other] -= 1
+                total[other] -= g
+                if count[other] == 1:
+                    h = total[other]
+                    word = repeats.get(other)
+                    if word is None or abs(word.count(h) - word.count(-h)) == 1:
+                        queue.append((other, h))
     if len(log) == n:  # each generator dies at most once: every one is dead
         return GroupPresentation(0, ()), log
     order = {g: i for i, (_, g) in enumerate(log)}
@@ -431,9 +464,10 @@ def _tietze_eliminate(pres: GroupPresentation) -> tuple[GroupPresentation, list[
             m += 1
             renumber[g] = m
     residual = []
-    for rid, w in enumerate(rels):
-        if not live[rid]:
+    for rid, c in count.items():  # waiting relators, in relator order
+        if not c:
             continue
+        w = repeats.get(rid) or _reduce(list(filter(None, map(table.__getitem__, words[rid]))))
         for g in sorted({a for a in map(abs, w) if a in order}, key=order.__getitem__):
             if g in w or -g in w:  # an earlier deletion may cancel it
                 w = _reduce([x for x in w if x != g and x != -g])
@@ -581,9 +615,10 @@ def certify_trivial(pres: GroupPresentation, budget: int = DEFAULT_PI1_BUDGET) -
 def certificate(k: TwoComplex, budget: int = DEFAULT_PI1_BUDGET) -> dict:
     """Simple-connectivity certificate of the spanning-tree presentation.
 
-    The Tietze sweep runs first; H1 and coset enumeration see only the
-    residual presentation, which presents the same group.  The "pi1" field
-    is one of
+    The Tietze sweep runs first, over the cell walks through the table of
+    `_generator_table`, so no presentation of the whole complex is built;
+    H1 and coset enumeration see only the residual presentation, which
+    presents the same group.  The "pi1" field is one of
       "trivial"       the sweep killed every generator (so H1 = 0), or
                       coset enumeration of the residual closed on one
                       coset: a proof;
@@ -593,7 +628,7 @@ def certificate(k: TwoComplex, budget: int = DEFAULT_PI1_BUDGET) -> dict:
     way.
     """
     t0 = time.monotonic()
-    residual, _ = _tietze_eliminate(pi1_presentation(k))
+    residual, _ = _tietze_eliminate(k.cells, *_generator_table(k))
     if not residual.n_generators:
         betti, torsion, pi1 = 0, [], "trivial"
     else:

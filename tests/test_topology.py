@@ -1,11 +1,13 @@
 """Smith normal form, homology, Tietze elimination, and coset-enumeration
 certificates."""
 
+import functools
 import hashlib
 import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -58,8 +60,8 @@ table_pi1_presentation = T.pi1_presentation
 
 @pytest.fixture(scope="module", autouse=True)
 def presentation_checked_against_reference():
-    """Every presentation built in this module, directly or by `h1` and
-    `certificate`, must equal the reference route's, or fail alike."""
+    """Every presentation built in this module, directly or by `h1`, must
+    equal the reference route's, or fail alike."""
 
     def checked(k):
         try:
@@ -408,10 +410,17 @@ def replay_elimination(pres, residual, log):
     assert residual.relators == renumbered
 
 
+def eliminate(pres):
+    """The kill sweep on a presentation's own relators, read through the
+    identity table."""
+    n = pres.n_generators
+    return T._tietze_eliminate(pres.relators, [*range(n + 1), *range(-n, 0)], range(n + 1))
+
+
 def assert_elimination_replays(k):
     """The kill log of k's presentation replays, and kills every generator."""
     pres = T.pi1_presentation(k)
-    residual, log = T._tietze_eliminate(pres)
+    residual, log = eliminate(pres)
     replay_elimination(pres, residual, log)
     assert residual.n_generators == 0
 
@@ -424,6 +433,97 @@ def presentations(draw):
     return T.GroupPresentation(m, tuple(relators))
 
 
+def reference_queue_sweep(pres):
+    """The kill log of the two-phase sweep: index every relator under its
+    distinct generators, reducing the ones that repeat a generator, then
+    queue each relator left with one live generator and kill it when its
+    exponent sum there is +-1.  The reference for the streaming sweep's
+    killed set, which must not depend on the order of the kills."""
+    n = pres.n_generators
+    rels = list(pres.relators)
+    holders = [[] for _ in range(n + 1)]
+    live = []  # distinct generators of each relator still live
+    last = []  # sum of those: the live one, once only one is left
+    for rid, w in enumerate(rels):
+        total = 0
+        repeat = False
+        for x in w:
+            g = abs(x)
+            h = holders[g]
+            if h and h[-1] == rid:  # met before in this relator
+                repeat = True
+            else:
+                h.append(rid)
+                total += g
+        if repeat:  # the word may cancel: reduce it, unlist what cancelled
+            gens = set(map(abs, w))
+            w = rels[rid] = T._reduce(list(w))
+            kept = set(map(abs, w))
+            for g in gens - kept:
+                holders[g].pop()  # ids are appended in order: rid is last
+            live.append(len(kept))
+            last.append(sum(kept))
+        else:
+            live.append(len(w))
+            last.append(total)
+    queue = [rid for rid, count in enumerate(live) if count == 1]
+    log = []
+    for rid in queue:  # the loop visits what it appends
+        g = last[rid]
+        w = rels[rid]
+        if live[rid] != 1 or abs(w.count(g) - w.count(-g)) != 1:
+            continue
+        log.append((rid, g))
+        for other in holders[g]:
+            live[other] -= 1
+            last[other] -= g
+            if live[other] == 1:
+                queue.append(other)
+    return log
+
+
+# (kind, n, k, betti1 of the complex without each cell family) of the
+# cyclic decorated permutation pi(n, k)
+CELL_FAMILIES = [
+    ("X", 6, 3, {"quad": 105, "decagon_white": 5, "decagon_black": 5}),
+    ("Y", 6, 3, {"quad": 15, "pentagon": 11}),
+    ("T", 6, 3, {"quad": 36, "decagon": 5, "pentagon_square": 5}),
+    ("X", 6, 2, {"quad": 36, "pentagon_white": 5, "decagon_white": 5}),
+]
+
+
+@functools.cache
+def sweep_complexes():
+    """Z(n, d) for n <= 6; X, Y and T for n <= 5; and the complexes of
+    `CELL_FAMILIES` with one cell family dropped, whose sweeps stop short."""
+    out = []
+    for n in range(2, 7):
+        for d in range(1, n):
+            out.append(Z.build_z_complex(Z.enumerate_tilings(Z.zonotope_spec(n, d)))[0])
+    for n in range(1, 6):
+        for p in C.all_decorated_permutations(n):
+            out += [P.build_plabic_complex(p, kind)[0] for kind in ("X", "Y")]
+        for image in itertools.permutations(range(1, n + 1)):
+            out.append(P.build_plabic_complex(C.permutation_for_tcd(image), "T")[0])
+    for kind, n, k, families in CELL_FAMILIES:
+        cx, cells = P.build_plabic_complex(C.cyclic_decorated(n, k), kind)
+        for family in families:
+            out.append(T.TwoComplex.from_graph(cx.nv, cx.edges, [cyc for name, cyc in cells if name != family]))
+    return out
+
+
+def assert_entry_points_agree(k):
+    """The sweep over k's cell walks, through the generator table, gives the
+    residual and log of the sweep over k's presentation."""
+    assert T._tietze_eliminate(k.cells, *T._generator_table(k)) == eliminate(T.pi1_presentation(k))
+
+
+def assert_kills_as_reference(pres):
+    killed = [g for _, g in eliminate(pres)[1]]
+    assert len(set(killed)) == len(killed)
+    assert set(killed) == {g for _, g in reference_queue_sweep(pres)}
+
+
 class TestTietze:
     """Every kill log replays from the original relators, and the sweep
     kills every generator of every flip complex built here."""
@@ -431,15 +531,53 @@ class TestTietze:
     @settings(max_examples=200, deadline=None)
     @given(presentations())
     def test_random_presentations(self, pres):
-        residual, log = T._tietze_eliminate(pres)
+        residual, log = eliminate(pres)
         replay_elimination(pres, residual, log)
         assert T._abelianized_h1(residual) == T._abelianized_h1(pres)
+
+    def test_cell_walks_match_presentation(self):
+        stuck = 0
+        for k in sweep_complexes():
+            assert_entry_points_agree(k)
+            stuck += eliminate(T.pi1_presentation(k))[0].n_generators > 0
+        assert stuck == 11  # the ablated complexes, and only those
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(one_vertex_complexes(), connected_complexes()))
+    def test_cell_walks_match_presentation_random(self, k):
+        assert_entry_points_agree(k)
+
+    def test_killed_set_is_the_reference_queue_sweeps(self):
+        for k in sweep_complexes():
+            assert_kills_as_reference(T.pi1_presentation(k))
+
+    @settings(max_examples=300, deadline=None)
+    @given(presentations(), st.randoms(use_true_random=False))
+    def test_killed_set_does_not_depend_on_relator_order(self, pres, rng):
+        assert_kills_as_reference(pres)
+        shuffled = list(pres.relators)
+        rng.shuffle(shuffled)
+        killed = {g for _, g in eliminate(T.GroupPresentation(pres.n_generators, tuple(shuffled)))[1]}
+        assert killed == {g for _, g in reference_queue_sweep(pres)}
+
+    def test_sweep_is_linear(self):
+        # one relator holds every generator, and single-letter relators kill
+        # them last to first: each death lowers its count once, where a
+        # sweep that read it again per death would take n^2 / 2 steps
+        n = 40_000
+        pres = T.GroupPresentation(n, (tuple(range(1, n + 1)), *((g,) for g in range(n, 0, -1))))
+        t0 = time.perf_counter()
+        residual, log = eliminate(pres)
+        elapsed = time.perf_counter() - t0
+        assert residual == T.GroupPresentation(0, ())
+        assert log == [(n + 1 - g, g) for g in range(n, 1, -1)] + [(0, 1)]
+        assert elapsed < 5.0, elapsed
 
     def test_kill_needs_exponent_sum_one(self):
         # <a, b | b, a b a^-1>: b dies, and a b a^-1 is then a a^-1, which
         # proves nothing about a
         pres = T.GroupPresentation(2, ((2,), (1, 2, -1)))
-        residual, log = T._tietze_eliminate(pres)
+        residual, log = eliminate(pres)
         assert log == [(0, 2)] and residual == T.GroupPresentation(1, ())
         replay_elimination(pres, residual, log)
         k = T.TwoComplex(1, ((0, 0), (0, 0)), ((2,), (1, 2, -1)))
@@ -449,15 +587,16 @@ class TestTietze:
     def test_kill_with_repeated_generator(self):
         # with b dead, a a b a^-1 b^-1 is a a a^-1 = a: exponent sum 1
         pres = T.GroupPresentation(2, ((1, 1, 2, -1, -2), (2,)))
-        residual, log = T._tietze_eliminate(pres)
+        residual, log = eliminate(pres)
         assert log == [(1, 2), (0, 1)] and residual == T.GroupPresentation(0, ())
         replay_elimination(pres, residual, log)
-        # a b b^-1 c reduces to a c, so the index unlists it from b: with c
-        # dead it kills a.  Still listed under b, it would lose its last live
-        # generator when b dies as well, and a would survive
-        for more, expected in [((), ([(1, 3), (0, 1)], 1)), (((2,),), ([(1, 3), (2, 2), (0, 1)], 0))]:
+        # a b b^-1 c reduces to a c, so it waits on a and c only: with c
+        # dead it kills a.  Waiting on b as well, it would need b dead too,
+        # and without the relator b, a would survive.  The log is in
+        # streaming order: c's death kills a before relator 2 is read
+        for more, expected in [((), ([(1, 3), (0, 1)], 1)), (((2,),), ([(1, 3), (0, 1), (2, 2)], 0))]:
             pres = T.GroupPresentation(3, ((1, 2, -2, 3), (3,), *more))
-            residual, log = T._tietze_eliminate(pres)
+            residual, log = eliminate(pres)
             assert (log, residual.n_generators) == expected and not residual.relators
             replay_elimination(pres, residual, log)
 
@@ -468,21 +607,21 @@ class TestTietze:
         a, b, g, h = 1, 2, 3, 4
         word = (a, h, -a, h, b, -a, b, -h, -a, g)
         pres = T.GroupPresentation(4, ((g,), (h,), word))
-        residual, log = T._tietze_eliminate(pres)
+        residual, log = eliminate(pres)
         assert log == [(0, g), (1, h)]
         assert residual == T.GroupPresentation(2, ((-a, b, -a, b),))
         replay_elimination(pres, residual, log)
 
     def test_torsion_kills_nothing(self):
         pres = T.GroupPresentation(1, ((1, 1),))
-        assert T._tietze_eliminate(pres) == (pres, [])
+        assert eliminate(pres) == (pres, [])
         projective_plane = T.TwoComplex(1, ((0, 0),), ((1, 1),))
-        assert T._tietze_eliminate(T.pi1_presentation(projective_plane)) == (pres, [])
+        assert eliminate(T.pi1_presentation(projective_plane)) == (pres, [])
 
     @pytest.mark.parametrize("n, d", [(5, 3), (6, 2)])
     def test_kill_phase_closes_zonotopal(self, n, d):
         k = Z.build_z_complex(Z.enumerate_tilings(Z.zonotope_spec(n, d)))[0]
-        residual, _ = T._tietze_eliminate(T.pi1_presentation(k))
+        residual, _ = eliminate(T.pi1_presentation(k))
         assert residual == T.GroupPresentation(0, ())
         cert = T.certificate(k)
         assert (cert["betti1"], cert["torsion"], cert["pi1"]) == (0, [], "trivial")
@@ -609,16 +748,7 @@ class TestCertificates:
         cert = T.certificate(k)
         assert (cert["betti1"], cert["torsion"], cert["pi1"]) == (0, [2], "nontrivial")
 
-    @pytest.mark.parametrize(
-        "kind, n, k, betti1_without",
-        [
-            ("X", 6, 3, {"quad": 105, "decagon_white": 5, "decagon_black": 5}),
-            ("Y", 6, 3, {"quad": 15, "pentagon": 11}),
-            ("T", 6, 3, {"quad": 36, "decagon": 5, "pentagon_square": 5}),
-            ("X", 6, 2, {"quad": 36, "pentagon_white": 5, "decagon_white": 5}),
-        ],
-        ids=["X-pi63", "Y-pi63", "T-pi63", "X-pi62"],
-    )
+    @pytest.mark.parametrize("kind, n, k, betti1_without", CELL_FAMILIES, ids=["X-pi63", "Y-pi63", "T-pi63", "X-pi62"])
     def test_every_cell_family_is_needed(self, kind, n, k, betti1_without):
         # the paper's 4-, 5- and 10-cycles: dropping any one family of a
         # real complex leaves H1 free of rank betti1, so pi1 is nontrivial
@@ -647,7 +777,8 @@ class TestCertificates:
         ],
         ids=["trivial", "nontrivial"],
     )
-    def test_one_presentation_and_no_boundary_matrix(self, build, monkeypatch):
+    def test_no_presentation_and_no_boundary_matrix(self, build, monkeypatch):
+        # the sweep reads the cell walks through the generator table itself
         k = build()
         calls = []
         presentation = T.pi1_presentation
@@ -658,7 +789,7 @@ class TestCertificates:
 
         monkeypatch.setattr(T, "pi1_presentation", spy)
         T.certificate(k)
-        assert calls == [k]
+        assert calls == []
         assert not hasattr(T, "boundary_matrices")
 
     def test_closed_elimination_needs_no_snf_nor_coset_enumeration(self, monkeypatch):
