@@ -7,6 +7,10 @@ in colexicographic order, which coincides with ascending mask order.  The
 flip graph keys each tiling by its plus masks packed into one `bytes`
 object (`ZonotopeSpec.pack`), and decodes a `Tiling` only when asked.
 
+Only the enumeration's flip scan uses numpy.  `build_z_complex` reads the
+2-cells, the quads of commuting flips and the (2d+4)-gons of coarse
+(d+2)-tiles, from the moves the enumeration stored, in one pass.
+
 The exact check of a tiling's geometry and the tilings' JSON form are in
 `exact`, which the package loads on first use.
 """
@@ -27,14 +31,9 @@ from .flipgraph import (
     FlipGraph,
     bfs_closure,
     collector_paused,
-    commuting_squares,
     move_cycle,
     sorted_cells,
 )
-
-# Packed keys per step of the coarse-tile scan in `build_z_complex`: bounds its
-# (rows, coarse tiles, member tiles) array of plus masks, 1.7 MB at Z(8,4).
-COARSE_SCAN_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -144,21 +143,6 @@ class ZonotopeSpec:
         elem_bits = np.array([rec[2] for rec in sites], dtype=dtype)
         smask = np.array([rec[0] for rec in sites], dtype=dtype)
         return tiles_idx, elem_bits, smask
-
-    @lru_cache(maxsize=None)
-    def coarse_tables_np(self):
-        """(member tile indices, coarse masks): for every (d+2)-subset T of
-        [n], in combination order, the C(d+2, 2) tiles whose zero set lies
-        in T, and the mask of T.  The masks take the native dtype of
-        `key_rows`, the narrowest unsigned one that holds n bits: with
-        uint64 blocks the Z(7,3) build peaks 2.4 MB higher."""
-        import numpy as np  # deferred: only the tiling scans need numpy
-
-        coarse = [mask_of(c) for c in itertools.combinations(range(1, self.n + 1), self.d + 2)]
-        members = [[self.tile_index(m) for m in self.dsubsets if m & ~t == 0] for t in coarse]
-        shape = (len(coarse), math.comb(self.d + 2, 2))
-        masks = np.array(coarse, dtype="u%d" % self.key_width)
-        return np.array(members, dtype=np.int64).reshape(shape), masks
 
     def det_of(self, mask: int) -> int:
         """det of the moment-curve vectors indexed by a d-subset (Vandermonde)."""
@@ -426,63 +410,56 @@ def spec_top_rank(spec: ZonotopeSpec) -> int:
 # the flip 2-complex: commuting squares and coarse-tile (2d+4)-gons
 
 
-def coarse_tile_scan(spec: ZonotopeSpec, keys):
-    """Boolean matrix (len(keys), coarse tiles) for a block of packed keys
-    (`ZonotopeSpec.pack`), read by `key_rows`: the (d+2)-subset T is a
-    coarse tile of the tiling when its member tiles' plus masks agree
-    outside T.  Columns follow `coarse_tables_np()`."""
-    members, coarse = spec.coarse_tables_np()
-    prefixes = spec.key_rows(keys)[:, members]
-    prefixes &= ~coarse[None, :, None]
-    return (prefixes == prefixes[:, :, :1]).all(axis=2)
-
-
-def _coarse_cycles(graph: FlipGraph, spec: ZonotopeSpec):
-    """Yield the (2d+4)-gon of every coarse tile once, walked from its lowest
-    vertex.  The pairs of `coarse_tile_scan` are visited in row-major, that
-    is (vertex, coarse tile), order; the walk set is dropped on exhaustion,
-    before the caller builds the complex."""
-    import numpy as np  # deferred: only the tiling scans need numpy
-
-    coarse = spec.coarse_tables_np()[1].tolist()
-    expected_len = 2 * spec.d + 4
-    # (vertex, coarse tile) on a traced cycle: a cycle is first traced from its
-    # lowest vertex, and tracing it from another would find the same cell
-    traced: set[tuple[int, int]] = set()
-    for lo in range(0, graph.n_vertices, COARSE_SCAN_ROWS):
-        rows, cols = np.nonzero(coarse_tile_scan(spec, graph.vertices[lo : lo + COARSE_SCAN_ROWS]))
-        for vid, col in zip((rows + lo).tolist(), cols.tolist()):
-            tmask = coarse[col]
-            if (vid, tmask) in traced:
-                continue
-            # the walk leaves vid by its first coarse flip in scan order, not
-            # towards the lower vertex id: the pinned canonical hashes record it
-            cycle = move_cycle(graph, vid, lambda smask: smask & ~tmask == 0, expected_len)
-            traced.update((v, tmask) for v in cycle)
-            yield cycle
-
-
 @collector_paused
 def build_z_complex(graph: FlipGraph):
     """2-cells over the flip graph: operationally commuting flip pairs give
     quadrilaterals; coarse (d+2)-subset tiles give (2d+4)-gon cycles.
 
-    Coarse tiles are detected by `coarse_tile_scan`, `COARSE_SCAN_ROWS`
-    vertices at a time; every cell is read from the moves stored by
-    `enumerate_tilings`.  Returns (TwoComplex, cells) where cells is a list
-    of (kind, vertex cycle).
+    Both are read in one pass over the pairs of moves to higher vertex ids
+    at each vertex v, the pairs `commuting_squares` visits, from the moves
+    stored by `enumerate_tilings`.  Two flips whose union T has d + 2
+    elements lie in one packet and never commute.  They are a gon's flips
+    at its lowest vertex when T is a coarse tile of v: the plus masks of
+    T's C(d+2, 2) member tiles agree outside T.  The gon is then walked
+    from v by the flips inside T.  Any other pair is a quad when it
+    commutes, by the test of `commuting_squares`.  Returns (TwoComplex,
+    cells) where cells is a list of (kind, vertex cycle).
     """
     from .topology import TwoComplex
 
     if not graph.payloads or not graph.moves:
         raise PreconditionError("build_z_complex needs tiling payloads and moves")
     spec: ZonotopeSpec = graph.payloads[0].spec
+    gon = 2 * spec.d + 4
+    # the tile indices of the C(d+2, 2) tiles whose zero set lies in T
+    members: dict[int, list[int]] = {}
+    for comb in itertools.combinations(range(1, spec.n + 1), spec.d + 2):
+        tmask = mask_of(comb)
+        members[tmask] = [spec.tile_index(tmask & ~mask_of(ij)) for ij in itertools.combinations(comb, 2)]
 
+    moves = graph.moves
     cells: dict[frozenset[int], tuple[str, tuple[int, ...]]] = {}
-    for quad, _, _ in commuting_squares(graph):
-        cells.setdefault(frozenset(quad), ("quad", quad))
-    for cycle in _coarse_cycles(graph, spec):
-        cells.setdefault(frozenset(cycle), ("gon%d" % len(cycle), tuple(cycle)))
+    for v, out in enumerate(moves):
+        up = [(label, w) for label, w in out.items() if w > v]
+        plus = None
+        for (a, va), (b, vb) in itertools.combinations(up, 2):
+            tmask = a | b
+            tiles = members.get(tmask)
+            if tiles is None:
+                vab = moves[va].get(b)
+                if vab is None or vab <= v or vab != moves[vb].get(a):
+                    continue
+                quad = (v, va, vab, vb)
+                if len(set(quad)) == 4:
+                    cells.setdefault(frozenset(quad), ("quad", quad))
+                continue
+            if plus is None:
+                plus = spec.unpack(graph.vertices[v])
+            if len({plus[i] & ~tmask for i in tiles}) == 1:
+                # the walk leaves v by its first flip inside T in scan order,
+                # not towards the lower vertex id: the pinned hashes record it
+                cycle = tuple(move_cycle(graph, v, lambda smask: smask & ~tmask == 0, gon))
+                cells.setdefault(frozenset(cycle), ("gon%d" % gon, cycle))
 
     cell_list = sorted_cells(cells)
     complex_ = TwoComplex.from_graph(

@@ -61,12 +61,6 @@ def test_pinned_canonical_hash(name):
     assert _build(name).canonical_hash() == PINNED_HASHES[name]
 
 
-def test_coarse_scan_blocks_keep_the_hash(monkeypatch):
-    # in blocks of 7 rows, each of Z(6,2)'s 180 coarse cycles spans two or more
-    monkeypatch.setattr(Z, "COARSE_SCAN_ROWS", 7)
-    assert _build("Z(6,2)").canonical_hash() == PINNED_HASHES["Z(6,2)"]
-
-
 # sha256 over (kind, connectivity, cell names, canonical_hash()) of X and Y
 # for every decorated permutation and of T for every permutation, n <= 5.
 SMALL_COMPLEXES_HASH = "208f9ab335f9d0bf81e572809e64d6f764c9a5177a147db274b8ae3cd65c2187"
@@ -595,6 +589,17 @@ def test_t_and_z_squares_match_the_reference():
         assert list(lowest_corner_squares(graph, independent).items()) == list(ref.items())
         squares += len(ref)
     assert squares
+
+
+@pytest.mark.parametrize("n, d", [(5, 2), (6, 2), (6, 3), (7, 4)])
+def test_z_quads_are_the_squares_and_span_no_coarse_tile(n, d):
+    # build_z_complex tests a pair of flips for a gon, not a square, when
+    # their union has d + 2 elements: no square is such a pair
+    graph = Z.enumerate_tilings(Z.zonotope_spec(n, d))
+    ref = reference_squares(graph)
+    quads = {frozenset(cyc): cyc for kind, cyc in Z.build_z_complex(graph)[1] if kind == "quad"}
+    assert quads == {key: quad for key, (quad, _, _) in ref.items()}
+    assert all(bin(a | b).count("1") > d + 2 for _, a, b in ref.values())
 
 
 # certificate input_hash of the X, Y and T complexes of pi(7,3)

@@ -1,7 +1,10 @@
 """Zonotopal tilings: construction, validation, flips, enumeration, cells."""
 
+import functools
+import itertools
 import json
 import math
+import operator
 import random
 import types
 from fractions import Fraction
@@ -314,6 +317,33 @@ class TestZComplex:
         with pytest.raises(PreconditionError):
             Z.build_z_complex(g)
 
+    @pytest.mark.parametrize("n, d", [(5, 2), (6, 2), (6, 3), (7, 4)])
+    def test_gons_are_the_coarse_tiles_of_the_per_vertex_rule(self, n, d):
+        spec = Z.zonotope_spec(n, d)
+        g = Z.enumerate_tilings(spec)
+        # the reference rule: T is a coarse tile when the plus masks of the
+        # tiles whose zero set lies in T agree outside T
+        hits = set()
+        for tmask in map(C.mask_of, itertools.combinations(range(1, n + 1), d + 2)):
+            tls = [spec.tile_index(m) for m in spec.dsubsets if m & ~tmask == 0]
+            for v, t in enumerate(g.payloads):
+                if len({t.plus[ti] & ~tmask for ti in tls}) == 1:
+                    hits.add((v, tmask))
+        assert hits
+        on_gons = []
+        for kind, cyc in Z.build_z_complex(g)[1]:
+            if kind == "quad":
+                continue
+            assert kind == "gon%d" % (2 * d + 4) and len(cyc) == 2 * d + 4
+            steps = zip(cyc, cyc[1:] + cyc[:1])
+            labels = {next(a for a, w in g.moves[u].items() if w == x) for u, x in steps}
+            # two distinct (d+1)-subsets span the gon's tile T, and every
+            # flip of the gon lies in it
+            tmask = functools.reduce(operator.or_, labels)
+            assert len(labels) > 1 and bin(tmask).count("1") == d + 2
+            on_gons += [(v, tmask) for v in cyc]
+        assert set(on_gons) == hits and len(on_gons) == len(hits)
+
 
 class TestKernels:
     def test_backends_agree(self):
@@ -328,27 +358,8 @@ class TestKernels:
             got = {int(smask[i]) for i in np.flatnonzero(out[row])}
             assert ref == got
 
-    @pytest.mark.parametrize("n, d", [(5, 2), (6, 3), (7, 4)])
-    def test_coarse_scan_matches_per_vertex_rule(self, n, d):
-        spec = Z.zonotope_spec(n, d)
-        g = Z.enumerate_tilings(spec)
-        members, coarse = spec.coarse_tables_np()
-        assert members.shape == (math.comb(n, d + 2), math.comb(d + 2, 2))
-        hits = Z.coarse_tile_scan(spec, g.vertices)
-        # the reference rule: T is a coarse tile when the plus masks of the
-        # tiles whose zero set lies in T agree outside T
-        for row, t in enumerate(g.payloads):
-            ref = set()
-            for tmask in map(int, coarse):
-                tls = [spec.tile_index(m) for m in spec.dsubsets if m & ~tmask == 0]
-                if len({t.plus[ti] & ~tmask for ti in tls}) == 1:
-                    ref.add(tmask)
-            assert {int(coarse[i]) for i in np.flatnonzero(hits[row])} == ref
-
     def test_no_coarse_tiles_when_d_is_n_minus_1(self):
-        spec = Z.zonotope_spec(4, 3)
-        g = Z.enumerate_tilings(spec)
-        assert Z.coarse_tile_scan(spec, g.vertices).shape == (g.n_vertices, 0)
+        g = Z.enumerate_tilings(Z.zonotope_spec(4, 3))
         assert Z.build_z_complex(g)[1] == []
 
 
