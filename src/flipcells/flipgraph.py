@@ -3,19 +3,19 @@
 `bfs_closure` is the one enumerator behind tilings, plabic graphs and triple
 crossing diagrams.  It holds each vertex once, as its canonical encoding,
 and `PayloadView` decodes a vertex's object from it on access.  It scans
-every vertex's moves exactly once and stores them, and the cell finders
-(`commuting_squares`, `move_cycle`) read cells from those stored moves with
-dictionary lookups alone.  `sorted_cells` is the canonical order of the
-cells found, and `union_classes` the connected classes of a pair list.
-`collector_paused` keeps the cyclic garbage collector off while a build
-runs.
+every vertex's moves exactly once and stores them.  The builders read
+every cell from a pair of those stored moves at its lowest vertex, with
+dictionary lookups alone: `commuting_square` tests a pair for a square,
+and `move_cycle` walks the cycle of the moves inside a family.
+`sorted_cells` is the canonical order of the cells found, and
+`union_classes` the connected classes of a pair list.  `collector_paused`
+keeps the cyclic garbage collector off while a build runs.
 """
 
 from __future__ import annotations
 
 import functools
 import gc
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
@@ -171,29 +171,18 @@ def bfs_closure(
     )
 
 
-def commuting_squares(graph: FlipGraph, independent: Callable[[Any, Any], bool] | None = None):
-    """Yield `((v, va, vab, vb), a, b)` for every square found from its
-    lowest corner v: every pair of moves a before b in scan order at v that
-    commute, so that `a` then `b` and `b` then `a` are both available and
-    meet at vab, over four distinct vertices all above v.  Pairs failing
-    `independent(a, b)` are skipped first.
-
-    A square found from one corner is found from each of them, so the
-    first square yielded for a vertex set is the one all-corner scan
-    order would find first too: at its lowest corner, by the same pair.
+def commuting_square(moves: list[dict[Any, int]], v: int, a: Any, va: int, b: Any, vb: int):
+    """The square `(v, va, vab, vb)` that the moves `a` from v to va and
+    `b` from v to vb close, or None: `a` then `b` and `b` then `a` meet at
+    vab above v, and the four vertices are distinct.  Paired only over
+    moves to higher ids, as the builders pair them, each square is found
+    once, from its lowest corner: the one an all-corner scan finds first.
     """
-    moves = graph.moves
-    for v, out in enumerate(moves):
-        up = [(label, w) for label, w in out.items() if w > v]
-        for (a, va), (b, vb) in itertools.combinations(up, 2):
-            if independent is not None and not independent(a, b):
-                continue
-            vab = moves[va].get(b)
-            if vab is None or vab <= v or vab != moves[vb].get(a):
-                continue
-            quad = (v, va, vab, vb)
-            if len(set(quad)) == 4:
-                yield quad, a, b
+    vab = moves[va].get(b)
+    if vab is None or vab <= v or vab != moves[vb].get(a):
+        return None
+    quad = (v, va, vab, vb)
+    return quad if len(set(quad)) == 4 else None
 
 
 def collector_paused(func: Callable) -> Callable:

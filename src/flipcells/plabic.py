@@ -42,7 +42,7 @@ from .flipgraph import (
     PayloadView,
     bfs_closure,
     collector_paused,
-    commuting_squares,
+    commuting_square,
     move_cycle,
     sorted_cells,
     union_classes,
@@ -401,6 +401,15 @@ class Move:
         for t in self.removed + self.added:
             out.update(t)
         return frozenset(out)
+
+    @cached_property
+    def _span(self) -> tuple[int, int]:
+        """The AND and the OR of the support labels."""
+        common, union = -1, 0
+        for lab in self._support:
+            common &= lab
+            union |= lab
+        return common, union
 
 
 def available_moves(sigma: PlabicTriangulation) -> tuple[Move, ...]:
@@ -829,78 +838,59 @@ def _bits(mask: int) -> list[int]:
 # the complex X (all moves) and its quotients Y and T
 
 
-@lru_cache(maxsize=None)
-def _embedded_candidates(n: int, k: int) -> tuple[tuple[int, frozenset, tuple[int, ...], int], ...]:
-    """(h, family, sub-walk, area) for every possible embedded pi(5,h) sub-necklace.
-
-    h = 1/4 give white/black pentagon supports, h = 2/3 white/black decagons.
-    The family is the set of labels S u psi(K) over h-subsets K of [5], and
-    the area is twice the unsigned area the sub-walk encloses.  Entries are
-    grouped by ascending h.
+@lru_cache(maxsize=SITE_CACHE_SIZE)
+def _family(h: int, five: int, common: int) -> tuple[frozenset[int], tuple[int, ...], int]:
+    """The embedded pi(5, h) family on the 5-set `five` over the labels
+    `common` (S): its labels S u psi(K), over the h-subsets K of [5] and psi
+    the order-preserving map from [5] onto `five`; its sub-walk, the
+    necklace of pi(5, h) through psi, joined to S; and twice the area the
+    sub-walk encloses.  h = 1/4 give white/black pentagons, 2/3 decagons.
     """
-    cands = []
-    for h in (1, 2, 3, 4):
-        s_size = k - h
-        if s_size < 0 or s_size > n - 5:
-            continue
-        sub_neck = combinat.necklace_of(combinat.cyclic_decorated(5, h))
-        hsubsets = list(itertools.combinations(range(1, 6), h))
-        for amask_elems in itertools.combinations(range(1, n + 1), 5):
-            rest = [x for x in range(1, n + 1) if x not in amask_elems]
-            psi = {i + 1: amask_elems[i] for i in range(5)}
-            for s_elems in itertools.combinations(rest, s_size):
-                smask = mask_of(s_elems)
-                family = frozenset(
-                    smask | mask_of(psi[i] for i in kk) for kk in hsubsets
-                )
-                walk5 = tuple(
-                    smask | mask_of(psi[i] for i in sub_neck[j]) for j in range(1, 6)
-                )
-                cands.append((h, family, walk5, abs(shoelace2([pos(b) for b in walk5]))))
-    return tuple(cands)
+    psi = _bits(five)
+    family = frozenset(common | sum(kk) for kk in itertools.combinations(psi, h))
+    necklace = combinat.necklace_masks(combinat.cyclic_decorated(5, h))
+    walk5 = tuple(common | sum(x for i, x in enumerate(psi) if m >> i & 1) for m in necklace)
+    return family, walk5, abs(shoelace2([pos(b) for b in walk5]))
 
 
-@lru_cache(maxsize=None)
-def _kept_candidates(n: int, k: int, hs: tuple[int, ...]) -> tuple[tuple[int, int, frozenset, tuple, int], ...]:
-    """(index, h, family, sub-walk, area) of each `_embedded_candidates(n, k)` entry whose h is in `hs`
-    and whose sub-walk encloses a region."""
-    cands = enumerate(_embedded_candidates(n, k))
-    return tuple((ci, h, family, walk5, area) for ci, (h, family, walk5, area) in cands if h in hs and area)
-
-
-def embedded_cells(graph: FlipGraph, hs) -> dict:
-    """Cells of the embedded pi(5, h) sub-necklaces of a plabic flip graph,
-    for each h in `hs`: frozenset(cycle) -> (h, cycle).
-
-    A vertex carries the cell of a family when the family's sub-walk is
-    among the labels of its triangle key and the triangles whose labels all
-    lie in the family tile the region of the sub-walk.  The cell is the
-    cycle, of its `_X_CELLS` length, of the moves supported in the family,
-    walked once, from the first vertex in id order that carries it.  The
-    restricted moves are 2-regular on the cycle, so a walk from any later
-    vertex on it would give the same vertex set: those (family, vertex)
-    pairs are skipped.  Vertex 0 alone is decoded, for n, k and the
-    boundary walk that every vertex shares.
+def _x_cells(graph: FlipGraph, collapsed, hs):
+    """X's cells in the one pass of `quotient_complex`, each read from a
+    pair of moves at its lowest vertex: ("quad", (v, va, vab, vb)) for two
+    moves whose kinds are not `collapsed`, and (h, cycle) for the cell of
+    an embedded pi(5, h) family, h in `hs`, of X's length (`_X_CELLS`).
+    Vertex 0 alone is decoded, for k and the shared boundary walk.
     """
     first = graph.payloads[0]
-    cands = _kept_candidates(first.n, first.k, tuple(hs))
-    boundary = set(first.boundary)
-    cells = {}
-    walked: dict[int, set[int]] = {}  # vertex id -> candidates walked through it
-    for vid, tris in enumerate(graph.vertices):
+    k, boundary = first.k, frozenset(first.boundary)
+    moves = graph.moves
+    for v, out in enumerate(moves):
+        up = [(move, w) for move, w in out.items() if w > v]
+        named = set()
+        for (a, va), (b, vb) in itertools.combinations(up, 2):
+            # a quad needs no independence test: moves that remove a common
+            # triangle never close a square, since no move adds back what
+            # it removed
+            if a.kind not in collapsed and b.kind not in collapsed:
+                quad = commuting_square(moves, v, a, va, b, vb)
+                if quad is not None:
+                    yield "quad", quad
+            (a_and, a_or), (b_and, b_or) = a._span, b._span
+            common = a_and & b_and
+            five = (a_or | b_or) & ~common
+            h = k - common.bit_count()
+            if h in hs and five.bit_count() == 5:
+                named.add((h, five, common))
+        if not named:
+            continue
+        tris = graph.vertices[v]
         labs = boundary.union(*tris)
-        done = walked.pop(vid, ())
-        for ci, h, family, walk5, area in cands:
-            if ci in done or not labs.issuperset(walk5):
+        for h, five, common in sorted(named, key=lambda f: (f[0], elems_of(f[1]), elems_of(f[2]))):
+            family, walk5, area = _family(h, five, common)
+            if not labs.issuperset(walk5) or sum(_area2(t) for t in tris if family.issuperset(t)) != area:
                 continue
-            if sum(_area2(t) for t in tris if family.issuperset(t)) != area:
-                continue
-            cycle = move_cycle(graph, vid, lambda m: m.support_labels() <= family, _X_CELLS[h][1], by_id=True)
-            cells.setdefault(frozenset(cycle), (h, tuple(cycle)))
-            for v in cycle:
-                if v > vid:
-                    walked.setdefault(v, set()).add(ci)
-    return cells
+            cycle = move_cycle(graph, v, lambda m: m.support_labels() <= family, _X_CELLS[h][1], by_id=True)
+            if min(cycle) == v:
+                yield h, tuple(cycle)
 
 
 # The complexes read off X's flip graph: the move kinds each collapses, and
@@ -950,13 +940,32 @@ def quotient_complex(graph: FlipGraph, kind: str):
     Its vertices are the classes of X vertices joined by collapsed moves,
     numbered in order of their lowest X id, and its edges the other moves
     between distinct classes.  X collapses nothing, so each of its vertices
-    is its own class and its edges are the graph's.  A quad of X is kept
-    when neither of its moves is collapsed and its corners lie in four
-    classes.  Each kept embedded cell of X must project, with repeated
-    classes merged, onto a simple cycle of its table length, or
-    AssertionError is raised.  Returns (TwoComplex, cells, class of each X
-    vertex), cells the (name, cycle) list: for X its sorted quads, then its
-    sorted embedded cells; for Y and T all its cells sorted together.
+    is its own class and its edges are the graph's.
+
+    X's cells are read in one pass over each vertex's pairs of moves to
+    higher ids (`_x_cells`), each from a pair at its lowest vertex.  A
+    commuting pair of moves that are not collapsed is a quad, kept when its
+    corners lie in four classes.  A pair names the family S u psi(K) of an
+    embedded pi(5, h) sub-necklace when, S the AND of its support labels
+    and A their OR with S removed, |A| = 5 and h = k - |S| is kept.  At
+    every vertex of an embedded cell its two moves span exactly S and A: a
+    pentagon's are the flips of two diagonals of one pentagon
+    triangulation, which cover its five labels; a decagon's are a square
+    move, on S plus two of four elements of A, so their AND is S, and a
+    trivalent flip, whose labels hold S and the fifth element.  So every
+    cell is named at its lowest vertex.  A vertex carries a named family
+    when the family's sub-walk is among its labels and its triangles
+    inside the family tile the sub-walk's region.  The cell is then walked
+    from the vertex towards its lower neighbour id, and kept when the
+    vertex is its lowest.  At one vertex the families are walked by h, then
+    by A and by S in lex order, and the projection keeps the first cell
+    found for each class set.  Each kept embedded cell must project, with
+    repeated classes merged, onto a simple cycle of its table length, or
+    AssertionError is raised.
+
+    Returns (TwoComplex, cells, class of each X vertex), cells the (name,
+    cycle) list: for X its sorted quads, then its sorted embedded cells;
+    for Y and T all its cells sorted together.
     """
     from .topology import TwoComplex
 
@@ -971,19 +980,14 @@ def quotient_complex(graph: FlipGraph, kind: str):
         }
     )
 
-    # moves that remove a common triangle never close a square: neither is
-    # available after the other, since no move adds back what it removed
-    def kept(a, b):
-        return a.kind not in collapsed and b.kind not in collapsed
-
     quads = {}
-    for quad, _, _ in commuting_squares(graph, kept):
-        cyc = tuple(cls[v] for v in quad)
-        if len(set(cyc)) == 4:
-            quads.setdefault(frozenset(cyc), ("quad", cyc))
-    # X's cells of the kept sub-necklaces: 5 or 10 classes, never a quad's 4
-    embedded = {}
-    for h, cyc in embedded_cells(graph, table).values():
+    embedded = {}  # the kept sub-necklaces: 5 or 10 classes, never a quad's 4
+    for h, cyc in _x_cells(graph, collapsed, table):
+        if h == "quad":
+            quad = tuple(cls[v] for v in cyc)
+            if len(set(quad)) == 4:
+                quads.setdefault(frozenset(quad), ("quad", quad))
+            continue
         name, length = table[h]
         proj = []
         for v in cyc:

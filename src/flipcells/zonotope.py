@@ -31,6 +31,7 @@ from .flipgraph import (
     FlipGraph,
     bfs_closure,
     collector_paused,
+    commuting_square,
     move_cycle,
     sorted_cells,
 )
@@ -416,14 +417,13 @@ def build_z_complex(graph: FlipGraph):
     quadrilaterals; coarse (d+2)-subset tiles give (2d+4)-gon cycles.
 
     Both are read in one pass over the pairs of moves to higher vertex ids
-    at each vertex v, the pairs `commuting_squares` visits, from the moves
-    stored by `enumerate_tilings`.  Two flips whose union T has d + 2
-    elements lie in one packet and never commute.  They are a gon's flips
-    at its lowest vertex when T is a coarse tile of v: the plus masks of
-    T's C(d+2, 2) member tiles agree outside T.  The gon is then walked
-    from v by the flips inside T.  Any other pair is a quad when it
-    commutes, by the test of `commuting_squares`.  Returns (TwoComplex,
-    cells) where cells is a list of (kind, vertex cycle).
+    at each vertex v, from the moves stored by `enumerate_tilings`.  Two
+    flips whose union T has d + 2 elements lie in one packet and never
+    commute.  They are a gon's flips at its lowest vertex when T is a
+    coarse tile of v: the plus masks of T's C(d+2, 2) member tiles agree
+    outside T.  The gon is then walked from v by the flips inside T.  Any
+    other pair is a quad when it commutes, by `commuting_square`.  Returns
+    (TwoComplex, cells) where cells is a list of (kind, vertex cycle).
     """
     from .topology import TwoComplex
 
@@ -446,11 +446,8 @@ def build_z_complex(graph: FlipGraph):
             tmask = a | b
             tiles = members.get(tmask)
             if tiles is None:
-                vab = moves[va].get(b)
-                if vab is None or vab <= v or vab != moves[vb].get(a):
-                    continue
-                quad = (v, va, vab, vb)
-                if len(set(quad)) == 4:
+                quad = commuting_square(moves, v, a, va, b, vb)
+                if quad is not None:
                     cells.setdefault(frozenset(quad), ("quad", quad))
                 continue
             if plus is None:

@@ -1,10 +1,12 @@
 """The flip-graph engine: pinned complexes, stored moves, and call counts."""
 
+import functools
 import gc
 import hashlib
 import inspect
 import itertools
 import json
+import operator
 import random
 import weakref
 
@@ -22,12 +24,13 @@ from flipcells.flipgraph import (
     PayloadView,
     bfs_closure,
     collector_paused,
-    commuting_squares,
 )
 from test_tcd import (
     chain_pairs,
     disjoint_support,
     enumerate_tcd,
+    lowest_corner_squares,
+    reference_candidates,
     reference_embedded_cells,
     square_moves,
     tcd_neighbors,
@@ -387,28 +390,113 @@ class TestSiteMemos:
         assert m.support_labels() == frozenset(x for t in m.removed + m.added for x in t)
 
 
-def _walk_cases():
-    """(X graph, the h of the families scanned)."""
-    for p, hss in ((C.cyclic_decorated(6, 3), (P._X_CELLS, (2, 3))), (C.cyclic_decorated(7, 2), (P._X_CELLS,))):
-        graph = P.enumerate_plabic(p)
-        for hs in hss:
-            yield graph, hs
+def _x_graphs():
+    """X of every decorated permutation with n <= 6, and of pi(7,2),
+    pi(7,3) and pi(7,4)."""
+    perms = [p for n in range(1, 7) for p in C.all_decorated_permutations(n)]
+    for p in perms + [C.cyclic_decorated(7, k) for k in (2, 3, 4)]:
+        yield P.enumerate_plabic(p)
+
+
+def _embedded_in_pass_order(graph, collapsed, hs):
+    """frozenset(cycle) -> (h, cycle) of the embedded cells of the one-pass
+    reader, in the order it yields them."""
+    return {frozenset(cyc): (h, cyc) for h, cyc in P._x_cells(graph, collapsed, hs) if h != "quad"}
 
 
 def test_embedded_cells_walk_once_parity():
+    # the cells read from pairs of moves at their lowest vertices are the
+    # all-family scan's, in its insertion order, for each kind's h-set: the
+    # first-wins projection onto Y and T rests on that order
     walked = 0
-    for graph, hs in _walk_cases():
-        table = {h: (h, P._X_CELLS[h][1]) for h in hs}
-        want = reference_embedded_cells(graph, table, lambda sigma: sigma.triangles)
-        assert list(P.embedded_cells(graph, hs).items()) == list(want.items())
-        walked += len(want)
+    for graph in _x_graphs():
+        for collapsed, table in P._QUOTIENTS.values():
+            want = reference_embedded_cells(
+                graph, {h: (h, P._X_CELLS[h][1]) for h in table}, lambda sigma: sigma.triangles
+            )
+            assert list(_embedded_in_pass_order(graph, collapsed, table).items()) == list(want.items())
+            walked += len(want)
     assert walked
+
+
+def _span(moves):
+    """S and A of a set of moves: the AND of their support labels, and
+    their OR with S removed."""
+    labels = frozenset().union(*(m.support_labels() for m in moves))
+    common = functools.reduce(operator.and_, labels)
+    return common, functools.reduce(operator.or_, labels) & ~common
+
+
+def _carries(graph, v, candidate):
+    """Whether vertex v carries the family of a `reference_candidates`
+    entry: its sub-walk is among v's labels, and v's triangles inside the
+    family tile the sub-walk's region."""
+    _, family, walk5, area, _, _ = candidate
+    tris = graph.vertices[v]
+    labs = set(graph.payloads[0].boundary).union(*tris)
+    return labs.issuperset(walk5) and sum(P._area2(t) for t in tris if family.issuperset(t)) == area
+
+
+def test_embedded_cell_moves_span_their_family():
+    # at every vertex of every X embedded cell, the cell's two moves inside
+    # its family span exactly that family's S and A, and the vertex carries
+    # the family: the premises that name each cell from a pair of moves at
+    # its lowest vertex
+    perms = [p for n in range(1, 7) for p in C.all_decorated_permutations(n)]
+    vertices = 0
+    for p in perms + [C.cyclic_decorated(7, 3)]:
+        graph = P.enumerate_plabic(p)
+        first = graph.payloads[0]
+        families = {c[1]: c for c in reference_candidates(first.n, first.k, P._X_CELLS)}
+        for name, cyc in P.build_plabic_complex(p, "X")[1]:
+            if name == "quad":
+                continue
+            steps = zip(cyc, cyc[1:] + cyc[:1])
+            labels = frozenset().union(
+                *(m.support_labels() for u, w in steps for m, x in graph.moves[u].items() if x == w)
+            )
+            (family,) = [f for f in families if f >= labels]
+            for u in cyc:
+                inside = [m for m in graph.moves[u] if m.support_labels() <= family]
+                assert len(inside) == 2 and _span(inside) == families[family][4:]
+                assert _carries(graph, u, families[family])
+                vertices += 1
+    assert vertices
+
+
+def test_pairs_name_families_their_vertex_does_not_carry(monkeypatch):
+    # on pi(7,3) a pair of moves to higher ids often names a family whose
+    # sub-walk its vertex does not carry: the carry test decides, and no
+    # cell is walked from such a pair
+    graph = P.enumerate_plabic(C.cyclic_decorated(7, 3))
+    cands = {c[4:]: c for c in reference_candidates(7, 3, P._X_CELLS)}
+    named, carried = set(), set()
+    for v, out in enumerate(graph.moves):
+        up = [m for m, w in out.items() if w > v]
+        for pair in itertools.combinations(up, 2):
+            found = cands.get(_span(pair))
+            if found is not None:
+                named.add((v, *found[4:]))
+                if _carries(graph, v, found):
+                    carried.add((v, *found[4:]))
+    walks = set()
+    move_cycle = P.move_cycle
+
+    def recording(graph, start, allowed, expected, by_id=False):
+        walks.add((start, *_span([m for m in graph.moves[start] if allowed(m)])))
+        return move_cycle(graph, start, allowed, expected, by_id)
+
+    monkeypatch.setattr(P, "move_cycle", recording)
+    cells = [cyc for h, cyc in P._x_cells(graph, frozenset(), P._X_CELLS) if h != "quad"]
+    assert len(cells) == 490
+    assert (len(named), len(carried)) == (895, 490)
+    assert walks == carried and named - carried
 
 
 @pytest.mark.parametrize("kind", ["X", "Y", "T"])
 def test_builds_decode_each_vertex_once(monkeypatch, kind):
     # pi(7,3) has 3,332 vertices: the seed is built, each vertex is decoded
-    # once when it is expanded, and the cell scan decodes vertex 0 alone
+    # once when it is expanded, and the cell pass decodes vertex 0 alone
     p = C.cyclic_decorated(7, 3)
     built = []
     post_init = P.PlabicTriangulation.__post_init__
@@ -436,16 +524,6 @@ def reference_squares(graph, independent=None):
             quad = (v, va, vab, vb)
             if len(set(quad)) == 4:
                 quads.setdefault(frozenset(quad), (quad, a, b))
-    return quads
-
-
-def lowest_corner_squares(graph, independent=None):
-    """The squares of `commuting_squares`, each found once, from its lowest
-    corner."""
-    quads = {}
-    for quad, a, b in commuting_squares(graph, independent):
-        assert frozenset(quad) not in quads and quad[0] == min(quad)
-        quads[frozenset(quad)] = (quad, a, b)
     return quads
 
 

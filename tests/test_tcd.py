@@ -13,7 +13,7 @@ from flipcells import plabic as P
 from flipcells import sections as S
 from flipcells import topology as T
 from flipcells.errors import ValidationError
-from flipcells.flipgraph import DEFAULT_VERTEX_CAP, bfs_closure, commuting_squares, sorted_cells
+from flipcells.flipgraph import DEFAULT_VERTEX_CAP, bfs_closure, commuting_square, sorted_cells
 
 WHITE, BLACK = C.WHITE, C.BLACK
 
@@ -182,19 +182,46 @@ def disjoint_support(a, b):
     return not a.support_labels() & b.support_labels()
 
 
+def reference_candidates(n, k, hs):
+    """(h, family, sub-walk, area, S, A) of every embedded pi(5,h)
+    sub-necklace with h in `hs` whose sub-walk encloses a region, grouped
+    by ascending h, then A (a 5-subset of [n]) and S (a (k-h)-subset of
+    the rest) in lex order.  The family is the set of labels S u psi(K)
+    over the h-subsets K of [5], psi the order-preserving map onto A, and
+    the area is twice the unsigned area the sub-walk encloses."""
+    cands = []
+    for h in sorted(hs):
+        if not 0 <= k - h <= n - 5:
+            continue
+        sub_neck = C.necklace_of(C.cyclic_decorated(5, h))
+        hsubsets = list(itertools.combinations(range(1, 6), h))
+        for a_elems in itertools.combinations(range(1, n + 1), 5):
+            rest = [x for x in range(1, n + 1) if x not in a_elems]
+            psi = {i + 1: a_elems[i] for i in range(5)}
+            for s_elems in itertools.combinations(rest, k - h):
+                smask = C.mask_of(s_elems)
+                family = frozenset(smask | C.mask_of(psi[i] for i in kk) for kk in hsubsets)
+                walk5 = tuple(smask | C.mask_of(psi[i] for i in sub_neck[j]) for j in range(1, 6))
+                area = abs(P.shoelace2([P.pos(b) for b in walk5]))
+                if area:
+                    cands.append((h, family, walk5, area, smask, C.mask_of(a_elems)))
+    return cands
+
+
 def reference_embedded_cells(graph, table, polygons):
-    """The embedded-cell scan that walks a cell's cycle from every vertex
-    that carries it, for each h -> (name, length) of `table`:
+    """The embedded-cell scan that tests every vertex against every
+    family of `reference_candidates` and walks a cell's cycle from every
+    vertex that carries it, for each h -> (name, length) of `table`:
     frozenset(cycle) -> (name, cycle).  `polygons(payload)` are the
     polygons that tile a vertex's region."""
     first = graph.payloads[0]
-    cands = [c for c in P._embedded_candidates(first.n, first.k) if c[0] in table and c[3]]
+    cands = reference_candidates(first.n, first.k, table)
     cells = {}
     for vid, payload in enumerate(graph.payloads):
         polys = polygons(payload)
         labs = set(payload.boundary).union(*polys)
         tiles = [(frozenset(poly), abs(P.shoelace2([P.pos(x) for x in poly]))) for poly in polys]
-        for h, family, walk5, area in cands:
+        for h, family, walk5, area, _, _ in cands:
             if not labs.issuperset(walk5):
                 continue
             if sum(a for verts, a in tiles if verts <= family) != area:
@@ -205,12 +232,28 @@ def reference_embedded_cells(graph, table, polygons):
     return cells
 
 
+def lowest_corner_squares(graph, independent=None):
+    """The squares of `commuting_square` over each vertex's pairs of moves
+    to higher ids, each found once, from its lowest corner:
+    frozenset(quad) -> (quad, a, b).  Pairs failing `independent(a, b)`
+    are skipped first."""
+    quads = {}
+    for v, out in enumerate(graph.moves):
+        up = [(label, w) for label, w in out.items() if w > v]
+        for (a, va), (b, vb) in itertools.combinations(up, 2):
+            if independent is not None and not independent(a, b):
+                continue
+            quad = commuting_square(graph.moves, v, a, va, b, vb)
+            if quad is not None:
+                assert frozenset(quad) not in quads and quad[0] == min(quad)
+                quads[frozenset(quad)] = (quad, a, b)
+    return quads
+
+
 def reference_t_cells(graph):
     """The direct route's cells of T on `enumerate_tcd`'s graph.  Its quad
     and area rules miss cells from n = 6 on, where H1 != 0 for 34 of 720."""
-    cells = {}
-    for quad, _, _ in commuting_squares(graph, disjoint_support):
-        cells.setdefault(frozenset(quad), ("quad", quad))
+    cells = {key: ("quad", quad) for key, (quad, _, _) in lowest_corner_squares(graph, disjoint_support).items()}
     cells.update(reference_embedded_cells(graph, T_CELLS, TCDState.polygons))
     return sorted_cells(cells)
 
