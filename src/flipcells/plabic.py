@@ -388,6 +388,15 @@ class Move:
     center: int = 0
     replacement: int = 0
 
+    def __hash__(self) -> int:
+        """The hash of the fields, computed once per move: every stored-move
+        lookup hashes its key, and each site's `Move` is one shared object."""
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.kind, self.removed, self.added, self.center, self.replacement))
+
     def support_labels(self) -> frozenset[int]:
         """The labels of the removed and added triangles.
 

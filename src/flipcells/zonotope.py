@@ -7,9 +7,12 @@ in colexicographic order, which coincides with ascending mask order.  The
 flip graph keys each tiling by its plus masks packed into one `bytes`
 object (`ZonotopeSpec.pack`), and decodes a `Tiling` only when asked.
 
-Only the enumeration's flip scan uses numpy.  `build_z_complex` reads the
-2-cells, the quads of commuting flips and the (2d+4)-gons of coarse
-(d+2)-tiles, from the moves the enumeration stored, in one pass.
+The enumeration reads each tiling as an element of the higher Bruhat order
+B(n, d): its inversion set, one bit per (d+1)-subset, and its available
+flips as one int mask, updated per flip from the packets that contain it
+(`FlipTables`).  `build_z_complex` reads the 2-cells, the quads of
+commuting flips and the (2d+4)-gons of coarse (d+2)-tiles, from the moves
+the enumeration stored, in one pass.
 
 The exact check of a tiling's geometry and the tilings' JSON form are in
 `exact`, which the package loads on first use.
@@ -23,7 +26,6 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import _kernels
 from .combinat import elems_of, mask_of
 from .errors import ArgumentError, PreconditionError, ResourceCapExceeded, ValidationError
 from .flipgraph import (
@@ -99,25 +101,6 @@ class ZonotopeSpec:
         """The plus masks of a packed key, in colex order."""
         return self._key_struct().unpack(key)
 
-    def key_rows(self, keys):
-        """The plus masks of a list of packed keys as one native unsigned
-        matrix (len(keys), C(n, d)), read by one `np.frombuffer`."""
-        import numpy as np  # deferred: only the tiling scans need numpy
-
-        width = self.key_width
-        rows = np.frombuffer(b"".join(keys), dtype=">u%d" % width)
-        return rows.reshape(len(keys), len(self.dsubsets)).astype("u%d" % width, copy=False)
-
-    def row_keys(self, rows) -> list[bytes]:
-        """The packed keys of a matrix of plus masks, inverse to `key_rows`.
-        numpy computes in native byte order, so the rows are put back into
-        big-endian order before each is cut into one `bytes` object."""
-        import numpy as np  # deferred: only the tiling scans need numpy
-
-        width = self.key_width
-        rows = np.ascontiguousarray(rows, dtype=">u%d" % width)
-        return rows.view(np.dtype((np.void, width * len(self.dsubsets)))).ravel().tolist()
-
     @lru_cache(maxsize=None)
     def flip_sites_table(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
         """For every (d+1)-subset S (ascending mask order): (smask, tile
@@ -133,17 +116,9 @@ class ZonotopeSpec:
         return tuple(out)
 
     @lru_cache(maxsize=None)
-    def flip_tables_np(self):
-        """`flip_sites_table` as arrays (tile indices, element bits, smask),
-        the masks in the native dtype of `key_rows`."""
-        import numpy as np  # deferred: only the tiling scan needs numpy
-
-        sites = self.flip_sites_table()
-        dtype = "u%d" % self.key_width
-        tiles_idx = np.array([rec[1] for rec in sites], dtype=np.int64)
-        elem_bits = np.array([rec[2] for rec in sites], dtype=dtype)
-        smask = np.array([rec[0] for rec in sites], dtype=dtype)
-        return tiles_idx, elem_bits, smask
+    def flip_tables(self) -> FlipTables:
+        """The flip rule of `enumerate_tilings`, built once per (n, d)."""
+        return FlipTables(self)
 
     def det_of(self, mask: int) -> int:
         """det of the moment-curve vectors indexed by a d-subset (Vandermonde)."""
@@ -192,7 +167,7 @@ class SignedSubset:
         return SignedSubset(len(s), plus, minus)
 
 
-# Largest n whose sign masks fit the uint64 tables of the tiling scans.
+# Largest n whose plus masks fit the widest field of a packed key, 8 bytes.
 MAX_N = 64
 
 
@@ -200,7 +175,7 @@ def zonotope_spec(n: int, d: int) -> ZonotopeSpec:
     if d < 1 or d >= n:
         raise ArgumentError("need 1 <= d < n")
     if n > MAX_N:
-        raise ArgumentError("need n <= %d: the tiling scans hold sign masks as uint64" % MAX_N)
+        raise ArgumentError("need n <= %d: a packed key holds each plus mask in at most 8 bytes" % MAX_N)
     return ZonotopeSpec(n, d)
 
 
@@ -326,6 +301,90 @@ def apply_flip(tiling: Tiling, site: FlipSite) -> Tiling:
     return Tiling(spec, tuple(plus))
 
 
+class FlipTables:
+    """The flip rule of Z(n, d) as the higher Bruhat order B(n, d).
+
+    A tiling is reached from the minimal one by flipping each (d+1)-subset
+    of its inversion set U once.  U is an int: bit i is the i-th site of
+    `flip_sites_table`, in ascending mask order.  The packet of a (d+2)-set
+    P is P minus one element, in lex order.  S can be flipped at U when,
+    for every P that contains S, U with S toggled meets P's packet in a lex
+    prefix or a lex suffix (Manin-Schechtman; Ziegler).  At a consistent U
+    exactly two members of a packet keep it so when toggled, its two ends.
+    `available` applies the rule from scratch.
+
+    A flip at S changes only the packets that contain S, so only the
+    availability of S's packet mates.  The mate T in P = S u T is available
+    after S is added exactly when it is an end of P and, unless it was
+    available before, an end of each of its other packets: `flip_up`.
+
+    `moves[1 << i]` is site i's label (its mask) and the mask whose XOR
+    into a packed key, read as a big-endian int, toggles the element bits
+    that `apply_flip` toggles in the site's d+1 tiles.
+    """
+
+    def __init__(self, spec: ZonotopeSpec):
+        sites = spec.flip_sites_table()
+        index = {smask: i for i, (smask, _, _) in enumerate(sites)}
+        field, last = 8 * spec.key_width, len(spec.dsubsets) - 1
+        self.moves = {
+            1 << i: (smask, sum(bit << field * (last - ti) for ti, bit in zip(tiles, bits)))
+            for i, (smask, tiles, bits) in enumerate(sites)
+        }
+        self._full = (1 << len(sites)) - 1
+        # (members, ends): ends[U & members] is the mask of P's two ends at U
+        packets = []
+        of: dict[int, list[tuple[int, dict[int, int]]]] = {low: [] for low in self.moves}
+        for comb in itertools.combinations(range(1, spec.n + 1), spec.d + 2):
+            pmask = mask_of(comb)
+            # P's packet in lex order: P minus its largest element first
+            lex = [1 << index[pmask & ~(1 << (p - 1))] for p in reversed(comb)]
+            consistent = {sum(lex[:j]) for j in range(len(lex) + 1)} | {sum(lex[j:]) for j in range(len(lex) + 1)}
+            packet = (sum(lex), {pat: sum(b for b in lex if pat ^ b in consistent) for pat in consistent})
+            packets.append(packet)
+            for b in lex:
+                of[b].append(packet)
+        self._packets = tuple(packets)
+        # per site S: the mask that clears S's mates, and per packet P of S
+        # the mate of S that is P's other end, with the mate's other packets,
+        # for every pattern of P that a consistent U with S in it can show
+        self._keep: dict[int, int] = {}
+        self._mates: dict[int, tuple] = {}
+        for low in self.moves:
+            keep, mates = self._full, []
+            for members, ends in of[low]:
+                keep &= ~(members ^ low)
+                mate_of = {}
+                for pat, both in ends.items():
+                    if pat & both & low:
+                        mate = both ^ low
+                        mate_of[pat] = (mate, tuple(q for q in of[mate] if q[0] != members))
+                mates.append((members, mate_of))
+            self._keep[low], self._mates[low] = keep, tuple(mates)
+
+    def available(self, u: int) -> int:
+        """The mask of the sites that can be flipped at the inversion set u."""
+        blocked = 0
+        for members, ends in self._packets:
+            blocked |= members & ~ends[u & members]
+        return self._full & ~blocked
+
+    def flip_up(self, u: int, avail: int, low: int) -> int:
+        """The available sites after adding site `low` to the inversion set
+        u, whose available sites are `avail`."""
+        u |= low
+        after = avail & self._keep[low]
+        for members, mate_of in self._mates[low]:
+            mate, others = mate_of[u & members]
+            if not avail & mate:
+                for m, ends in others:
+                    if not ends[u & m] & mate:
+                        mate = 0
+                        break
+            after |= mate
+        return after
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -335,47 +394,57 @@ def enumerate_tilings(spec: ZonotopeSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) 
     """BFS closure of the flip relation from the minimal tiling.
 
     Vertices are packed keys (`ZonotopeSpec.pack`), so vertex ids follow
-    the order of the plus tuples.  A frontier is read by one
-    `np.frombuffer`, every tiling in it is checked against its zero sets
-    (each vertex sits in exactly one frontier), and it is scanned in one
-    batch by `_kernels.scan_available`.  Every successor key is then built
-    at once: the available (tiling, site) pairs in row-major order, their
-    rows gathered and the site's element bits XORed into its d+1 tiles.
-    Each flip is labelled by its (d+1)-subset mask.  `payloads` decodes
-    and checks a `Tiling` from its key on access.
+    the order of the plus tuples.  Each vertex of a frontier carries its
+    key as an int, its inversion set and its mask of available flips
+    (`FlipTables`); the key is checked against its zero sets (each vertex
+    sits in exactly one frontier).  Its moves are its available sites in
+    ascending mask order, each labelled by its (d+1)-subset mask and
+    leading to the key XOR the site's mask.  A move up the poset reaches a
+    vertex of the next frontier, which takes its state from the first such
+    move: the flip added to the inversion set, and the availability
+    updated by `FlipTables.flip_up`.  `payloads` decodes and checks a
+    `Tiling` from its key on access.
 
-    Asserts gradedness and the uniqueness of the extremes.  numpy is
-    imported on the first call, not with the package, so commands that
-    enumerate no tilings start without it.  A cap below C(n, d+1) + 1, the
-    length of a maximal chain of the graded flip poset, raises before the
-    flip tables are built.
+    Asserts gradedness and the uniqueness of the extremes.  A cap below
+    C(n, d+1) + 1, the length of a maximal chain of the graded flip poset,
+    raises before the flip tables are built.
     """
     overflow = "vertex cap %d exceeded enumerating Z(%d,%d)" % (vertex_cap, spec.n, spec.d)
     if spec_top_rank(spec) + 1 > vertex_cap:
         raise ResourceCapExceeded(overflow, partial_count=0)
-    import numpy as np  # deferred: only the tiling scan needs numpy
-
-    tiles_idx, elem_bits, smask_np = spec.flip_tables_np()
-    zeros = np.array(spec.dsubsets, dtype=smask_np.dtype)
+    tables = spec.flip_tables()
+    moves, flip_up = tables.moves, tables.flip_up
+    size = len(spec.dsubsets) * spec.key_width
+    zeros = int.from_bytes(spec.pack(spec.dsubsets), "big")
+    seed = spec.pack(minimal_tiling(spec).plus)
+    # key -> (key as an int, inversion set, available sites), per frontier
+    state = {seed: (int.from_bytes(seed, "big"), 0, tables.available(0))}
 
     def expand(frontier):
-        plus = spec.key_rows(frontier)
-        if (plus & zeros).any():
-            raise ValidationError("plus mask overlaps the zero set")
-        rows, sites = np.nonzero(_kernels.scan_available(plus, tiles_idx, elem_bits, smask_np))
-        succ = plus[rows]
-        succ[np.arange(len(rows))[:, None], tiles_idx[sites]] ^= elem_bits[sites]
-        keys = spec.row_keys(succ)
-        labels = smask_np[sites].tolist()
-        start = 0
-        for end in np.bincount(rows, minlength=len(frontier)).cumsum().tolist():
-            yield zip(labels[start:end], keys[start:end])
-            start = end
+        nonlocal state
+        up = {}
+        for key in frontier:
+            k, u, avail = state[key]
+            if k & zeros:
+                raise ValidationError("plus mask overlaps the zero set")
+            out = []
+            rest = avail
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                label, xor = moves[low]
+                succ = k ^ xor
+                succ_key = succ.to_bytes(size, "big")
+                out.append((label, succ_key))
+                if not u & low and succ_key not in up:
+                    up[succ_key] = (succ, u | low, flip_up(u, avail, low))
+            yield out
+        state = up
 
     def decode(key):
         return Tiling(spec, spec.unpack(key))
 
-    graph = bfs_closure(spec.pack(minimal_tiling(spec).plus), expand, decode, vertex_cap, overflow)
+    graph = bfs_closure(seed, expand, decode, vertex_cap, overflow)
     ranks = graph.ranks
     for u, w, _ in graph.edges:
         if abs(ranks[u] - ranks[w]) != 1:

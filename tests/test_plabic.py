@@ -284,6 +284,17 @@ class TestMoves:
         with pytest.raises(ValidationError, match="k-subsets"):
             P.available_moves(self._seed52_with(((mask_of((1, 2)), mask_of((1, 3)), mask_of((1, 2, 3))),)))
 
+    def test_hash_is_the_fields_hash_computed_once(self, monkeypatch):
+        # a stored move is looked up by its hash many times; equal moves
+        # built apart hash alike, and the fields are hashed once per object
+        s = P.seed_triangulation(C.cyclic_decorated(5, 2))
+        m = P.available_moves(s)[0]
+        twin = P.Move(m.kind, tuple(m.removed), tuple(m.added), m.center, m.replacement)
+        assert twin == m and twin is not m
+        assert hash(twin) == hash(m) == hash((m.kind, m.removed, m.added, m.center, m.replacement))
+        monkeypatch.setattr(P.Move, "kind", property(lambda self: pytest.fail("fields hashed again")), raising=False)
+        assert {m: 1}[m] == 1 and hash(m) == hash(twin)
+
     def test_unavailable_move_rejected(self):
         s = P.seed_triangulation(C.cyclic_decorated(4, 2))
         s2 = P.apply_move(s, P.available_moves(s)[0])

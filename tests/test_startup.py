@@ -1,10 +1,11 @@
 """Start-up cost: a certificate loads only the modules it runs.
 
-numpy loads only where the zonotopal flip scan runs, and a CLI call loads
-neither argparse nor getopt.  `sections` (cross sections, dual graphs,
-UP/DOWN, realization, SVG) and `exact` (exact tiling checks, with
-`fractions`, and tiling JSON) load on first use: no certificate command
-compiles them, and each command that runs them loads them.
+No command loads numpy, which only the tests' reference scan
+(`_kernels`) uses, and a CLI call loads neither argparse nor getopt.
+`sections` (cross sections, dual graphs, UP/DOWN, realization, SVG) and
+`exact` (exact tiling checks, with `fractions`, and tiling JSON) load on
+first use: no certificate command compiles them, and each command that
+runs them loads them.
 
 Each case runs in a fresh interpreter, because this test session has
 already imported numpy and both lazy modules.  The snippet's last stdout
@@ -62,27 +63,26 @@ CERTIFICATES = {
     "plabic": _main("plabic", "cyclic", "5", "2", "--certify"),
     "tcd": _main("tcd", "3,4,5,1,2", "--certify"),
     "certificate": DISK,
+    "zcomplex": _main("zcomplex", "4", "2", "--certify"),
 }
 
 
-@pytest.mark.parametrize("code", list(CERTIFICATES.values()), ids=list(CERTIFICATES))
+@pytest.mark.parametrize(
+    "code", [*CERTIFICATES.values(), _main("tilings", "4", "2")], ids=[*CERTIFICATES, "tilings"]
+)
 def test_numpy_not_loaded(code):
     _, loaded = _run(code)
     assert not loaded
 
 
-@pytest.mark.parametrize(
-    "code",
-    [*CERTIFICATES.values(), _main("zcomplex", "4", "2", "--certify")],
-    ids=[*CERTIFICATES, "zcomplex"],
-)
+@pytest.mark.parametrize("code", list(CERTIFICATES.values()), ids=list(CERTIFICATES))
 def test_certificates_load_no_lazy_module(code):
     assert _loaded(code) == set()
 
 
-def test_kernels_module_is_imported_with_the_package():
+def test_kernels_module_is_not_imported_with_the_package():
     out, loaded = _run("import sys, flipcells\nprint('flipcells._kernels' in sys.modules)\n")
-    assert out == ["True"] and not loaded
+    assert out == ["False"] and not loaded
 
 
 def test_cli_call_does_not_load_argparse():
@@ -91,9 +91,9 @@ def test_cli_call_does_not_load_argparse():
     assert out[-1] == "False False"
 
 
-def test_zcomplex_loads_numpy_on_first_enumeration():
+def test_zcomplex_certifies_without_numpy():
     out, loaded = _run(_main("zcomplex", "4", "2", "--certify"))
-    assert loaded
+    assert not loaded
     assert json.loads(out[0])["certificate"]["pi1"] == "trivial"
 
 

@@ -257,11 +257,9 @@ class TestEnumeration:
         # Z(4,2) has 8 tilings on a graded poset of top rank C(4,3) = 4
         spec = Z.zonotope_spec(4, 2)
         calls = []
-        # the expander reads the flip tables as arrays, memoized per spec
-        table = Z.ZonotopeSpec.flip_tables_np
-        monkeypatch.setattr(
-            Z.ZonotopeSpec, "flip_tables_np", lambda self: calls.append(self) or table(self)
-        )
+        # the expander reads the flip tables, memoized per spec
+        table = Z.ZonotopeSpec.flip_tables
+        monkeypatch.setattr(Z.ZonotopeSpec, "flip_tables", lambda self: calls.append(self) or table(self))
         message = r"vertex cap 4 exceeded enumerating Z\(4,2\)"
         with pytest.raises(ResourceCapExceeded, match=message) as exc:
             Z.enumerate_tilings(spec, vertex_cap=4)
@@ -345,12 +343,22 @@ class TestZComplex:
         assert set(on_gons) == hits and len(on_gons) == len(hits)
 
 
+def scan_tables(spec):
+    """`flip_sites_table` as the arrays `_kernels.scan_available` reads:
+    tile indices, element bits and site masks."""
+    sites = spec.flip_sites_table()
+    tiles_idx = np.array([rec[1] for rec in sites], dtype=np.int64)
+    elem_bits = np.array([rec[2] for rec in sites], dtype=np.uint64)
+    smask = np.array([rec[0] for rec in sites], dtype=np.uint64)
+    return tiles_idx, elem_bits, smask
+
+
 class TestKernels:
     def test_backends_agree(self):
         spec = Z.zonotope_spec(5, 2)
         g = Z.enumerate_tilings(spec)
         plus = np.array([t.plus for t in g.payloads], dtype=np.uint64)
-        tiles_idx, elem_bits, smask = spec.flip_tables_np()
+        tiles_idx, elem_bits, smask = scan_tables(spec)
         out = _kernels.scan_available(plus, tiles_idx, elem_bits, smask)
         # row-by-row agreement with the reference implementation
         for row, t in enumerate(g.payloads):
@@ -432,10 +440,11 @@ class TestQuadSymmetry:
 
 
 def reference_tilings(spec):
-    """The tuple-key BFS that `enumerate_tilings` replaced: vertices are plus
-    tuples, and each successor is copied from its vertex and flipped by a
-    Python XOR loop, one available site of the scan at a time."""
-    tiles_idx, elem_bits, smask_np = spec.flip_tables_np()
+    """The tuple-key BFS over the numpy scan that `enumerate_tilings`
+    replaced: vertices are plus tuples, and each successor is copied from
+    its vertex and flipped by a Python XOR loop, one available site of the
+    scan at a time."""
+    tiles_idx, elem_bits, smask_np = scan_tables(spec)
     sites = spec.flip_sites_table()
 
     def expand(frontier):
@@ -508,7 +517,8 @@ class TestPackedKeys:
         ref = reference_tilings(spec)
         assert all(type(key) is bytes and len(key) == width * len(spec.dsubsets) for key in g.vertices)
         assert [spec.unpack(key) for key in g.vertices] == ref.vertices
-        assert (g.edges, g.ranks, g.moves, g.min_vertex) == (ref.edges, ref.ranks, ref.moves, ref.min_vertex)
+        assert (g.edges, g.ranks, g.min_vertex) == (ref.edges, ref.ranks, ref.min_vertex)
+        assert [list(out.items()) for out in g.moves] == [list(out.items()) for out in ref.moves]
         assert Z.build_z_complex(g)[0].canonical_hash() == digest
 
     def test_payload_view_matches_the_tiling_list(self):
@@ -563,13 +573,68 @@ class TestPackedKeys:
 
     def test_frontier_check_rejects_an_overlapping_successor(self, monkeypatch):
         spec = Z.zonotope_spec(5, 2)
-        row_keys = Z.ZonotopeSpec.row_keys
-
-        def corrupt(self, rows):
-            rows = rows.copy()
-            rows[:, 0] |= self.dsubsets[0]
-            return row_keys(self, rows)
-
-        monkeypatch.setattr(Z.ZonotopeSpec, "row_keys", corrupt)
+        tables = Z.FlipTables(spec)
+        # every flip also sets the zero set of the first tile, whose mask is
+        # the leading byte of a key
+        first = spec.dsubsets[0] << 8 * (len(spec.dsubsets) - 1)
+        tables.moves = {low: (label, xor | first) for low, (label, xor) in tables.moves.items()}
+        monkeypatch.setattr(Z.ZonotopeSpec, "flip_tables", lambda self: tables)
         with pytest.raises(ValidationError, match="overlaps the zero set"):
             Z.enumerate_tilings(spec)
+
+
+# ---------------------------------------------------------------------------
+# the flip rule as the higher Bruhat order: inversion sets and packets
+
+# every Z(n, d) with n <= 6, and Z(7, 3)
+BRUHAT_CASES = [(n, d) for n in range(2, 7) for d in range(1, n)] + [(7, 3)]
+
+
+class TestBruhatTables:
+    @pytest.mark.parametrize("n, d", BRUHAT_CASES, ids=["Z(%d,%d)" % case for case in BRUHAT_CASES])
+    def test_masks_and_successors_match_the_decoded_tilings(self, n, d):
+        spec = Z.zonotope_spec(n, d)
+        tables = spec.flip_tables()
+        low_of = {label: low for low, (label, _) in tables.moves.items()}
+        g = Z.enumerate_tilings(spec)
+        # each vertex's inversion set and mask, carried up from the minimal
+        # tiling by `flip_up` along one move into it, as the expander does
+        state = {g.min_vertex: (0, tables.available(0))}
+        for v in sorted(range(g.n_vertices), key=g.ranks.__getitem__):
+            u, avail = state[v]
+            t = g.payloads[v]
+            sites = Z.available_flips(t)
+            # the moves of v are its available flips, in ascending mask order
+            assert list(g.moves[v]) == [site.smask for site in sites]
+            assert avail == sum(map(low_of.get, g.moves[v])) == tables.available(u)
+            assert g.ranks[v] == bin(u).count("1")
+            for site in sites:
+                low = low_of[site.smask]
+                succ = Z.apply_flip(t, site).key()
+                k = int.from_bytes(g.vertices[v], "big") ^ tables.moves[low][1]
+                assert g.vertices[g.moves[v][site.smask]] == succ == k.to_bytes(len(succ), "big")
+                if not u & low:
+                    state.setdefault(g.moves[v][site.smask], (u | low, tables.flip_up(u, avail, low)))
+        assert len(state) == g.n_vertices
+
+    @pytest.mark.parametrize("n, d", BRUHAT_CASES, ids=["Z(%d,%d)" % case for case in BRUHAT_CASES])
+    def test_graph_matches_the_numpy_reference(self, n, d):
+        spec = Z.zonotope_spec(n, d)
+        g, ref = Z.enumerate_tilings(spec), reference_tilings(spec)
+        assert [spec.unpack(key) for key in g.vertices] == ref.vertices
+        assert (g.edges, g.ranks, g.min_vertex) == (ref.edges, ref.ranks, ref.min_vertex)
+        assert [list(out.items()) for out in g.moves] == [list(out.items()) for out in ref.moves]
+
+    def test_two_ends_per_packet(self):
+        # Z(5,2): the packet of {1,2,3,4} is 123, 124, 134, 234 in lex order;
+        # from the minimal tiling its ends are the first and the last
+        spec = Z.zonotope_spec(5, 2)
+        tables = spec.flip_tables()
+        low_of = {label: low for low, (label, _) in tables.moves.items()}
+        packet = [low_of[C.mask_of(c)] for c in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))]
+        assert tables.available(0) & sum(packet) == packet[0] | packet[3]
+        # after 123 the prefix may grow by 124 or shrink back; 234 is then
+        # blocked by this packet
+        after = tables.flip_up(0, tables.available(0), packet[0])
+        assert after & sum(packet) == packet[0] | packet[1]
+        assert after == tables.available(packet[0])
