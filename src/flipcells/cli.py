@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import sys
 from collections import namedtuple
 from types import SimpleNamespace
@@ -22,13 +23,15 @@ def _emit(args, text: str) -> None:
             path = os.path.join(out_dir, path)
         data = (text if text.endswith("\n") else text + "\n").encode("utf-8")
         # overwrite in place and cut the tail, rather than truncate on open:
-        # truncating a file to zero and rewriting it makes ext4 flush on close
+        # truncating a file to zero and rewriting it makes ext4 flush on close;
+        # a device or pipe has no tail to cut
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
             view = memoryview(data)
             while view:
                 view = view[os.write(fd, view) :]
-            os.ftruncate(fd, len(data))
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
         finally:
             os.close(fd)
     else:
@@ -221,7 +224,7 @@ def cmd_align(args) -> str:
         cur = zonotope.apply_flip(cur, site)
         if sections.cross_section(cur, args.level) != section:
             ok = False
-    ok = ok and cur.key() == tb.key()
+    ok = ok and cur == tb
     return _dump({"schema_version": 1, "level": args.level, "flips": [list(s.elements()) for s in seq], "verified": ok})
 
 

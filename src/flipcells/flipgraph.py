@@ -31,8 +31,8 @@ class FlipGraph:
 
     `vertices[i]` is the canonical encoding of vertex i (vertex ids are
     assigned in sorted encoding order, so the structure is deterministic);
-    a zonotopal tiling is encoded as its packed key, big-endian `bytes`,
-    and a plabic triangulation as its sorted triangles.  `ranks[i]` is the
+    a zonotopal tiling is encoded as its inversion set, one int, and a
+    plabic triangulation as its sorted triangles.  `ranks[i]` is the
     BFS distance from the canonical seed; for zonotopal tilings this equals
     the poset rank.  `payloads` is a `PayloadView` of the vertices: the
     decoded object of vertex i is built from `vertices[i]` each time it is

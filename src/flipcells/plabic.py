@@ -671,14 +671,14 @@ def enumerate_plabic(
     The BFS runs over int keys of `_triangle_table(n, k)`, whose order is
     the order of the sorted triangle tuples, so vertex ids are those of the
     tuples.  Expanding a vertex is one pass over its triangle bits
-    (`_TriangleTable.scan`) that collects its triangles and every move
-    site whose triangles are all present and whose side or center is off the
-    boundary walk; a successor's key is the vertex's XOR the site's mask.
-    The triangles are decoded into a `PlabicTriangulation` once, when the
-    vertex is expanded, which runs its constructor's check.  After the BFS
-    each vertex is its sorted triangles again, and `payloads` decodes it
-    each time it is read.  Each edge is labelled by the move from its lower
-    vertex id to the other.
+    (`_TriangleTable.scan`) that collects every move site whose triangles
+    are all present and whose side or center is off the boundary walk; a
+    successor's key is the vertex's XOR the site's mask.  No vertex is
+    decoded during the BFS: the constructor checks the boundary, which is
+    the seed's, and that the triangles are sorted, which the sorted table
+    gives every key.  After the BFS each vertex is its sorted triangles, and
+    `payloads` decodes it each time it is read.  Each edge is labelled by
+    the move from its lower vertex id to the other.
     """
     seed = seed_triangulation(p)
     n, k, boundary = seed.n, seed.k, seed.boundary
@@ -688,14 +688,9 @@ def enumerate_plabic(
     def decode(tris):
         return PlabicTriangulation(n, k, tris, boundary)
 
-    def moves_of(key):
-        tris, moves = table.scan(key, avoid)
-        decode(tris)  # the constructor's check, once per vertex
-        return moves
-
     graph = bfs_closure(
         table.key(seed.triangles),
-        lambda frontier: map(moves_of, frontier),
+        lambda frontier: (table.scan(key, avoid) for key in frontier),
         decode,
         vertex_cap,
         "vertex cap %d exceeded enumerating plabic graphs" % vertex_cap,
@@ -782,27 +777,25 @@ class _TriangleTable:
         """The sorted triangles of `key`."""
         return tuple(map(self.triangles.__getitem__, self.ranks(key)))
 
-    def scan(self, key: int, avoid) -> tuple[tuple[tuple[int, int, int], ...], list[tuple[Move, int]]]:
-        """The sorted triangles of `key`, and its moves in `available_moves`
-        order, each with its successor's key, read in one pass over its
-        triangles.  `avoid` holds the walked sides and the boundary labels.
+    def scan(self, key: int, avoid) -> list[tuple[Move, int]]:
+        """The moves of `key` in `available_moves` order, each with its
+        successor's key, read in one pass over its triangles.  `avoid`
+        holds the walked sides and the boundary labels.
 
         A site is listed under its lowest triangle, the first of the move's
         removed triangles, so each kind's moves come out of the pass sorted.
         """
         have = self.full ^ key
-        triangles, sites = self.triangles, self._sites
-        tris = []
+        sites = self._sites
         by_kind: tuple[list, list, list] = ([], [], [])
         for r in self.ranks(key):
-            tris.append(triangles[r])
             here = sites[r]
             if here is None:
                 here = self.sites(r)
             for need, xor, move, at, kind in here:
                 if have & need == need and at not in avoid:
                     by_kind[kind].append((move, key ^ xor))
-        return tuple(tris), by_kind[0] + by_kind[1] + by_kind[2]
+        return by_kind[0] + by_kind[1] + by_kind[2]
 
 
 @lru_cache(maxsize=None)

@@ -562,7 +562,7 @@ def align_tilings(a: Tiling, b: Tiling, k: int) -> list:
         for move in path:
             subseq, cur = _realize_move(cur, j, move)
             seq.extend(subseq)
-    if cur.key() != b.key():
+    if cur != b:
         raise AssertionError("alignment did not converge")
     return seq
 

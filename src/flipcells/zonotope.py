@@ -3,16 +3,16 @@
 A tiling is stored as one plus-mask per d-subset of [n]: the tile whose
 zero set is the d-subset Z has X+ = plus-mask, X- = complement of both.
 Subsets are bitmasks over [n] (bit i-1 represents element i) and are kept
-in colexicographic order, which coincides with ascending mask order.  The
-flip graph keys each tiling by its plus masks packed into one `bytes`
-object (`ZonotopeSpec.pack`), and decodes a `Tiling` only when asked.
+in colexicographic order, which coincides with ascending mask order.
 
-The enumeration reads each tiling as an element of the higher Bruhat order
-B(n, d): its inversion set, one bit per (d+1)-subset, and its available
-flips as one int mask, updated per flip from the packets that contain it
-(`FlipTables`).  `build_z_complex` reads the 2-cells, the quads of
-commuting flips and the (2d+4)-gons of coarse (d+2)-tiles, from the moves
-the enumeration stored, in one pass.
+A tiling is an element of the higher Bruhat order B(n, d).  The flip graph
+keys it by its inversion set, one int with one bit per (d+1)-subset
+(`Tiling.key`), and decodes a `Tiling` only when asked.  The enumeration
+carries each tiling's available flips as one int mask, updated per flip
+from the packets that contain it (`FlipTables`).  `build_z_complex` reads
+the 2-cells, the quads of commuting flips and the (2d+4)-gons of coarse
+(d+2)-tiles, from the moves the enumeration stored and the keys, in one
+pass.
 
 The exact check of a tiling's geometry and the tilings' JSON form are in
 `exact`, which the package loads on first use.
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -79,28 +78,6 @@ class ZonotopeSpec:
     def tile_index(self, zero_mask: int) -> int:
         return self._dsubsets()[1][zero_mask]
 
-    @property
-    def key_width(self) -> int:
-        """Bytes per plus mask in a packed key: the narrowest of 1, 2, 4 and
-        8 that holds n bits."""
-        return next(w for w in (1, 2, 4, 8) if self.n <= 8 * w)
-
-    @lru_cache(maxsize=None)
-    def _key_struct(self) -> struct.Struct:
-        code = "BHIQ"[self.key_width.bit_length() - 1]
-        return struct.Struct(">%d%s" % (len(self.dsubsets), code))
-
-    def pack(self, plus) -> bytes:
-        """The packed key of a tiling: its plus masks in colex order, each
-        big-endian in `key_width` bytes.  All keys of a spec have one length
-        and every mask one width, so keys compare as bytes exactly as the
-        plus tuples compare: vertex ids follow the same order."""
-        return self._key_struct().pack(*plus)
-
-    def unpack(self, key: bytes) -> tuple[int, ...]:
-        """The plus masks of a packed key, in colex order."""
-        return self._key_struct().unpack(key)
-
     @lru_cache(maxsize=None)
     def flip_sites_table(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
         """For every (d+1)-subset S (ascending mask order): (smask, tile
@@ -114,6 +91,14 @@ class ZonotopeSpec:
             out.append((smask, tiles, bits))
         out.sort(key=lambda rec: rec[0])
         return tuple(out)
+
+    @lru_cache(maxsize=None)
+    def key_sites(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+        """The records of `flip_sites_table` in the order of their bits in a
+        tiling's key (`Tiling.key`), bit 0 first: as the bits they are read
+        off are in the plus tuple, the first tile and its largest element
+        highest.  So keys sort as the plus tuples do."""
+        return tuple(sorted(self.flip_sites_table(), key=lambda rec: (-rec[1][-1], rec[2][-1])))
 
     @lru_cache(maxsize=None)
     def flip_tables(self) -> FlipTables:
@@ -167,7 +152,8 @@ class SignedSubset:
         return SignedSubset(len(s), plus, minus)
 
 
-# Largest n whose plus masks fit the widest field of a packed key, 8 bytes.
+# Largest n accepted, a bound on the input that the CLI reports as a usage
+# error.  No encoding needs it: keys are ints of any width.
 MAX_N = 64
 
 
@@ -175,7 +161,7 @@ def zonotope_spec(n: int, d: int) -> ZonotopeSpec:
     if d < 1 or d >= n:
         raise ArgumentError("need 1 <= d < n")
     if n > MAX_N:
-        raise ArgumentError("need n <= %d: a packed key holds each plus mask in at most 8 bytes" % MAX_N)
+        raise ArgumentError("need n <= %d" % MAX_N)
     return ZonotopeSpec(n, d)
 
 
@@ -203,10 +189,13 @@ class Tiling:
     def tiles(self) -> tuple[SignedSubset, ...]:
         return tuple(self.tile(z) for z in self.spec.dsubsets)
 
-    def key(self) -> bytes:
-        """The packed key of `ZonotopeSpec.pack`: the vertex encoding of the
-        flip graph of `enumerate_tilings`."""
-        return self.spec.pack(self.plus)
+    def key(self) -> int:
+        """The inversion set, the vertex encoding of `enumerate_tilings`: bit
+        b holds bit max(S) of the tile S \\ {max S}, S the b-th site of
+        `ZonotopeSpec.key_sites`.  It is 0 in the minimal tiling and only a
+        flip at S toggles it."""
+        plus = self.plus
+        return sum(1 << b for b, (_, tiles, bits) in enumerate(self.spec.key_sites()) if plus[tiles[-1]] & bits[-1])
 
     def sign_strings(self) -> list[str]:
         return [x.sign_string() for x in self.tiles()]
@@ -318,19 +307,15 @@ class FlipTables:
     after S is added exactly when it is an end of P and, unless it was
     available before, an end of each of its other packets: `flip_up`.
 
-    `moves[1 << i]` is site i's label (its mask) and the mask whose XOR
-    into a packed key, read as a big-endian int, toggles the element bits
-    that `apply_flip` toggles in the site's d+1 tiles.
+    `moves[1 << i]` is site i's label (its mask) and its bit in a tiling's
+    key (`Tiling.key`), which the flip toggles.
     """
 
     def __init__(self, spec: ZonotopeSpec):
         sites = spec.flip_sites_table()
         index = {smask: i for i, (smask, _, _) in enumerate(sites)}
-        field, last = 8 * spec.key_width, len(spec.dsubsets) - 1
-        self.moves = {
-            1 << i: (smask, sum(bit << field * (last - ti) for ti, bit in zip(tiles, bits)))
-            for i, (smask, tiles, bits) in enumerate(sites)
-        }
+        key_bit = {smask: 1 << b for b, (smask, _, _) in enumerate(spec.key_sites())}
+        self.moves = {1 << i: (smask, key_bit[smask]) for i, (smask, _, _) in enumerate(sites)}
         self._full = (1 << len(sites)) - 1
         # (members, ends): ends[U & members] is the mask of P's two ends at U
         packets = []
@@ -393,17 +378,16 @@ class FlipTables:
 def enumerate_tilings(spec: ZonotopeSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) -> FlipGraph:
     """BFS closure of the flip relation from the minimal tiling.
 
-    Vertices are packed keys (`ZonotopeSpec.pack`), so vertex ids follow
-    the order of the plus tuples.  Each vertex of a frontier carries its
-    key as an int, its inversion set and its mask of available flips
-    (`FlipTables`); the key is checked against its zero sets (each vertex
-    sits in exactly one frontier).  Its moves are its available sites in
-    ascending mask order, each labelled by its (d+1)-subset mask and
-    leading to the key XOR the site's mask.  A move up the poset reaches a
-    vertex of the next frontier, which takes its state from the first such
-    move: the flip added to the inversion set, and the availability
-    updated by `FlipTables.flip_up`.  `payloads` decodes and checks a
-    `Tiling` from its key on access.
+    Vertices are keys (`Tiling.key`), so vertex ids follow the order of the
+    plus tuples.  The seed's key is 0.  Each vertex of a frontier carries
+    its inversion set in `FlipTables`' site order and its mask of available
+    flips.  Its moves are its available sites in ascending mask order, each
+    labelled by its (d+1)-subset mask and leading to the key with the
+    site's bit toggled.  A move up the poset reaches a vertex of the next
+    frontier, which takes its state from the first such move: the flip
+    added to the inversion set, and the availability updated by
+    `FlipTables.flip_up`.  `payloads` decodes a key by applying the flips
+    of its sites to the minimal tiling, and checks the `Tiling`, on access.
 
     Asserts gradedness and the uniqueness of the extremes.  A cap below
     C(n, d+1) + 1, the length of a maximal chain of the graded flip poset,
@@ -414,37 +398,40 @@ def enumerate_tilings(spec: ZonotopeSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) 
         raise ResourceCapExceeded(overflow, partial_count=0)
     tables = spec.flip_tables()
     moves, flip_up = tables.moves, tables.flip_up
-    size = len(spec.dsubsets) * spec.key_width
-    zeros = int.from_bytes(spec.pack(spec.dsubsets), "big")
-    seed = spec.pack(minimal_tiling(spec).plus)
-    # key -> (key as an int, inversion set, available sites), per frontier
-    state = {seed: (int.from_bytes(seed, "big"), 0, tables.available(0))}
+    # key -> (inversion set, available sites), per frontier
+    state = {0: (0, tables.available(0))}
 
     def expand(frontier):
         nonlocal state
         up = {}
         for key in frontier:
-            k, u, avail = state[key]
-            if k & zeros:
-                raise ValidationError("plus mask overlaps the zero set")
+            u, avail = state[key]
             out = []
             rest = avail
             while rest:
                 low = rest & -rest
                 rest ^= low
-                label, xor = moves[low]
-                succ = k ^ xor
-                succ_key = succ.to_bytes(size, "big")
-                out.append((label, succ_key))
-                if not u & low and succ_key not in up:
-                    up[succ_key] = (succ, u | low, flip_up(u, avail, low))
+                label, bit = moves[low]
+                succ = key ^ bit
+                out.append((label, succ))
+                if not u & low and succ not in up:
+                    up[succ] = (u | low, flip_up(u, avail, low))
             yield out
         state = up
 
-    def decode(key):
-        return Tiling(spec, spec.unpack(key))
+    minimal, sites = minimal_tiling(spec).plus, spec.key_sites()
 
-    graph = bfs_closure(seed, expand, decode, vertex_cap, overflow)
+    def decode(key):
+        plus = list(minimal)
+        while key:
+            b = key.bit_length() - 1
+            key ^= 1 << b
+            _, tiles, bits = sites[b]
+            for ti, bit in zip(tiles, bits):
+                plus[ti] ^= bit
+        return Tiling(spec, tuple(plus))
+
+    graph = bfs_closure(0, expand, decode, vertex_cap, overflow)
     ranks = graph.ranks
     for u, w, _ in graph.edges:
         if abs(ranks[u] - ranks[w]) != 1:
@@ -490,9 +477,12 @@ def build_z_complex(graph: FlipGraph):
     flips whose union T has d + 2 elements lie in one packet and never
     commute.  They are a gon's flips at its lowest vertex when T is a
     coarse tile of v: the plus masks of T's C(d+2, 2) member tiles agree
-    outside T.  The gon is then walked from v by the flips inside T.  Any
-    other pair is a quad when it commutes, by `commuting_square`.  Returns
-    (TwoComplex, cells) where cells is a list of (kind, vertex cycle).
+    outside T.  That is read off v's key: j outside Z is in Z's plus mask
+    when it is in the minimal tiling's, which holds j when Z has an odd
+    number of elements above j, XOR when the key holds the site Z u {j}.
+    The gon is then walked from v by the flips inside T.  Any other pair is
+    a quad when it commutes, by `commuting_square`.  Returns (TwoComplex,
+    cells) where cells is a list of (kind, vertex cycle).
     """
     from .topology import TwoComplex
 
@@ -500,28 +490,34 @@ def build_z_complex(graph: FlipGraph):
         raise PreconditionError("build_z_complex needs tiling payloads and moves")
     spec: ZonotopeSpec = graph.payloads[0].spec
     gon = 2 * spec.d + 4
-    # the tile indices of the C(d+2, 2) tiles whose zero set lies in T
-    members: dict[int, list[int]] = {}
+    key_bit = dict(spec.flip_tables().moves.values())
+    # per (d+2)-set T and each bit j outside it, (A, B): A holds the key
+    # bits of the sites Z u {j} over T's member tiles Z, and B those whose Z
+    # has an odd number of bits above j; bit j of the members' plus masks
+    # agrees when (key & A) ^ B is 0 or A
+    coarse: dict[int, list[tuple[int, int]]] = {}
     for comb in itertools.combinations(range(1, spec.n + 1), spec.d + 2):
         tmask = mask_of(comb)
-        members[tmask] = [spec.tile_index(tmask & ~mask_of(ij)) for ij in itertools.combinations(comb, 2)]
+        zeros = [tmask & ~mask_of(ij) for ij in itertools.combinations(comb, 2)]
+        coarse[tmask] = [
+            (sum(key_bit[z | 1 << j] for z in zeros), sum(key_bit[z | 1 << j] for z in zeros if (z >> j).bit_count() & 1))
+            for j in range(spec.n)
+            if not tmask >> j & 1
+        ]
 
-    moves = graph.moves
+    moves, keys = graph.moves, graph.vertices
     cells: dict[frozenset[int], tuple[str, tuple[int, ...]]] = {}
     for v, out in enumerate(moves):
         up = [(label, w) for label, w in out.items() if w > v]
-        plus = None
         for (a, va), (b, vb) in itertools.combinations(up, 2):
             tmask = a | b
-            tiles = members.get(tmask)
-            if tiles is None:
+            tests = coarse.get(tmask)
+            if tests is None:
                 quad = commuting_square(moves, v, a, va, b, vb)
                 if quad is not None:
                     cells.setdefault(frozenset(quad), ("quad", quad))
                 continue
-            if plus is None:
-                plus = spec.unpack(graph.vertices[v])
-            if len({plus[i] & ~tmask for i in tiles}) == 1:
+            if all((keys[v] & sites) ^ odd in (0, sites) for sites, odd in tests):
                 # the walk leaves v by its first flip inside T in scan order,
                 # not towards the lower vertex id: the pinned hashes record it
                 cycle = tuple(move_cycle(graph, v, lambda smask: smask & ~tmask == 0, gon))

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import os
 
 import pytest
 
@@ -303,6 +304,12 @@ class TestDeterminismAndErrors:
         assert text.endswith("}\n") and json.loads(text)["n_vertices"] == 2
         cli.main(["tilings", "3", "2"])
         assert text == capsys.readouterr().out
+
+    def test_out_to_a_device(self, capsys):
+        # a character device has no tail to cut: only a regular file is
+        # truncated after the overwrite
+        assert cli.main(["plabic", "2,1,3w", "--certify", "--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
 
 
 class TestParser:

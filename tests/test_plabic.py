@@ -576,16 +576,14 @@ class TestUpDownGraph:
 
 
 def outcome_line(f, *args) -> bytes:
-    """One JSON line: f(*args) (a triangulation as its `to_json`, bytes as
-    hex), or the class and message of the error it raises."""
+    """One JSON line: f(*args) (a triangulation as its `to_json`), or the
+    class and message of the error it raises."""
     try:
         out = f(*args)
     except Exception as exc:
         out = "%s: %s" % (type(exc).__name__, exc)
     if isinstance(out, P.PlabicTriangulation):
         out = out.to_json()
-    elif isinstance(out, bytes):
-        out = out.hex()
     return json.dumps(out, sort_keys=True, separators=(",", ":")).encode() + b"\n"
 
 
@@ -593,9 +591,9 @@ class TestLayerPins:
     def test_layer_outcomes_hash(self):
         # one sha256 over the outcomes of: UP and DOWN of every X vertex of
         # every decorated permutation with 3 <= n <= 5 and 0 < k < n, and the
-        # cyclic embedding of each vertex; then both layer steps and the
-        # tiling extension of every section of every tiling of Z(n, 3),
-        # 4 <= n <= 6
+        # cyclic embedding of each vertex; then both layer steps and the plus
+        # masks of the tiling extension of every section of every tiling of
+        # Z(n, 3), 4 <= n <= 6
         digest = hashlib.sha256()
         calls = sections = 0
         for n in range(3, 6):
@@ -613,10 +611,10 @@ class TestLayerPins:
                     s = S.cross_section(tiling, k)
                     for direction in ("up", "down"):
                         digest.update(outcome_line(S.layer_step, s, direction))
-                    digest.update(outcome_line(lambda s: S.extend_to_tiling(s).key(), s))
+                    digest.update(outcome_line(lambda s: S.extend_to_tiling(s).plus, s))
                     sections += 1
         assert (calls, sections) == (980, 786)
-        assert digest.hexdigest() == "ff8d63a4c22148a77f4a106d3f9b38c3b0906aac4ae67770344fb56b9268db6e"
+        assert digest.hexdigest() == "065e0c4f9ac529c260abb009048e936321ef50f5057d36fe6a354a23cf9bc3be"
 
 
 class TestEmbed:

@@ -6,13 +6,10 @@ import json
 import math
 import operator
 import random
-import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from flipcells import combinat as C
 from flipcells import exact as E
@@ -43,7 +40,7 @@ class TestSpec:
         with pytest.raises(ArgumentError):
             Z.zonotope_spec(3, 0)
 
-    def test_sign_masks_fit_uint64(self):
+    def test_at_most_64_elements(self):
         assert Z.zonotope_spec(64, 63).n == 64
         for n in (65, 66, 70):
             with pytest.raises(ArgumentError, match="n <= 64"):
@@ -436,7 +433,7 @@ class TestQuadSymmetry:
 
 
 # ---------------------------------------------------------------------------
-# packed keys: one bytes object per tiling, decoded on demand
+# keys: one int per tiling, its inversion set, decoded on demand
 
 
 def reference_tilings(spec):
@@ -463,60 +460,59 @@ def reference_tilings(spec):
     return bfs_closure(Z.minimal_tiling(spec).plus, expand, lambda plus: Z.Tiling(spec, plus), 10**6, "cap")
 
 
-# one Z(n,d) per key width; the hashes were computed with tuple keys
+# Z(n,d) with n on both sides of 8, 16 and 32 bits, the field widths of the
+# packed plus masks that keyed tilings before; the hashes were computed with
+# tuple keys
 KEY_WIDTH_CASES = [
-    (6, 2, 1, PINNED_HASHES["Z(6,2)"]),
-    (9, 6, 2, PINNED_HASHES["Z(9,6)"]),
-    (17, 15, 4, "ac457623e3cfef5b819417bd78d6c3f74bb8a88642c89fda6a408aab5a6bbb19"),
-    (33, 31, 8, "8e4c2f7d80a3d10434291bd95db320145f185ddc62416e377b66a8868c60685a"),
+    (6, 2, PINNED_HASHES["Z(6,2)"]),
+    (9, 6, PINNED_HASHES["Z(9,6)"]),
+    (17, 15, "ac457623e3cfef5b819417bd78d6c3f74bb8a88642c89fda6a408aab5a6bbb19"),
+    (33, 31, "8e4c2f7d80a3d10434291bd95db320145f185ddc62416e377b66a8868c60685a"),
 ]
 
-KEY_NS = (8, 9, 16, 17, 32, 33, 64)
-
-
-@st.composite
-def mask_tuple_pairs(draw):
-    """(n, a, b): two tuples of n masks of n bits; b shares a prefix of a."""
-    n = draw(st.sampled_from(KEY_NS))
-    mask = st.integers(0, (1 << n) - 1)
-    a = draw(st.lists(mask, min_size=n, max_size=n))
-    i = draw(st.integers(0, n))
-    b = a[:i] + draw(st.lists(mask, min_size=n - i, max_size=n - i))
-    return n, tuple(a), tuple(b)
-
-
-TOP = 1 << 63
+# every Z(n, d) with n <= 6, Z(7, 3) and the cases above
+KEY_CASES = [(n, d) for n in range(2, 7) for d in range(1, n)] + [(7, 3), (9, 6), (17, 15), (33, 31)]
 
 
 class TestPackedKeys:
-    @pytest.mark.parametrize("n, width", [(1, 1), (8, 1), (9, 2), (16, 2), (17, 4), (32, 4), (33, 8), (64, 8)])
-    def test_key_width(self, n, width):
-        spec = Z.ZonotopeSpec(n, 1)
-        assert spec.key_width == width
-        assert len(spec.pack(range(n))) == n * width
+    def test_round_trip_and_order(self):
+        # a payload's key is its vertex's, decoding that key gives back its
+        # plus masks, and vertex ids, which follow key order, follow the
+        # order of the plus tuples
+        for n, d in KEY_CASES:
+            g = Z.enumerate_tilings(Z.zonotope_spec(n, d))
+            tilings = list(g.payloads)
+            assert [t.key() for t in tilings] == g.vertices
+            assert [g.payloads.decode(t.key()).plus for t in tilings] == [t.plus for t in tilings]
+            assert all(a.plus < b.plus for a, b in zip(tilings, tilings[1:]))
 
-    @settings(max_examples=400, deadline=None)
-    @given(mask_tuple_pairs())
-    @example((64, (TOP,) * 64, (TOP - 1,) + (TOP,) * 63))
-    @example((64, (TOP - 1,) * 64, (TOP,) * 64))
-    @example((64, ((1 << 64) - 1,) * 64, ((1 << 64) - 1,) * 63 + (TOP,)))
-    def test_round_trip_and_order(self, case):
-        n, a, b = case
-        spec = Z.ZonotopeSpec(n, 1)
-        ka, kb = spec.pack(a), spec.pack(b)
-        assert spec.unpack(ka) == a and spec.unpack(kb) == b
-        assert (ka < kb) == (a < b) and (ka == kb) == (a == b)
+    @pytest.mark.parametrize("n, d", KEY_CASES, ids=["Z(%d,%d)" % case for case in KEY_CASES])
+    def test_keys_are_inversion_sets(self, n, d):
+        # the minimal tiling's key is 0 and the maximal one's has all
+        # C(n, d+1) bits; a vertex's rank is its key's popcount; the keys of
+        # an edge differ in the one bit of its label's site: bit max(S) of
+        # the tile S \ {max S}, the sites ordered as those bits are in the
+        # plus tuple, first tile and largest element highest
+        spec = Z.zonotope_spec(n, d)
+        g = Z.enumerate_tilings(spec)
+        top = math.comb(n, d + 1)
+        assert Z.minimal_tiling(spec).key() == g.vertices[g.min_vertex] == 0
+        assert g.payloads[g.max_vertex].key() == g.vertices[g.max_vertex] == (1 << top) - 1
+        assert g.ranks == [key.bit_count() for key in g.vertices]
+        labels = [C.mask_of(c) for c in itertools.combinations(range(1, n + 1), d + 1)]
+        first = sorted(labels, key=lambda s: (spec.tile_index(s & ~(1 << s.bit_length() - 1)), -s.bit_length()))
+        bit_of = {s: 1 << (top - 1 - i) for i, s in enumerate(first)}
+        for u, w, label in g.edges:
+            assert g.vertices[u] ^ g.vertices[w] == bit_of[label]
 
     @pytest.mark.parametrize(
-        "n, d, width, digest", KEY_WIDTH_CASES, ids=["Z(%d,%d)" % case[:2] for case in KEY_WIDTH_CASES]
+        "n, d, digest", KEY_WIDTH_CASES, ids=["Z(%d,%d)" % case[:2] for case in KEY_WIDTH_CASES]
     )
-    def test_every_key_width_matches_the_tuple_reference(self, n, d, width, digest):
+    def test_every_key_width_matches_the_tuple_reference(self, n, d, digest):
         spec = Z.zonotope_spec(n, d)
-        assert spec.key_width == width
         g = Z.enumerate_tilings(spec)
         ref = reference_tilings(spec)
-        assert all(type(key) is bytes and len(key) == width * len(spec.dsubsets) for key in g.vertices)
-        assert [spec.unpack(key) for key in g.vertices] == ref.vertices
+        assert [t.plus for t in g.payloads] == ref.vertices
         assert (g.edges, g.ranks, g.min_vertex) == (ref.edges, ref.ranks, ref.min_vertex)
         assert [list(out.items()) for out in g.moves] == [list(out.items()) for out in ref.moves]
         assert Z.build_z_complex(g)[0].canonical_hash() == digest
@@ -544,43 +540,18 @@ class TestPackedKeys:
     def test_payloads_are_decoded_and_checked_on_access(self, monkeypatch):
         spec = Z.zonotope_spec(5, 2)
         g = Z.enumerate_tilings(spec)
+        want = reference_tilings(spec).vertices[7]
         checked = []
         post_init = Z.Tiling.__post_init__
         monkeypatch.setattr(Z.Tiling, "__post_init__", lambda self: checked.append(self.plus) or post_init(self))
         assert g.payloads[7].key() == g.vertices[7]
-        assert checked == [spec.unpack(g.vertices[7])]
-        # a key whose first plus mask overlaps its zero set fails on access
-        bad = spec.pack((spec.dsubsets[0],) + spec.unpack(g.vertices[0])[1:])
-        view = PayloadView(g.payloads.decode, [g.vertices[0], bad])
-        assert view[0] == g.payloads[0]
-        with pytest.raises(ValidationError, match="overlaps the zero set"):
-            view[1]
+        assert checked == [want]
 
     @pytest.mark.parametrize("mask", [16, 256, -4])
     def test_plus_masks_stay_inside_the_ground_set(self, mask):
-        # a key packs each mask into one byte for n = 4
+        # n = 4: each mask has at most 4 bits, also past a byte or negative
         with pytest.raises(ValidationError, match="exceeds the ground set"):
             Z.Tiling(Z.zonotope_spec(4, 2), (mask, 0, 0, 0, 0, 0))
-
-    def test_frontier_check_rejects_an_overlapping_seed(self, monkeypatch):
-        # the seed is packed without a Tiling, so only the frontier check runs
-        spec = Z.zonotope_spec(5, 2)
-        plus = Z.minimal_tiling(spec).plus
-        bad = types.SimpleNamespace(plus=(plus[0] | spec.dsubsets[0],) + plus[1:])
-        monkeypatch.setattr(Z, "minimal_tiling", lambda spec: bad)
-        with pytest.raises(ValidationError, match="overlaps the zero set"):
-            Z.enumerate_tilings(spec)
-
-    def test_frontier_check_rejects_an_overlapping_successor(self, monkeypatch):
-        spec = Z.zonotope_spec(5, 2)
-        tables = Z.FlipTables(spec)
-        # every flip also sets the zero set of the first tile, whose mask is
-        # the leading byte of a key
-        first = spec.dsubsets[0] << 8 * (len(spec.dsubsets) - 1)
-        tables.moves = {low: (label, xor | first) for low, (label, xor) in tables.moves.items()}
-        monkeypatch.setattr(Z.ZonotopeSpec, "flip_tables", lambda self: tables)
-        with pytest.raises(ValidationError, match="overlaps the zero set"):
-            Z.enumerate_tilings(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +582,7 @@ class TestBruhatTables:
             for site in sites:
                 low = low_of[site.smask]
                 succ = Z.apply_flip(t, site).key()
-                k = int.from_bytes(g.vertices[v], "big") ^ tables.moves[low][1]
-                assert g.vertices[g.moves[v][site.smask]] == succ == k.to_bytes(len(succ), "big")
+                assert g.vertices[g.moves[v][site.smask]] == succ == g.vertices[v] ^ tables.moves[low][1]
                 if not u & low:
                     state.setdefault(g.moves[v][site.smask], (u | low, tables.flip_up(u, avail, low)))
         assert len(state) == g.n_vertices
@@ -621,7 +591,7 @@ class TestBruhatTables:
     def test_graph_matches_the_numpy_reference(self, n, d):
         spec = Z.zonotope_spec(n, d)
         g, ref = Z.enumerate_tilings(spec), reference_tilings(spec)
-        assert [spec.unpack(key) for key in g.vertices] == ref.vertices
+        assert [t.plus for t in g.payloads] == ref.vertices
         assert (g.edges, g.ranks, g.min_vertex) == (ref.edges, ref.ranks, ref.min_vertex)
         assert [list(out.items()) for out in g.moves] == [list(out.items()) for out in ref.moves]
 
